@@ -2,8 +2,9 @@
 """Write the synthetic empirical probability pools used by the default grid.
 
 The pools stand in for per-subject risks from fitted clinical models, at
-incidences 7% and 26.3%. Given the same seed and size, the files match the
-in-memory pools that brierlab.presets.full_grid_config builds.
+incidences 7% and 26.3%. The output is checked in under configs/pools/, where
+configs/full_grid.json reads it; tests/test_engine.py checks that those files
+still equal brierlab.presets.synthetic_pools(DEFAULT_SEED, 5000) bit for bit.
 """
 
 import argparse

@@ -58,7 +58,7 @@ from .oracle import (
     exact_exceedance_probability,
     exact_expected_bs,
 )
-from .presets import DEFAULT_SEED, full_grid_config, quick_demo_config
+from .presets import DEFAULT_SEED
 from .scoring import (
     ScoreReport,
     brier_score,

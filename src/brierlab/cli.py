@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analytic, engine, figures, scoring
-from .errors import BrierLabError, ConfigError, ValidationError
+from .errors import BrierLabError, ValidationError
 
 __all__ = ["main"]
 
@@ -249,9 +249,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrierLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,9 @@ from .validation import as_probability_vector
 __all__ = [
     "EmpiricalProbabilityPool",
     "TrueDistributionSpec",
+    "TRUE_DISTRIBUTION_FIELDS",
     "PredictorTransformSpec",
+    "PREDICTOR_TRANSFORM_FIELDS",
     "derive_stream",
     "sample_true_probs",
     "apply_predictor_transform",
@@ -138,6 +140,23 @@ class PredictorTransformSpec:
         if not (math.isfinite(magnitude) and magnitude > 0.0):
             raise ValidationError(f"noise magnitude must be positive, got {magnitude}")
         return cls(kind="rademacher_noise", params=(float(magnitude),), label=f"rademacher({magnitude:g})")
+
+
+# Each parametric kind -> its constructor's field names, in argument order.
+# A kind is also the name of its classmethod on the spec class; "empirical"
+# is absent because it takes a pool, not numbers.
+TRUE_DISTRIBUTION_FIELDS: dict[str, tuple[str, ...]] = {
+    "uniform": ("a", "b"),
+    "beta": ("alpha", "beta"),
+    "constant": ("c",),
+    "two_point": ("v0", "v1", "w"),
+}
+PREDICTOR_TRANSFORM_FIELDS: dict[str, tuple[str, ...]] = {
+    "perfect": (),
+    "additive_bias": ("delta",),
+    "uniform_noise": ("half_width",),
+    "rademacher_noise": ("magnitude",),
+}
 
 
 def sample_true_probs(spec: TrueDistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -26,6 +27,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dgm import (
+    PREDICTOR_TRANSFORM_FIELDS,
+    TRUE_DISTRIBUTION_FIELDS,
     PredictorTransformSpec,
     TrueDistributionSpec,
     apply_predictor_transform,
@@ -184,23 +187,15 @@ class ScenarioResult:
 
 def _run_block(
     scenario: Scenario, root_seed: int, scenario_index: int, start: int, stop: int
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Replications [start, stop) of one scenario; used as the worker task."""
-    size = stop - start
-    brier = np.empty(size)
-    cil = np.empty(size)
-    gap = np.empty(size)
-    ybar = np.empty(size)
-    exceeded = np.empty(size, dtype=bool)
-    for offset in range(size):
-        rep = start + offset
-        result = run_replication(scenario, replication_streams(root_seed, scenario_index, rep))
-        brier[offset] = result.brier
-        cil[offset] = result.cil
-        gap[offset] = result.gap
-        ybar[offset] = result.ybar
-        exceeded[offset] = result.exceeded
-    return start, brier, cil, gap, ybar, exceeded
+) -> np.ndarray:
+    """Replications [start, stop) of one scenario as float RepResult rows; the worker task."""
+    return np.array(
+        [
+            run_replication(scenario, replication_streams(root_seed, scenario_index, rep))
+            for rep in range(start, stop)
+        ],
+        dtype=float,
+    )
 
 
 def run_scenario(
@@ -222,12 +217,6 @@ def run_scenario(
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
 
-    brier = np.empty(n_reps)
-    cil = np.empty(n_reps)
-    gap = np.empty(n_reps)
-    ybar = np.empty(n_reps)
-    exceeded = np.empty(n_reps, dtype=bool)
-
     if workers == 1 or n_reps < 2 * workers:
         blocks = [_run_block(scenario, root_seed, scenario_index, 0, n_reps)]
     else:
@@ -240,18 +229,12 @@ def run_scenario(
             ]
             blocks = [f.result() for f in futures]
 
-    for start, b, c, g, yb, ex in blocks:
-        stop = start + b.size
-        brier[start:stop] = b
-        cil[start:stop] = c
-        gap[start:stop] = g
-        ybar[start:stop] = yb
-        exceeded[start:stop] = ex
+    # Blocks arrive in replication order; the copy makes each column contiguous.
+    brier, cil, gap, exceeded, ybar = np.concatenate(blocks).T.copy()
+    exceeded = exceeded.astype(bool)
 
     summaries = {
-        "brier": summarize(brier),
-        "cil": summarize(cil),
-        "gap": summarize(gap),
+        metric: summarize(samples) for metric, samples in zip(_SUMMARY_METRICS, (brier, cil, gap))
     }
     return ScenarioResult(
         scenario=scenario,
@@ -296,9 +279,7 @@ def run_study(
 ) -> list[ScenarioResult]:
     """Run every scenario in the grid; scenario index keys its random streams."""
     scenarios = scenarios_for(config)
-    labels = [s.label for s in scenarios]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("scenario labels are not unique within the study")
+    _check_filenames_unique([s.label for s in scenarios])
     results = []
     for index, scenario in enumerate(scenarios):
         result = run_scenario(
@@ -321,47 +302,31 @@ def _require(mapping: dict, field: str, context: str):
     return mapping[field]
 
 
-def _parse_dgm(entry: dict, context: str, base_dir: Path) -> TrueDistributionSpec:
+def _parse_spec(entry: dict, context: str, spec_class, fields_by_kind: dict, family: str):
+    """Build a spec through the classmethod named by the entry's kind."""
     kind = _require(entry, "kind", context)
+    if not isinstance(kind, str) or kind not in fields_by_kind:
+        raise ConfigError(f"{context}.kind: unknown {family} kind {kind!r}")
+    args = [_require(entry, field, context) for field in fields_by_kind[kind]]
     try:
-        if kind == "uniform":
-            return TrueDistributionSpec.uniform(_require(entry, "a", context), _require(entry, "b", context))
-        if kind == "beta":
-            return TrueDistributionSpec.beta(
-                _require(entry, "alpha", context), _require(entry, "beta", context)
-            )
-        if kind == "constant":
-            return TrueDistributionSpec.constant(_require(entry, "c", context))
-        if kind == "two_point":
-            return TrueDistributionSpec.two_point(
-                _require(entry, "v0", context), _require(entry, "v1", context), _require(entry, "w", context)
-            )
-        if kind == "empirical":
-            raw_path = Path(str(_require(entry, "path", context)))
-            pool_path = raw_path if raw_path.is_absolute() else base_dir / raw_path
-            pool = load_empirical_pool(pool_path, label=entry.get("label"))
-            return TrueDistributionSpec.empirical(pool)
+        return getattr(spec_class, kind)(*args)
+    except ValidationError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _parse_dgm(entry: dict, context: str, base_dir: Path) -> TrueDistributionSpec:
+    if _require(entry, "kind", context) != "empirical":
+        return _parse_spec(
+            entry, context, TrueDistributionSpec, TRUE_DISTRIBUTION_FIELDS, "true-distribution"
+        )
+    raw_path = Path(str(_require(entry, "path", context)))
+    pool_path = raw_path if raw_path.is_absolute() else base_dir / raw_path
+    try:
+        return TrueDistributionSpec.empirical(load_empirical_pool(pool_path, label=entry.get("label")))
     except ValidationError as exc:
         raise ConfigError(f"{context}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"{context}.path: cannot read pool file: {exc}") from None
-    raise ConfigError(f"{context}.kind: unknown true-distribution kind {kind!r}")
-
-
-def _parse_transform(entry: dict, context: str) -> PredictorTransformSpec:
-    kind = _require(entry, "kind", context)
-    try:
-        if kind == "perfect":
-            return PredictorTransformSpec.perfect()
-        if kind == "additive_bias":
-            return PredictorTransformSpec.additive_bias(_require(entry, "delta", context))
-        if kind == "uniform_noise":
-            return PredictorTransformSpec.uniform_noise(_require(entry, "half_width", context))
-        if kind == "rademacher_noise":
-            return PredictorTransformSpec.rademacher_noise(_require(entry, "magnitude", context))
-    except ValidationError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
-    raise ConfigError(f"{context}.kind: unknown predictor-transform kind {kind!r}")
 
 
 def load_study_config(path) -> StudyConfig:
@@ -410,7 +375,10 @@ def load_study_config(path) -> StudyConfig:
         _parse_dgm(entry, f"dgms[{i}]", base_dir) for i, entry in enumerate(dgm_entries)
     )
     transforms = tuple(
-        _parse_transform(entry, f"transforms[{i}]") for i, entry in enumerate(transform_entries)
+        _parse_spec(
+            entry, f"transforms[{i}]", PredictorTransformSpec, PREDICTOR_TRANSFORM_FIELDS, "predictor-transform"
+        )
+        for i, entry in enumerate(transform_entries)
     )
     return StudyConfig(
         name=name,
@@ -431,6 +399,14 @@ def scenario_filename(label: str) -> str:
     """Filesystem-safe CSV name for a scenario label."""
     safe = re.sub(r"[^A-Za-z0-9.\-]+", "_", label).strip("_")
     return f"{safe}.csv"
+
+
+def _check_filenames_unique(labels: list[str]) -> None:
+    """Reject scenario labels that would share a results file, naming them."""
+    counts = Counter(scenario_filename(label) for label in labels)
+    clashes = [label for label in labels if counts[scenario_filename(label)] > 1]
+    if clashes:
+        raise ConfigError(f"scenario labels collide after filename sanitization: {clashes}")
 
 
 def _fmt(value: float) -> str:
@@ -497,10 +473,13 @@ def write_summary_csv(results: list[ScenarioResult], directory) -> Path:
 
 
 def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
-    """Persist every scenario file plus the summary; summary is written last."""
-    names = [scenario_filename(r.scenario.label) for r in results]
-    if len(set(names)) != len(names):
-        raise ConfigError("scenario labels collide after filename sanitization")
+    """Persist every scenario file plus the summary; summary is written last.
+
+    An earlier run's summary is removed first, so a failed write cannot leave
+    it beside new scenario files.
+    """
+    _check_filenames_unique([r.scenario.label for r in results])
+    (Path(directory) / "summary.csv").unlink(missing_ok=True)
     paths = [write_scenario_csv(result, directory) for result in results]
     paths.append(write_summary_csv(results, directory))
     return paths
@@ -528,14 +507,10 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
     data = np.array(rows, dtype=float)
     if data.shape[1] != len(SCENARIO_CSV_COLUMNS):
         raise ValidationError(f"{path}: rows do not match the column schema")
-    return {
-        "rep": data[:, 0].astype(int),
-        "brier": data[:, 1],
-        "cil": data[:, 2],
-        "gap": data[:, 3],
-        "exceeded": data[:, 4].astype(bool),
-        "ybar": data[:, 5],
-    }
+    columns = dict(zip(SCENARIO_CSV_COLUMNS, data.T))
+    columns["rep"] = columns["rep"].astype(int)
+    columns["exceeded"] = columns["exceeded"].astype(bool)
+    return columns
 
 
 def read_summary_csv(path) -> list[dict]:

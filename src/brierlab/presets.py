@@ -1,28 +1,20 @@
-"""Bundled study grids.
+"""Synthetic empirical pools for the bundled grids.
 
-The default grid crosses seven true-probability distributions with five
-predictor transforms at sample sizes 300 and 1000, 5000 replications per
-scenario. Two of the distributions are synthetic empirical pools standing in
-for fitted per-subject risks at incidences 7% and 26.3%; they are generated
-from the study seed and clearly labeled synthetic.
+The study grids themselves live only in ``configs/*.json``. Two of the full
+grid's distributions are empirical pools standing in for fitted per-subject
+risks at incidences 7% and 26.3%; this module generates them from the study
+seed (``scripts/generate_pools.py`` writes them to ``configs/pools/``), and
+they are clearly labeled synthetic.
 """
 
 from __future__ import annotations
 
-from .dgm import (
-    PredictorTransformSpec,
-    TrueDistributionSpec,
-    derive_stream,
-    make_synthetic_pool,
-)
-from .engine import StudyConfig
+from .dgm import derive_stream, make_synthetic_pool
 
 __all__ = [
     "DEFAULT_SEED",
     "FULL_GRID_INCIDENCES",
     "synthetic_pools",
-    "full_grid_config",
-    "quick_demo_config",
 ]
 
 DEFAULT_SEED = 20250810
@@ -45,67 +37,3 @@ def synthetic_pools(seed: int, pool_size: int = 5000):
             make_synthetic_pool(incidence, size=pool_size, rng=rng, label=name)
         )
     return pools
-
-
-def full_grid_transforms() -> tuple[PredictorTransformSpec, ...]:
-    return (
-        PredictorTransformSpec.perfect(),
-        PredictorTransformSpec.additive_bias(0.1),
-        PredictorTransformSpec.uniform_noise(0.1),
-        PredictorTransformSpec.uniform_noise(0.05),
-        PredictorTransformSpec.rademacher_noise(0.1),
-    )
-
-
-def full_grid_config(
-    seed: int = DEFAULT_SEED,
-    n_reps: int = 5000,
-    sample_sizes: tuple[int, ...] = (300, 1000),
-    pool_size: int = 5000,
-    include_empirical: bool = True,
-) -> StudyConfig:
-    """The full default grid: 7 DGMs x 5 transforms per sample size.
-
-    ``include_empirical=False`` drops the two synthetic pools (5 DGMs), which
-    is convenient for fast smoke runs.
-    """
-    dgms: list[TrueDistributionSpec] = [
-        TrueDistributionSpec.uniform(0.0, 1.0),
-        TrueDistributionSpec.uniform(0.0, 0.2),
-        TrueDistributionSpec.beta(2.0, 5.0),
-        TrueDistributionSpec.beta(5.0, 5.0),
-        TrueDistributionSpec.beta(3.0, 3.0),
-    ]
-    if include_empirical:
-        dgms.extend(
-            TrueDistributionSpec.empirical(pool)
-            for pool in synthetic_pools(seed, pool_size)
-        )
-    return StudyConfig(
-        name="full-grid",
-        seed=seed,
-        n_reps=n_reps,
-        sample_sizes=tuple(sample_sizes),
-        dgms=tuple(dgms),
-        transforms=full_grid_transforms(),
-    )
-
-
-def quick_demo_config(seed: int = DEFAULT_SEED) -> StudyConfig:
-    """A seconds-scale taste of the grid: 3 DGMs x 3 transforms, n=300, N=500."""
-    return StudyConfig(
-        name="quick-demo",
-        seed=seed,
-        n_reps=500,
-        sample_sizes=(300,),
-        dgms=(
-            TrueDistributionSpec.uniform(0.0, 1.0),
-            TrueDistributionSpec.constant(0.5),
-            TrueDistributionSpec.beta(2.0, 5.0),
-        ),
-        transforms=(
-            PredictorTransformSpec.perfect(),
-            PredictorTransformSpec.additive_bias(0.1),
-            PredictorTransformSpec.uniform_noise(0.1),
-        ),
-    )

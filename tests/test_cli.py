@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from brierlab import engine
 from brierlab.cli import main
 
 
@@ -160,6 +161,53 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "dgms[0]" in capsys.readouterr().err
+
+
+    def test_label_collision_exits_2_before_any_replication(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "pool.txt").write_text("0.2\n0.4\n0.6\n0.8\n" * 10)
+        config = tmp_path / "collide.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "study": {"name": "x", "seed": 1, "N": 300, "sample_sizes": [5]},
+                    "dgms": [
+                        {"kind": "empirical", "path": "pool.txt", "label": "a b"},
+                        {"kind": "empirical", "path": "pool.txt", "label": "a_b"},
+                    ],
+                    "transforms": [{"kind": "perfect"}],
+                }
+            )
+        )
+        calls = []
+        original = engine.run_replication
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "run_replication", counting)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "empirical(a b)" in err and "empirical(a_b)" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_rewrite_removes_stale_summary(self, results_dir, study_config, tmp_path, monkeypatch):
+        writes = []
+        original = engine.write_scenario_csv
+
+        def failing_second_write(result, directory):
+            writes.append(result.scenario.label)
+            if len(writes) == 2:
+                raise OSError("disk full")
+            return original(result, directory)
+
+        monkeypatch.setattr(engine, "write_scenario_csv", failing_second_write)
+        assert main(["simulate", "--config", str(study_config), "--out", str(results_dir)]) == 3
+        assert len(writes) == 2
+        assert not (results_dir / "summary.csv").exists()
+        assert main(["report", "--results", str(results_dir), "--figure", "4",
+                     "--out", str(tmp_path / "f"), "--n", "30"]) == 2
 
 
 class TestReport:

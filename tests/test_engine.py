@@ -1,15 +1,22 @@
 """Scenario engine: replications, summaries, studies, persistence."""
 
+import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from brierlab import engine
 from brierlab.analytic import perfect_bs_lower_bound
 from brierlab.dgm import (
+    PREDICTOR_TRANSFORM_FIELDS,
+    TRUE_DISTRIBUTION_FIELDS,
     PredictorTransformSpec as Transform,
     TrueDistributionSpec as Dist,
+    load_empirical_pool,
+    make_synthetic_pool,
     sample_true_probs,
 )
 from brierlab.engine import (
@@ -30,7 +37,9 @@ from brierlab.engine import (
 )
 from brierlab.errors import ConfigError, ValidationError
 from brierlab.oracle import exact_exceedance_probability
-from brierlab.presets import full_grid_config, quick_demo_config
+from brierlab.presets import DEFAULT_SEED, synthetic_pools
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -173,14 +182,14 @@ class TestStudy:
         assert len(set(labels)) == 4
 
     def test_full_grid_counts(self):
-        config = full_grid_config(seed=1, n_reps=1, pool_size=1200)
+        config = load_study_config(CONFIGS / "full_grid.json")
         scenarios = scenarios_for(config)
         assert len(scenarios) == 70
         assert sum(1 for s in scenarios if s.n == 300) == 35
         assert sum(1 for s in scenarios if s.n == 1000) == 35
 
     def test_quick_demo_runs(self):
-        config = quick_demo_config()
+        config = load_study_config(CONFIGS / "quick_demo.json")
         scenarios = scenarios_for(config)
         assert len(scenarios) == 9
 
@@ -189,6 +198,32 @@ class TestStudy:
         b = run_study(small_config())
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.brier_samples, rb.brier_samples)
+
+    @pytest.mark.parametrize("labels", [("a b", "a_b"), ("same", "same")])
+    def test_filename_collision_fails_before_any_replication(self, monkeypatch, labels):
+        calls = []
+        original = engine.run_replication
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "run_replication", counting)
+        dgms = tuple(
+            Dist.empirical(make_synthetic_pool(0.3, size=60, seed=1, label=label)) for label in labels
+        )
+        with pytest.raises(ConfigError, match="collide") as info:
+            run_study(small_config(dgms=dgms))
+        assert calls == []
+        for label in labels:
+            assert f"empirical({label})" in str(info.value)
+
+    def test_pool_files_match_generator(self):
+        # the checked-in pools are the generator's output, bit for bit
+        for pool in synthetic_pools(DEFAULT_SEED, 5000):
+            stored = load_empirical_pool(CONFIGS / "pools" / f"{pool.label}.txt")
+            assert stored.label == pool.label
+            assert np.array_equal(stored.probabilities, pool.probabilities)
 
 
 class TestConfigDocuments:
@@ -243,6 +278,34 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError, match="zeta"):
             load_study_config(self.write(tmp_path, doc))
 
+    def test_unknown_or_unhashable_transform_kind(self, tmp_path):
+        for kind in ("empirical", ["perfect"]):
+            doc = self.base_doc()
+            doc["transforms"] = [{"kind": "perfect"}, {"kind": kind}]
+            with pytest.raises(ConfigError, match=r"transforms\[1\]\.kind: unknown predictor-transform kind"):
+                load_study_config(self.write(tmp_path, doc))
+
+    def test_missing_parameter_names_field(self, tmp_path):
+        doc = self.base_doc()
+        doc["transforms"] = [{"kind": "uniform_noise", "halfwidth": 0.1}]
+        with pytest.raises(ConfigError, match=r"transforms\[0\]\.half_width: missing required field"):
+            load_study_config(self.write(tmp_path, doc))
+        doc = self.base_doc()
+        doc["dgms"] = [{"kind": "two_point", "v0": 0.1, "v1": 0.9}]
+        with pytest.raises(ConfigError, match=r"dgms\[0\]\.w: missing required field"):
+            load_study_config(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "spec_class, fields_by_kind",
+        [(Dist, TRUE_DISTRIBUTION_FIELDS), (Transform, PREDICTOR_TRANSFORM_FIELDS)],
+    )
+    def test_kind_tables_match_constructors(self, spec_class, fields_by_kind):
+        for kind, fields in fields_by_kind.items():
+            constructor = getattr(spec_class, kind)
+            assert tuple(inspect.signature(constructor).parameters) == fields
+            args = [0.1 * (i + 1) for i in range(len(fields))]
+            assert constructor(*args).kind == kind
+
     def test_missing_pool_file(self, tmp_path):
         doc = self.base_doc()
         doc["dgms"] = [{"kind": "empirical", "path": "nope.txt"}]
@@ -288,7 +351,7 @@ class TestPersistence:
             read_summary_csv(paths[-1])
 
     def test_filenames_are_safe_and_distinct(self):
-        config = full_grid_config(seed=1, n_reps=1, pool_size=1200)
+        config = load_study_config(CONFIGS / "full_grid.json")
         names = [scenario_filename(s.label) for s in scenarios_for(config)]
         assert len(set(names)) == len(names)
         for name in names:
