@@ -38,7 +38,6 @@ from .engine import (
     StudyConfig,
     SummaryStats,
     load_study_config,
-    run_replication,
     run_scenario,
     run_study,
     summarize,

@@ -7,13 +7,16 @@ p, and two quantities defined against the perfect prediction q: the gap
 (ybar - ybar^2) - BS(q, y) and the indicator that BS(q, y) strictly exceeds
 ybar - ybar^2.
 
-Replication r of scenario s draws from streams addressed by
-(root seed, s, r, purpose), so results are bit-identical at any worker count.
+Replications run in blocks of BLOCK_REPS, each drawn as (rows, n) matrices.
+Block b of scenario s draws from the streams addressed by
+(root seed, s, b, purpose), so the block, not the replication, is the unit
+of determinism, and results are bit-identical at any worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -45,8 +48,7 @@ __all__ = [
     "ScenarioResult",
     "StudyConfig",
     "SummaryStats",
-    "RepResult",
-    "ReplicationStreams",
+    "BLOCK_REPS",
     "replication_streams",
     "run_replication",
     "run_scenario",
@@ -64,13 +66,13 @@ __all__ = [
     "SUMMARY_CSV_COLUMNS",
 ]
 
-# Stream purposes within one replication.
-_PURPOSE_TRUE_PROBS = 0
-_PURPOSE_TRANSFORM = 1
-_PURPOSE_OUTCOMES = 2
+# Replications per block, the unit of work and of determinism. Changing it
+# changes the random numbers.
+BLOCK_REPS = 128
 
 SCENARIO_CSV_COLUMNS = ("rep", "brier", "cil", "gap", "exceeded", "ybar")
 SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean", "exceed_prob")
+_SUMMARY_TYPES = (str, int, str, float, float, float, float, float)  # per summary column
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
@@ -91,31 +93,15 @@ class Scenario:
             object.__setattr__(self, "label", auto)
 
 
-class ReplicationStreams(NamedTuple):
-    true_probs: np.random.Generator
-    transform: np.random.Generator
-    outcomes: np.random.Generator
+def replication_streams(root_seed: int, scenario_index: int, block: int) -> tuple:
+    """The q, transform and outcome streams (purposes 0, 1, 2) of one block of a scenario."""
+    return tuple(derive_stream(root_seed, scenario_index, block, purpose) for purpose in range(3))
 
 
-def replication_streams(root_seed: int, scenario_index: int, rep_index: int) -> ReplicationStreams:
-    """The three per-purpose streams owned by one replication."""
-    return ReplicationStreams(
-        true_probs=derive_stream(root_seed, scenario_index, rep_index, _PURPOSE_TRUE_PROBS),
-        transform=derive_stream(root_seed, scenario_index, rep_index, _PURPOSE_TRANSFORM),
-        outcomes=derive_stream(root_seed, scenario_index, rep_index, _PURPOSE_OUTCOMES),
-    )
+def _score_rows(scenario: Scenario, streams, rows: int) -> np.ndarray:
+    """Score ``rows`` replications drawn as (rows, n) matrices.
 
-
-class RepResult(NamedTuple):
-    brier: float
-    cil: float
-    gap: float
-    exceeded: bool
-    ybar: float
-
-
-def run_replication(scenario: Scenario, streams: ReplicationStreams) -> RepResult:
-    """Execute one replication of a scenario against its private streams.
+    Each replication gives one row: brier, cil, gap, exceeded, ybar.
 
     The gap and the exceedance flag are computed against the score of the
     perfect prediction q (scored alongside whatever transform the scenario
@@ -123,21 +109,22 @@ def run_replication(scenario: Scenario, streams: ReplicationStreams) -> RepResul
     exceedance comparison uses the same tie tolerance as the enumeration
     oracle, so exact ties never count as exceedances.
     """
-    q = sample_true_probs(scenario.true_dist, scenario.n, streams.true_probs)
-    p = apply_predictor_transform(q, scenario.transform, streams.transform)
-    y = sample_outcomes(q, streams.outcomes)
+    q_stream, transform_stream, outcome_stream = streams
+    q = sample_true_probs(scenario.true_dist, (rows, scenario.n), q_stream)
+    p = apply_predictor_transform(q, scenario.transform, transform_stream)
+    y = sample_outcomes(q, outcome_stream)
 
-    brier = float(np.mean((p - y) ** 2))
-    cil = float(np.mean(p) - np.mean(y))
-    brier_perfect = float(np.mean((q - y) ** 2))
-    ybar = float(np.mean(y))
+    ybar = y.mean(axis=1)
     reference = ybar - ybar * ybar
-    return RepResult(
-        brier=brier,
-        cil=cil,
-        gap=reference - brier_perfect,
-        exceeded=bool(brier_perfect > reference + EXCEEDANCE_TIE_TOL),
-        ybar=ybar,
+    brier_perfect = np.mean((q - y) ** 2, axis=1)
+    return np.column_stack(
+        (
+            np.mean((p - y) ** 2, axis=1),
+            p.mean(axis=1) - ybar,
+            reference - brier_perfect,
+            brier_perfect > reference + EXCEEDANCE_TIE_TOL,
+            ybar,
+        )
     )
 
 
@@ -185,17 +172,56 @@ class ScenarioResult:
         return self.exceed_count / self.n_reps
 
 
+def run_replication(scenario: Scenario, streams) -> np.ndarray:
+    """One replication on the given streams, scored as a one-row block."""
+    return _score_rows(scenario, streams, 1)[0]
+
+
 def _run_block(
-    scenario: Scenario, root_seed: int, scenario_index: int, start: int, stop: int
+    scenario: Scenario, root_seed: int, scenario_index: int, block: int, n_reps: int
 ) -> np.ndarray:
-    """Replications [start, stop) of one scenario as float RepResult rows; the worker task."""
-    return np.array(
-        [
-            run_replication(scenario, replication_streams(root_seed, scenario_index, rep))
-            for rep in range(start, stop)
-        ],
-        dtype=float,
-    )
+    """Replications [block * BLOCK_REPS, ...) of N = n_reps as score rows; the worker task."""
+    rows = min(BLOCK_REPS, n_reps - block * BLOCK_REPS)
+    return _score_rows(scenario, replication_streams(root_seed, scenario_index, block), rows)
+
+
+def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: int, workers: int):
+    """Yield one ScenarioResult per (scenario index, scenario), in the given order.
+
+    Every (scenario, block) task is known up front. One worker maps them in
+    process; more submit them all to a single pool, so a study starts one
+    pool however many scenarios it has.
+    """
+    if n_reps < 1:
+        raise ValidationError(f"replication count must be >= 1, got {n_reps}")
+    if workers < 1:
+        raise ValidationError(f"worker count must be >= 1, got {workers}")
+    n_blocks = -(-n_reps // BLOCK_REPS)
+    tasks = [
+        (scenario, root_seed, index, block, n_reps)
+        for index, scenario in indexed
+        for block in range(n_blocks)
+    ]
+    with contextlib.ExitStack() as stack:
+        if workers == 1 or len(tasks) == 1:
+            blocks = (_run_block(*task) for task in tasks)
+        else:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+            # On an error, drop the queued tasks instead of running them out.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            futures = [pool.submit(_run_block, *task) for task in tasks]
+            blocks = (future.result() for future in futures)
+        for index, scenario in indexed:
+            # Blocks arrive in replication order; the copy makes each column contiguous.
+            columns = np.concatenate([next(blocks) for _ in range(n_blocks)]).T.copy()
+            brier, cil, gap, exceeded, ybar = columns
+            summaries = {
+                metric: summarize(samples) for metric, samples in zip(_SUMMARY_METRICS, columns)
+            }
+            yield ScenarioResult(
+                scenario, n_reps, root_seed, index,
+                brier, cil, gap, ybar, exceeded.astype(bool), summaries,
+            )
 
 
 def run_scenario(
@@ -207,47 +233,13 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run N independent replications and summarize the estimands.
 
-    Replication r always uses the streams addressed by
-    (root_seed, scenario_index, r, purpose), so the result is identical for
-    any ``workers`` value; workers only controls how the index range is
-    partitioned across processes.
+    Block b holds replications [b * BLOCK_REPS, (b + 1) * BLOCK_REPS) and
+    draws from the streams addressed by (root_seed, scenario_index, b,
+    purpose), so the result is identical for any ``workers`` value; workers
+    only controls which process runs each block.
     """
-    if n_reps < 1:
-        raise ValidationError(f"replication count must be >= 1, got {n_reps}")
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
-
-    if workers == 1 or n_reps < 2 * workers:
-        blocks = [_run_block(scenario, root_seed, scenario_index, 0, n_reps)]
-    else:
-        bounds = np.linspace(0, n_reps, workers + 1, dtype=int)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_block, scenario, root_seed, scenario_index, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            blocks = [f.result() for f in futures]
-
-    # Blocks arrive in replication order; the copy makes each column contiguous.
-    brier, cil, gap, exceeded, ybar = np.concatenate(blocks).T.copy()
-    exceeded = exceeded.astype(bool)
-
-    summaries = {
-        metric: summarize(samples) for metric, samples in zip(_SUMMARY_METRICS, (brier, cil, gap))
-    }
-    return ScenarioResult(
-        scenario=scenario,
-        n_reps=n_reps,
-        root_seed=root_seed,
-        scenario_index=scenario_index,
-        brier_samples=brier,
-        cil_samples=cil,
-        gap_samples=gap,
-        ybar_samples=ybar,
-        exceeded=exceeded,
-        summaries=summaries,
-    )
+    [result] = _run_scenarios([(scenario_index, scenario)], n_reps, root_seed, workers)
+    return result
 
 
 @dataclass(frozen=True)
@@ -277,17 +269,18 @@ def run_study(
     workers: int = 1,
     progress: Callable[[int, int, ScenarioResult], None] | None = None,
 ) -> list[ScenarioResult]:
-    """Run every scenario in the grid; scenario index keys its random streams."""
+    """Run every scenario in the grid; scenario index keys its random streams.
+
+    With ``workers`` > 1 one process pool serves every block of every
+    scenario; results and ``progress`` calls still come in scenario order.
+    """
     scenarios = scenarios_for(config)
     _check_filenames_unique([s.label for s in scenarios])
     results = []
-    for index, scenario in enumerate(scenarios):
-        result = run_scenario(
-            scenario, config.n_reps, config.seed, scenario_index=index, workers=workers
-        )
+    for result in _run_scenarios(list(enumerate(scenarios)), config.n_reps, config.seed, workers):
         results.append(result)
         if progress is not None:
-            progress(index + 1, len(scenarios), result)
+            progress(len(results), len(scenarios), result)
     return results
 
 
@@ -297,6 +290,8 @@ def run_study(
 
 
 def _require(mapping: dict, field: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context}: must be an object")
     if field not in mapping:
         raise ConfigError(f"{context}.{field}: missing required field")
     return mapping[field]
@@ -308,6 +303,9 @@ def _parse_spec(entry: dict, context: str, spec_class, fields_by_kind: dict, fam
     if not isinstance(kind, str) or kind not in fields_by_kind:
         raise ConfigError(f"{context}.kind: unknown {family} kind {kind!r}")
     args = [_require(entry, field, context) for field in fields_by_kind[kind]]
+    for field, value in zip(fields_by_kind[kind], args):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{context}.{field}: must be a number, got {value!r}")
     try:
         return getattr(spec_class, kind)(*args)
     except ValidationError as exc:
@@ -346,8 +344,6 @@ def load_study_config(path) -> StudyConfig:
         raise ConfigError(f"{path}: top level must be an object")
 
     study = _require(doc, "study", "document")
-    if not isinstance(study, dict):
-        raise ConfigError("study: must be an object")
     name = str(_require(study, "name", "study"))
     seed = _require(study, "seed", "study")
     n_reps = _require(study, "N", "study")
@@ -431,18 +427,12 @@ def write_scenario_csv(result: ScenarioResult, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / scenario_filename(result.scenario.label)
-    rows = [SCENARIO_CSV_COLUMNS]
-    for i in range(result.n_reps):
-        rows.append(
-            (
-                str(i + 1),
-                _fmt(result.brier_samples[i]),
-                _fmt(result.cil_samples[i]),
-                _fmt(result.gap_samples[i]),
-                "1" if result.exceeded[i] else "0",
-                _fmt(result.ybar_samples[i]),
-            )
-        )
+    samples = zip(result.brier_samples, result.cil_samples, result.gap_samples,
+                  result.exceeded, result.ybar_samples)
+    rows = [SCENARIO_CSV_COLUMNS] + [
+        (str(rep), _fmt(brier), _fmt(cil), _fmt(gap), "1" if exceeded else "0", _fmt(ybar))
+        for rep, (brier, cil, gap, exceeded, ybar) in enumerate(samples, start=1)
+    ]
     _atomic_write(path, _csv_text(rows))
     return path
 
@@ -492,21 +482,38 @@ def _check_header(found: list[str], expected: tuple[str, ...], path) -> None:
         )
 
 
-def read_scenario_csv(path) -> dict[str, np.ndarray]:
-    """Read a per-scenario file back, validating the column schema."""
-    path = Path(path)
+def _data_rows(path: Path, columns: tuple[str, ...]) -> list[tuple[int, list[str]]]:
+    """The nonblank rows under a checked header, each with its 1-based line number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")
-        _check_header(header, SCENARIO_CSV_COLUMNS, path)
-        rows = [row for row in reader if row]
+        _check_header(header, columns, path)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
-    if data.shape[1] != len(SCENARIO_CSV_COLUMNS):
-        raise ValidationError(f"{path}: rows do not match the column schema")
+    for line, row in rows:
+        if len(row) != len(columns):
+            raise ValidationError(
+                f"{path}: line {line}: expected {len(columns)} fields, got {row!r}"
+            )
+    return rows
+
+
+def read_scenario_csv(path) -> dict[str, np.ndarray]:
+    """Read a per-scenario file back, validating the column schema and every cell."""
+    path = Path(path)
+    rows = _data_rows(path, SCENARIO_CSV_COLUMNS)
+    try:
+        data = np.array([row for _, row in rows], dtype=float)
+    except ValueError:
+        for line, row in rows:  # name the first bad line
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {line}: {exc}") from None
+        raise
     columns = dict(zip(SCENARIO_CSV_COLUMNS, data.T))
     columns["rep"] = columns["rep"].astype(int)
     columns["exceeded"] = columns["exceeded"].astype(bool)
@@ -514,32 +521,13 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
 
 
 def read_summary_csv(path) -> list[dict]:
-    """Read the summary file back as row dicts, validating the column schema."""
+    """Read the summary file back as row dicts, validating the column schema and every cell."""
     path = Path(path)
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        _check_header(header, SUMMARY_CSV_COLUMNS, path)
-        for parts in reader:
-            if not parts:
-                continue
-            if len(parts) != len(SUMMARY_CSV_COLUMNS):
-                raise ValidationError(f"{path}: malformed row {parts!r}")
-            rows.append(
-                {
-                    "scenario": parts[0],
-                    "n": int(parts[1]),
-                    "metric": parts[2],
-                    "median": float(parts[3]),
-                    "q05": float(parts[4]),
-                    "q95": float(parts[5]),
-                    "mean": float(parts[6]),
-                    "exceed_prob": float(parts[7]),
-                }
-            )
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
+    for line, parts in _data_rows(path, SUMMARY_CSV_COLUMNS):
+        try:
+            converted = zip(SUMMARY_CSV_COLUMNS, _SUMMARY_TYPES, parts)
+            rows.append({column: convert(cell) for column, convert, cell in converted})
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {line}: {exc}") from None
     return rows

@@ -162,6 +162,31 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "dgms[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dgm, transform, message",
+        [
+            ({"kind": "uniform", "a": "0", "b": 1}, {"kind": "perfect"}, "dgms[0].a: must be a number, got '0'"),
+            ({"kind": "uniform", "a": 0, "b": 1}, {"kind": "additive_bias", "delta": None},
+             "transforms[0].delta: must be a number, got None"),
+            (3, {"kind": "perfect"}, "dgms[0]: must be an object"),
+            ({"kind": "uniform", "a": 0, "b": 1}, ["perfect"], "transforms[0]: must be an object"),
+        ],
+        ids=["string-parameter", "null-parameter", "dgm-not-object", "transform-not-object"],
+    )
+    def test_mistyped_entry_exits_2_naming_field(self, tmp_path, capsys, dgm, transform, message):
+        config = tmp_path / "bad.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "study": {"name": "x", "seed": 1, "N": 2, "sample_sizes": [5]},
+                    "dgms": [dgm],
+                    "transforms": [transform],
+                }
+            )
+        )
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_label_collision_exits_2_before_any_replication(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "pool.txt").write_text("0.2\n0.4\n0.6\n0.8\n" * 10)
@@ -179,13 +204,13 @@ class TestSimulate:
             )
         )
         calls = []
-        original = engine.run_replication
+        original = engine._run_block
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(engine, "run_replication", counting)
+        monkeypatch.setattr(engine, "_run_block", counting)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert calls == []
         err = capsys.readouterr().err
@@ -257,3 +282,14 @@ class TestReport:
         assert main(["report", "--results", str(results_dir), "--figure", "4",
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         assert "header" in capsys.readouterr().err
+
+    def test_non_numeric_summary_cell_exits_2_naming_line(self, results_dir, tmp_path, capsys):
+        summary = results_dir / "summary.csv"
+        lines = summary.read_text().splitlines()
+        prefix, _median, *rest = lines[1].rsplit(",", 5)  # the last five fields are numbers
+        lines[1] = ",".join([prefix, "abc", *rest])
+        summary.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--results", str(results_dir), "--figure", "2",
+                     "--out", str(tmp_path / "f"), "--n", "30"]) == 2
+        err = capsys.readouterr().err
+        assert "summary.csv: line 2:" in err and "abc" in err

@@ -1,5 +1,7 @@
 """Scenario engine: replications, summaries, studies, persistence."""
 
+import concurrent.futures
+import csv
 import inspect
 import json
 import math
@@ -13,13 +15,17 @@ from brierlab.analytic import perfect_bs_lower_bound
 from brierlab.dgm import (
     PREDICTOR_TRANSFORM_FIELDS,
     TRUE_DISTRIBUTION_FIELDS,
+    EmpiricalProbabilityPool,
     PredictorTransformSpec as Transform,
     TrueDistributionSpec as Dist,
+    derive_stream,
     load_empirical_pool,
     make_synthetic_pool,
+    sample_outcomes,
     sample_true_probs,
 )
 from brierlab.engine import (
+    BLOCK_REPS,
     SCENARIO_CSV_COLUMNS,
     SUMMARY_CSV_COLUMNS,
     Scenario,
@@ -57,32 +63,73 @@ def small_config(**overrides):
     return StudyConfig(**defaults)
 
 
+def replace_cell(path, row, column, text):
+    """Overwrite one cell of a results CSV, counting the header as row 0."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[row][column] = text
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 class TestRunReplication:
+    """Replications as the rows of a block: engine._run_block and run_replication."""
+
     def test_constant_half_perfect_is_exact(self):
         scenario = Scenario(Dist.constant(0.5), Transform.perfect(), 300)
-        for rep in range(20):
-            result = run_replication(scenario, replication_streams(5, 0, rep))
-            assert result.brier == 0.25  # each (0.5 - y)^2 is exactly 0.25
+        for block in range(2):
+            rows = engine._run_block(scenario, 5, 0, block, BLOCK_REPS + 20)
+            assert rows.shape == ((BLOCK_REPS, 20)[block], 5)
+            assert np.all(rows[:, 0] == 0.25)  # each (0.5 - y)^2 is exactly 0.25
 
     def test_two_point_degenerate_is_zero(self):
         scenario = Scenario(Dist.two_point(0.0, 1.0, 0.5), Transform.perfect(), 300)
-        for rep in range(20):
-            result = run_replication(scenario, replication_streams(5, 0, rep))
-            assert result.brier == 0.0
+        rows = engine._run_block(scenario, 5, 0, 0, 20)
+        assert rows.shape == (20, 5)
+        assert np.all(rows[:, 0] == 0.0)
 
     def test_deterministic_per_stream(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.uniform_noise(0.1), 100)
-        a = run_replication(scenario, replication_streams(7, 2, 9))
-        b = run_replication(scenario, replication_streams(7, 2, 9))
-        assert a == b
+        a = engine._run_block(scenario, 7, 2, 9, 10 * BLOCK_REPS)
+        b = engine._run_block(scenario, 7, 2, 9, 10 * BLOCK_REPS)
+        other = engine._run_block(scenario, 7, 2, 8, 10 * BLOCK_REPS)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, other)
 
     def test_gap_and_exceedance_are_consistent(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 50)
-        for rep in range(50):
-            r = run_replication(scenario, replication_streams(11, 0, rep))
-            reference = r.ybar - r.ybar**2
-            brier_perfect = reference - r.gap
-            assert r.exceeded == (brier_perfect > reference + 1e-12)
+        brier, _, gap, exceeded, ybar = engine._run_block(scenario, 11, 0, 0, 50).T
+        reference = ybar - ybar**2
+        brier_perfect = reference - gap
+        assert np.array_equal(exceeded == 1.0, brier_perfect > reference + 1e-12)
+        assert np.allclose(brier, brier_perfect, rtol=0, atol=1e-15)  # perfect p is q
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            Dist.uniform(0.0, 1.0),
+            Dist.beta(2.0, 5.0),
+            Dist.two_point(0.1, 0.9, 0.3),
+            Dist.empirical(make_synthetic_pool(0.3, size=400, seed=2)),
+        ],
+        ids=lambda dist: dist.kind,
+    )
+    def test_single_replication_is_first_row_of_its_block(self, dist):
+        transforms = (Transform.additive_bias(0.1), Transform.uniform_noise(0.1), Transform.rademacher_noise(0.1))
+        for transform in transforms:
+            scenario = Scenario(dist, transform, 60)
+            row = run_replication(scenario, replication_streams(13, 4, 2))
+            assert np.array_equal(row, engine._run_block(scenario, 13, 4, 2, 3 * BLOCK_REPS)[0])
+
+    def test_empirical_rows_hold_distinct_pool_entries(self):
+        values = np.linspace(0.001, 0.999, 500)  # every pool entry distinct
+        spec = Dist.empirical(EmpiricalProbabilityPool(values, "distinct", float(np.mean(values))))
+        q = sample_true_probs(spec, (BLOCK_REPS, 300), derive_stream(17, 0, 0, 0))
+        assert q.shape == (BLOCK_REPS, 300)
+        assert np.all(np.isin(q, values))
+        for row in q:
+            assert np.unique(row).size == 300
+        assert len({row.tobytes() for row in q}) == BLOCK_REPS  # a fresh subsample per row
 
 
 class TestSummarize:
@@ -141,18 +188,34 @@ class TestRunScenario:
         assert np.array_equal(serial.ybar_samples, parallel.ybar_samples)
         assert np.array_equal(serial.exceeded, parallel.exceeded)
 
+    def test_worker_counts_agree_across_a_partial_block(self):
+        scenario = Scenario(Dist.beta(2.0, 5.0), Transform.rademacher_noise(0.1), 40)
+        n_reps = BLOCK_REPS + 37
+        serial = run_scenario(scenario, n_reps, 7, scenario_index=1, workers=1)
+        for workers in (2, 3):
+            parallel = run_scenario(scenario, n_reps, 7, scenario_index=1, workers=workers)
+            for name in ("brier_samples", "cil_samples", "gap_samples", "ybar_samples", "exceeded"):
+                assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+            assert serial.summaries == parallel.summaries
+
     def test_perfect_scores_respect_lower_bound(self):
         # per replication: BS(q, y) >= max_i min(q_i, 1-q_i)^2 / n
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 25)
-        result = run_scenario(scenario, 100, 31, scenario_index=2)
-        for rep in range(100):
-            streams = replication_streams(31, 2, rep)
-            q = sample_true_probs(scenario.true_dist, scenario.n, streams.true_probs)
-            bound = perfect_bs_lower_bound(q)
-            reference = result.ybar_samples[rep] - result.ybar_samples[rep] ** 2
-            brier_perfect = reference - result.gap_samples[rep]
-            assert brier_perfect >= bound - 1e-12
-            assert bound > 0.0
+        n_reps = BLOCK_REPS + 37
+        result = run_scenario(scenario, n_reps, 31, scenario_index=2)
+        for block, rows in enumerate((BLOCK_REPS, 37)):
+            q_block = sample_true_probs(scenario.true_dist, (rows, scenario.n), derive_stream(31, 2, block, 0))
+            # the block's q and outcome streams are addressed (seed, scenario, block, purpose)
+            y_block = sample_outcomes(q_block, derive_stream(31, 2, block, 2))
+            first = block * BLOCK_REPS
+            assert np.array_equal(result.ybar_samples[first:first + rows], y_block.mean(axis=1))
+            for row, q in enumerate(q_block):
+                rep = block * BLOCK_REPS + row
+                bound = perfect_bs_lower_bound(q)
+                reference = result.ybar_samples[rep] - result.ybar_samples[rep] ** 2
+                brier_perfect = reference - result.gap_samples[rep]
+                assert brier_perfect >= bound - 1e-12
+                assert bound > 0.0
 
     def test_estimated_exceedance_matches_oracle(self):
         # fixed truths allow an exact enumeration comparison at n = 10
@@ -202,13 +265,13 @@ class TestStudy:
     @pytest.mark.parametrize("labels", [("a b", "a_b"), ("same", "same")])
     def test_filename_collision_fails_before_any_replication(self, monkeypatch, labels):
         calls = []
-        original = engine.run_replication
+        original = engine._run_block
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(engine, "run_replication", counting)
+        monkeypatch.setattr(engine, "_run_block", counting)
         dgms = tuple(
             Dist.empirical(make_synthetic_pool(0.3, size=60, seed=1, label=label)) for label in labels
         )
@@ -217,6 +280,22 @@ class TestStudy:
         assert calls == []
         for label in labels:
             assert f"empirical({label})" in str(info.value)
+
+    def test_parallel_study_starts_one_process_pool(self, monkeypatch):
+        starts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        config = small_config(n_reps=BLOCK_REPS + 37)
+        parallel = run_study(config, workers=2)
+        assert len(starts) == 1
+        for a, b in zip(run_study(config), parallel):
+            assert np.array_equal(a.brier_samples, b.brier_samples)
+            assert np.array_equal(a.exceeded, b.exceeded)
 
     def test_pool_files_match_generator(self):
         # the checked-in pools are the generator's output, bit for bit
@@ -306,6 +385,31 @@ class TestConfigDocuments:
             args = [0.1 * (i + 1) for i in range(len(fields))]
             assert constructor(*args).kind == kind
 
+    @pytest.mark.parametrize(
+        "family, entry, message",
+        [
+            ("dgms", {"kind": "uniform", "a": "0", "b": 1}, "dgms[0].a: must be a number, got '0'"),
+            ("dgms", {"kind": "beta", "alpha": True, "beta": 5}, "dgms[0].alpha: must be a number, got True"),
+            ("transforms", {"kind": "additive_bias", "delta": None}, "transforms[0].delta: must be a number, got None"),
+            ("transforms", {"kind": "uniform_noise", "half_width": [0.1]}, "transforms[0].half_width: must be a number"),
+        ],
+        ids=["string", "bool", "null", "list"],
+    )
+    def test_non_number_parameter_names_field(self, tmp_path, family, entry, message):
+        doc = self.base_doc()
+        doc[family] = [entry]
+        with pytest.raises(ConfigError) as info:
+            load_study_config(self.write(tmp_path, doc))
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("family", ["dgms", "transforms"])
+    def test_non_object_entry_rejected(self, tmp_path, family):
+        for entry in (3, "perfect", [{"kind": "perfect"}]):
+            doc = self.base_doc()
+            doc[family] = [entry]
+            with pytest.raises(ConfigError, match=rf"^{family}\[0\]: must be an object$"):
+                load_study_config(self.write(tmp_path, doc))
+
     def test_missing_pool_file(self, tmp_path):
         doc = self.base_doc()
         doc["dgms"] = [{"kind": "empirical", "path": "nope.txt"}]
@@ -356,3 +460,25 @@ class TestPersistence:
         assert len(set(names)) == len(names)
         for name in names:
             assert "/" not in name and "," not in name and " " not in name
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1.0.0"])
+    def test_bad_summary_cell_names_file_and_line(self, tmp_path, cell):
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        replace_cell(paths[-1], 2, 3, cell)  # median of the second data row
+        with pytest.raises(ValidationError, match=r"summary\.csv: line 3: "):
+            read_summary_csv(paths[-1])
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan?"])
+    def test_bad_scenario_cell_names_file_and_line(self, tmp_path, cell):
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        replace_cell(paths[0], 5, 2, cell)  # cil of replication 5
+        with pytest.raises(ValidationError, match=rf"{paths[0].name}: line 6: "):
+            read_scenario_csv(paths[0])
+
+    def test_wrong_field_count_names_line(self, tmp_path):
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        for path, width in ((paths[0], len(SCENARIO_CSV_COLUMNS)), (paths[-1], len(SUMMARY_CSV_COLUMNS))):
+            path.write_text(path.read_text() + "\n1,2\n")
+            reader = read_scenario_csv if path is paths[0] else read_summary_csv
+            with pytest.raises(ValidationError, match=rf"line \d+: expected {width} fields"):
+                reader(path)
