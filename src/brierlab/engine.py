@@ -190,7 +190,8 @@ def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: 
 
     Every (scenario, block) task is known up front. One worker maps them in
     process; more submit them all to a single pool, so a study starts one
-    pool however many scenarios it has.
+    pool however many scenarios it has. The pool never has more processes
+    than tasks or CPUs.
     """
     if n_reps < 1:
         raise ValidationError(f"replication count must be >= 1, got {n_reps}")
@@ -202,11 +203,12 @@ def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: 
         for index, scenario in indexed
         for block in range(n_blocks)
     ]
+    max_workers = min(workers, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
-        if workers == 1 or len(tasks) == 1:
+        if max_workers == 1:
             blocks = (_run_block(*task) for task in tasks)
         else:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
             # On an error, drop the queued tasks instead of running them out.
             stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(_run_block, *task) for task in tasks]
@@ -317,10 +319,15 @@ def _parse_dgm(entry: dict, context: str, base_dir: Path) -> TrueDistributionSpe
         return _parse_spec(
             entry, context, TrueDistributionSpec, TRUE_DISTRIBUTION_FIELDS, "true-distribution"
         )
-    raw_path = Path(str(_require(entry, "path", context)))
+    _require(entry, "path", context)
+    strings = {field: entry[field] for field in ("path", "label") if field in entry}
+    for field, value in strings.items():
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{context}.{field}: must be a non-empty string, got {value!r}")
+    raw_path = Path(strings["path"])
     pool_path = raw_path if raw_path.is_absolute() else base_dir / raw_path
     try:
-        return TrueDistributionSpec.empirical(load_empirical_pool(pool_path, label=entry.get("label")))
+        return TrueDistributionSpec.empirical(load_empirical_pool(pool_path, label=strings.get("label")))
     except ValidationError as exc:
         raise ConfigError(f"{context}: {exc}") from None
     except OSError as exc:

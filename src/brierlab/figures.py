@@ -12,7 +12,6 @@ from __future__ import annotations
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 __all__ = ["violin_svg", "bar_svg"]
 
@@ -38,6 +37,9 @@ def _kde_outline(samples: np.ndarray, points: int = 81):
     sd = float(np.std(samples, ddof=1)) if samples.size > 1 else 0.0
     if sd == 0.0:
         return None
+    # Imported here: scipy.stats takes about a second to load, and only report draws.
+    from scipy.stats import gaussian_kde
+
     kde = gaussian_kde(samples, bw_method="silverman")
     bandwidth = float(kde.factor) * sd
     lo = float(np.min(samples)) - 2.0 * bandwidth

@@ -99,8 +99,9 @@ class ExactScoreDistribution:
 def exact_distribution(p, q) -> ExactScoreDistribution:
     """Exact distribution of the score under Y_i ~ Bernoulli(q_i).
 
-    Support atoms within ATOM_MERGE_TOL of each other are merged (mass-weighted
-    value) to keep the support canonical.
+    After sorting, consecutive scores whose gap is at most ATOM_MERGE_TOL join
+    one atom (mass-weighted value), so a chain of such gaps can make an atom
+    wider than the tolerance. This keeps the support canonical.
     """
     p = as_probability_vector(p, "predictions")
     q = as_probability_vector(q, "true probabilities")
@@ -119,20 +120,23 @@ def exact_distribution(p, q) -> ExactScoreDistribution:
     scores = scores[order]
     masses = masses[order]
 
-    support: list[tuple[float, float]] = []
-    start = 0
-    while start < scores.size:
-        stop = start + 1
-        while stop < scores.size and scores[stop] - scores[stop - 1] <= ATOM_MERGE_TOL:
-            stop += 1
-        group_mass = math.fsum(masses[start:stop])
-        if group_mass > 0.0:
-            value = math.fsum(scores[start:stop] * masses[start:stop]) / group_mass
+    starts = np.flatnonzero(np.diff(scores, prepend=-np.inf) > ATOM_MERGE_TOL)
+    sizes = np.diff(starts, append=scores.size)
+    # fsum of one term is that term, so single-score atoms need no fsum:
+    # (s * m) / m in numpy gives the same bits as the fsum formula below.
+    group_mass = masses[starts]
+    value = scores[starts]
+    positive = group_mass > 0.0
+    value[positive] = value[positive] * group_mass[positive] / group_mass[positive]
+    for i in np.flatnonzero(sizes > 1):
+        atom = slice(starts[i], starts[i] + sizes[i])
+        group_mass[i] = math.fsum(masses[atom])
+        if group_mass[i] > 0.0:
+            value[i] = math.fsum(scores[atom] * masses[atom]) / group_mass[i]
         else:
-            value = float(scores[start])
-        support.append((float(value), float(group_mass)))
-        start = stop
-    return ExactScoreDistribution(support=tuple(support), n=int(p.size))
+            value[i] = scores[starts[i]]
+    support = tuple(zip(value.tolist(), group_mass.tolist()))
+    return ExactScoreDistribution(support=support, n=int(p.size))
 
 
 def exact_exceedance_probability(q) -> float:

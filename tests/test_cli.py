@@ -1,9 +1,14 @@
 """Command-line verbs: outputs, exit codes, figure emission, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brierlab
 from brierlab import engine
 from brierlab.cli import main
 
@@ -41,6 +46,15 @@ def results_dir(tmp_path, study_config):
     out = tmp_path / "results"
     assert main(["simulate", "--config", str(study_config), "--out", str(out)]) == 0
     return out
+
+
+def test_import_does_not_load_scipy_stats():
+    # every verb imports the cli; scipy.stats would add about a second to each
+    src = str(Path(brierlab.__file__).resolve().parents[1])
+    code = "import sys, brierlab, brierlab.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestScore:
@@ -170,8 +184,10 @@ class TestSimulate:
              "transforms[0].delta: must be a number, got None"),
             (3, {"kind": "perfect"}, "dgms[0]: must be an object"),
             ({"kind": "uniform", "a": 0, "b": 1}, ["perfect"], "transforms[0]: must be an object"),
+            ({"kind": "empirical", "path": None}, {"kind": "perfect"},
+             "dgms[0].path: must be a non-empty string, got None"),
         ],
-        ids=["string-parameter", "null-parameter", "dgm-not-object", "transform-not-object"],
+        ids=["string-parameter", "null-parameter", "dgm-not-object", "transform-not-object", "null-pool-path"],
     )
     def test_mistyped_entry_exits_2_naming_field(self, tmp_path, capsys, dgm, transform, message):
         config = tmp_path / "bad.json"

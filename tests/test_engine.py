@@ -48,6 +48,20 @@ from brierlab.presets import DEFAULT_SEED, synthetic_pools
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The keyword arguments of every ProcessPoolExecutor started during the test."""
+    starts = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return starts
+
+
 def small_config(**overrides):
     from brierlab.engine import StudyConfig
 
@@ -281,19 +295,23 @@ class TestStudy:
         for label in labels:
             assert f"empirical({label})" in str(info.value)
 
-    def test_parallel_study_starts_one_process_pool(self, monkeypatch):
-        starts = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                starts.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    def test_parallel_study_starts_one_process_pool(self, monkeypatch, pool_starts):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)  # the cap must not hide the pool
         config = small_config(n_reps=BLOCK_REPS + 37)
         parallel = run_study(config, workers=2)
-        assert len(starts) == 1
+        assert len(pool_starts) == 1
         for a, b in zip(run_study(config), parallel):
+            assert np.array_equal(a.brier_samples, b.brier_samples)
+            assert np.array_equal(a.exceeded, b.exceeded)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, pool_starts, cpus):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        config = small_config(n_reps=BLOCK_REPS + 37)
+        capped = run_study(config, workers=8)
+        # one CPU maps the blocks in process; more open one pool of that size
+        assert [kwargs["max_workers"] for kwargs in pool_starts] == ([] if cpus == 1 else [cpus])
+        for a, b in zip(run_study(config), capped):
             assert np.array_equal(a.brier_samples, b.brier_samples)
             assert np.array_equal(a.exceeded, b.exceeded)
 
@@ -409,6 +427,27 @@ class TestConfigDocuments:
             doc[family] = [entry]
             with pytest.raises(ConfigError, match=rf"^{family}\[0\]: must be an object$"):
                 load_study_config(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"kind": "empirical", "path": None}, "dgms[0].path: must be a non-empty string, got None"),
+            ({"kind": "empirical", "path": ""}, "dgms[0].path: must be a non-empty string, got ''"),
+            ({"kind": "empirical", "path": ["p.txt"]}, "dgms[0].path: must be a non-empty string, got ['p.txt']"),
+            ({"kind": "empirical", "path": "p.txt", "label": ["a"]},
+             "dgms[0].label: must be a non-empty string, got ['a']"),
+            ({"kind": "empirical", "path": "p.txt", "label": None}, "dgms[0].label: must be a non-empty string, got None"),
+            ({"kind": "empirical", "path": "p.txt", "label": ""}, "dgms[0].label: must be a non-empty string, got ''"),
+        ],
+        ids=["null-path", "empty-path", "list-path", "list-label", "null-label", "empty-label"],
+    )
+    def test_mistyped_empirical_entry_names_field(self, tmp_path, entry, message):
+        (tmp_path / "p.txt").write_text("0.1\n0.2\n0.3\n")
+        doc = self.base_doc()
+        doc["dgms"] = [entry]
+        with pytest.raises(ConfigError) as info:
+            load_study_config(self.write(tmp_path, doc))
+        assert str(info.value) == message
 
     def test_missing_pool_file(self, tmp_path):
         doc = self.base_doc()

@@ -2,15 +2,41 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from brierlab.analytic import clt_normal_approx, expected_bs, variance_single
 from brierlab.errors import EnumerationBudgetError
 from brierlab.oracle import (
+    ATOM_MERGE_TOL,
     exact_distribution,
     exact_exceedance_probability,
     exact_expected_bs,
 )
+
+
+def reference_support(p, q):
+    """The atom merge as a plain loop: one fsum per atom, over sorted scores."""
+    n = len(p)
+    y = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+    scores = np.mean((p[None, :] - y) ** 2, axis=1)
+    masses = np.prod(np.where(y == 1.0, q[None, :], 1.0 - q[None, :]), axis=1)
+    order = np.argsort(scores, kind="stable")
+    scores, masses = scores[order], masses[order]
+    support = []
+    start = 0
+    while start < scores.size:
+        stop = start + 1
+        while stop < scores.size and scores[stop] - scores[stop - 1] <= ATOM_MERGE_TOL:
+            stop += 1
+        group_mass = math.fsum(masses[start:stop])
+        if group_mass > 0.0:
+            value = math.fsum(scores[start:stop] * masses[start:stop]) / group_mass
+        else:
+            value = float(scores[start])
+        support.append((float(value), float(group_mass)))
+        start = stop
+    return tuple(support)
 
 
 class TestExactExpected:
@@ -82,6 +108,28 @@ class TestExactDistribution:
         summary = clt_normal_approx(p, q)
         dist = exact_distribution(p, q)
         assert math.sqrt(dist.variance()) == pytest.approx(summary.sd_of_mean, abs=1e-12)
+
+
+    @pytest.mark.parametrize("inputs", ["distinct", "rounded", "constant", "zero_mass"])
+    def test_support_equals_reference_merge(self, rng, inputs):
+        for _ in range(25):
+            n = int(rng.integers(1, 13))
+            p, q = rng.random(n), rng.random(n)
+            if inputs == "rounded":
+                p = np.round(p, 1)  # many scores tie, so atoms hold several
+            elif inputs == "constant":
+                p = np.full(n, 0.1 * int(rng.integers(0, 11)))
+            elif inputs == "zero_mass":
+                q[rng.random(n) < 0.5] = 0.0
+            dist = exact_distribution(p, q)
+            assert dist.support == reference_support(p, q)
+            assert dist.n == n
+
+    def test_large_support_has_every_outcome(self, rng):
+        # n = 18 spans several enumeration chunks; distinct p gives distinct scores
+        p = rng.uniform(0.15, 0.85, 18)
+        q = rng.random(18)
+        assert len(exact_distribution(p, q).support) == 2**18
 
 
 class TestExceedance:
