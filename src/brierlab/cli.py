@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a study configuration")
     p_sim.add_argument("--config", required=True, help="JSON study document")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument("--workers", type=int, default=1, help="worker processes, capped at the CPU count (default 1)")
+    p_sim.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p_sim.add_argument("--out", required=True, help="directory for result CSVs")
     p_sim.set_defaults(func=cmd_simulate)
 

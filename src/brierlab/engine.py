@@ -190,8 +190,7 @@ def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: 
 
     Every (scenario, block) task is known up front. One worker maps them in
     process; more submit them all to a single pool, so a study starts one
-    pool however many scenarios it has. The pool never has more processes
-    than tasks or CPUs.
+    pool however many scenarios it has.
     """
     if n_reps < 1:
         raise ValidationError(f"replication count must be >= 1, got {n_reps}")
@@ -203,12 +202,11 @@ def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: 
         for index, scenario in indexed
         for block in range(n_blocks)
     ]
-    max_workers = min(workers, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
-        if max_workers == 1:
+        if workers == 1 or len(tasks) == 1:
             blocks = (_run_block(*task) for task in tasks)
         else:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
             # On an error, drop the queued tasks instead of running them out.
             stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(_run_block, *task) for task in tasks]

@@ -48,20 +48,6 @@ from brierlab.presets import DEFAULT_SEED, synthetic_pools
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.fixture
-def pool_starts(monkeypatch):
-    """The keyword arguments of every ProcessPoolExecutor started during the test."""
-    starts = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            starts.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return starts
-
-
 def small_config(**overrides):
     from brierlab.engine import StudyConfig
 
@@ -295,23 +281,19 @@ class TestStudy:
         for label in labels:
             assert f"empirical({label})" in str(info.value)
 
-    def test_parallel_study_starts_one_process_pool(self, monkeypatch, pool_starts):
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)  # the cap must not hide the pool
+    def test_parallel_study_starts_one_process_pool(self, monkeypatch):
+        starts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         config = small_config(n_reps=BLOCK_REPS + 37)
         parallel = run_study(config, workers=2)
-        assert len(pool_starts) == 1
+        assert len(starts) == 1
         for a, b in zip(run_study(config), parallel):
-            assert np.array_equal(a.brier_samples, b.brier_samples)
-            assert np.array_equal(a.exceeded, b.exceeded)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_workers_capped_at_cpu_count(self, monkeypatch, pool_starts, cpus):
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-        config = small_config(n_reps=BLOCK_REPS + 37)
-        capped = run_study(config, workers=8)
-        # one CPU maps the blocks in process; more open one pool of that size
-        assert [kwargs["max_workers"] for kwargs in pool_starts] == ([] if cpus == 1 else [cpus])
-        for a, b in zip(run_study(config), capped):
             assert np.array_equal(a.brier_samples, b.brier_samples)
             assert np.array_equal(a.exceeded, b.exceeded)
 

@@ -109,7 +109,6 @@ class TestExactDistribution:
         dist = exact_distribution(p, q)
         assert math.sqrt(dist.variance()) == pytest.approx(summary.sd_of_mean, abs=1e-12)
 
-
     @pytest.mark.parametrize("inputs", ["distinct", "rounded", "constant", "zero_mass"])
     def test_support_equals_reference_merge(self, rng, inputs):
         for _ in range(25):
@@ -124,6 +123,14 @@ class TestExactDistribution:
             dist = exact_distribution(p, q)
             assert dist.support == reference_support(p, q)
             assert dist.n == n
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_support_equals_reference_merge_across_chunks(self, rng, decimals):
+        # n = 17 enumerates two chunks; rounded p gives atoms drawn from both
+        p, q = rng.uniform(0.15, 0.85, 17), rng.random(17)
+        if decimals is not None:
+            p = np.round(p, decimals)
+        assert exact_distribution(p, q).support == reference_support(p, q)
 
     def test_large_support_has_every_outcome(self, rng):
         # n = 18 spans several enumeration chunks; distinct p gives distinct scores
