@@ -72,7 +72,16 @@ BLOCK_REPS = 128
 
 SCENARIO_CSV_COLUMNS = ("rep", "brier", "cil", "gap", "exceeded", "ybar")
 SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean", "exceed_prob")
-_SUMMARY_TYPES = (str, int, str, float, float, float, float, float)  # per summary column
+
+
+def _finite_float(cell: str) -> float:
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+_SUMMARY_TYPES = (str, int, str) + (_finite_float,) * 5  # per summary column
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
@@ -512,10 +521,12 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
     rows = _data_rows(path, SCENARIO_CSV_COLUMNS)
     try:
         data = np.array([row for _, row in rows], dtype=float)
+        if not np.isfinite(data).all():
+            raise ValueError("non-finite value")
     except ValueError:
         for line, row in rows:  # name the first bad line
             try:
-                np.array(row, dtype=float)
+                [_finite_float(cell) for cell in row]
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {line}: {exc}") from None
         raise

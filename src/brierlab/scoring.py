@@ -116,8 +116,8 @@ def diagnose(p, y, near_reference_delta: float = 0.01) -> list[str]:
 
     Inputs are never mutated.
     """
-    if near_reference_delta <= 0:
-        raise ValidationError("near_reference_delta must be positive")
+    if not (math.isfinite(near_reference_delta) and near_reference_delta > 0):
+        raise ValidationError("near_reference_delta must be finite and positive")
     p, y = _paired(p, y)
     bs = float(np.mean((p - y) ** 2))
     _, ref_incidence = reference_scores(y)

@@ -48,13 +48,18 @@ def results_dir(tmp_path, study_config):
     return out
 
 
-def test_import_does_not_load_scipy_stats():
-    # every verb imports the cli; scipy.stats would add about a second to each
+def test_rendering_does_not_load_scipy():
+    # brierlab needs numpy only, down to drawing a violin
     src = str(Path(brierlab.__file__).resolve().parents[1])
-    code = "import sys, brierlab, brierlab.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, numpy, brierlab.cli\n"
+        "from brierlab import figures\n"
+        "figures.violin_svg([('g', numpy.linspace(0, 1, 50))], 't', 'y')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 class TestScore:
@@ -98,6 +103,11 @@ class TestScore:
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["score", "--input", str(tmp_path / "nope.csv")]) == 3
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_2(self, pair_file, capsys, delta):
+        assert main(["score", "--input", str(pair_file), "--near-reference-delta", delta]) == 2
+        assert "near_reference_delta must be finite and positive" in capsys.readouterr().err
 
 
 class TestExpect:
@@ -309,3 +319,17 @@ class TestReport:
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         err = capsys.readouterr().err
         assert "summary.csv: line 2:" in err and "abc" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_scenario_cell_exits_2_naming_line(self, results_dir, tmp_path, capsys, cell):
+        label = engine.read_summary_csv(results_dir / "summary.csv")[0]["scenario"]
+        path = results_dir / engine.scenario_filename(label)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = cell  # brier of the third replication
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--results", str(results_dir), "--figure", "1",
+                     "--out", str(tmp_path / "f"), "--n", "30"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path.name}: line 4: non-finite value" in err

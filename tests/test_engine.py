@@ -482,14 +482,14 @@ class TestPersistence:
         for name in names:
             assert "/" not in name and "," not in name and " " not in name
 
-    @pytest.mark.parametrize("cell", ["abc", "", "1.0.0"])
+    @pytest.mark.parametrize("cell", ["abc", "", "1.0.0", "nan", "inf", "-inf"])
     def test_bad_summary_cell_names_file_and_line(self, tmp_path, cell):
         paths = write_study_results(run_study(small_config()), tmp_path)
         replace_cell(paths[-1], 2, 3, cell)  # median of the second data row
         with pytest.raises(ValidationError, match=r"summary\.csv: line 3: "):
             read_summary_csv(paths[-1])
 
-    @pytest.mark.parametrize("cell", ["abc", "", "nan?"])
+    @pytest.mark.parametrize("cell", ["abc", "", "nan?", "nan", "inf", "-inf"])
     def test_bad_scenario_cell_names_file_and_line(self, tmp_path, cell):
         paths = write_study_results(run_study(small_config()), tmp_path)
         replace_cell(paths[0], 5, 2, cell)  # cil of replication 5

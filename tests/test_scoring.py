@@ -163,8 +163,9 @@ class TestDiagnose:
         assert NEAR_REFERENCE not in diagnose(p, y, near_reference_delta=0.001)
 
     def test_delta_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            diagnose([0.5], [1], near_reference_delta=0.0)
+        for delta in (0.0, float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                diagnose([0.5], [1], near_reference_delta=delta)
 
     def test_inputs_not_mutated(self):
         p = np.array([0.2, 0.7])
