@@ -22,6 +22,7 @@ import io
 import json
 import os
 import re
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,7 @@ from .dgm import (
 )
 from .errors import ConfigError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
+from .validation import float_table
 
 __all__ = [
     "Scenario",
@@ -424,9 +426,18 @@ def _fmt(value: float) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write through a unique temp file in path's directory, removed if the write fails."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode of a new file, not mkstemp's 0600
+        with open(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_text(rows: list[tuple]) -> str:
@@ -437,17 +448,20 @@ def _csv_text(rows: list[tuple]) -> str:
 
 
 def write_scenario_csv(result: ScenarioResult, directory) -> Path:
-    """One row per replication: rep, brier, cil, gap, exceeded, ybar."""
+    """One row per replication: rep, brier, cil, gap, exceeded, ybar; floats as their repr."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / scenario_filename(result.scenario.label)
-    samples = zip(result.brier_samples, result.cil_samples, result.gap_samples,
-                  result.exceeded, result.ybar_samples)
-    rows = [SCENARIO_CSV_COLUMNS] + [
-        (str(rep), _fmt(brier), _fmt(cil), _fmt(gap), "1" if exceeded else "0", _fmt(ybar))
-        for rep, (brier, cil, gap, exceeded, ybar) in enumerate(samples, start=1)
-    ]
-    _atomic_write(path, _csv_text(rows))
+    cells = zip(
+        map(str, range(1, len(result.exceeded) + 1)),
+        map(repr, result.brier_samples.tolist()),
+        map(repr, result.cil_samples.tolist()),
+        map(repr, result.gap_samples.tolist()),
+        ("1" if exceeded else "0" for exceeded in result.exceeded.tolist()),
+        map(repr, result.ybar_samples.tolist()),
+    )
+    lines = [",".join(SCENARIO_CSV_COLUMNS), *map(",".join, cells)]
+    _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -489,7 +503,9 @@ def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
     return paths
 
 
-def _check_header(found: list[str], expected: tuple[str, ...], path) -> None:
+def _check_header(found: list[str] | None, expected: tuple[str, ...], path) -> None:
+    if found is None:
+        raise ValidationError(f"{path}: empty file")
     if found != list(expected):
         raise ValidationError(
             f"{path}: header mismatch: expected {','.join(expected)}, got {','.join(found)}"
@@ -500,10 +516,7 @@ def _data_rows(path: Path, columns: tuple[str, ...]) -> list[tuple[int, list[str
     """The nonblank rows under a checked header, each with its 1-based line number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        _check_header(header, columns, path)
+        _check_header(next(reader, None), columns, path)
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValidationError(f"{path}: no data rows")
@@ -515,21 +528,39 @@ def _data_rows(path: Path, columns: tuple[str, ...]) -> list[tuple[int, list[str
     return rows
 
 
+def _scenario_rows(path: Path) -> np.ndarray:
+    """The per-line reader of a scenario file; names the first bad line."""
+    rows = []
+    for line, row in _data_rows(path, SCENARIO_CSV_COLUMNS):
+        try:
+            values = [_finite_float(cell) for cell in row]
+            if not values[0].is_integer():
+                raise ValueError(f"rep {row[0]!r} is not an integer")
+            if values[4] not in (0.0, 1.0):
+                raise ValueError(f"exceeded {row[4]!r} is not 0 or 1")
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {line}: {exc}") from None
+        rows.append(values)
+    return np.array(rows)
+
+
 def read_scenario_csv(path) -> dict[str, np.ndarray]:
-    """Read a per-scenario file back, validating the column schema and every cell."""
+    """Read a per-scenario file back, validating the column schema and every cell.
+
+    Every cell must be finite, ``rep`` an integer and ``exceeded`` 0 or 1. The
+    rows are parsed and checked in one vectorised pass; if that fails, the file
+    is reread line by line and a ValidationError names the first bad line.
+    """
     path = Path(path)
-    rows = _data_rows(path, SCENARIO_CSV_COLUMNS)
-    try:
-        data = np.array([row for _, row in rows], dtype=float)
-        if not np.isfinite(data).all():
-            raise ValueError("non-finite value")
-    except ValueError:
-        for line, row in rows:  # name the first bad line
-            try:
-                [_finite_float(cell) for cell in row]
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {line}: {exc}") from None
-        raise
+    with open(path, newline="") as fh:
+        _check_header(next(csv.reader(fh), None), SCENARIO_CSV_COLUMNS, path)
+        data = float_table(fh, len(SCENARIO_CSV_COLUMNS))
+    if data is None or not (
+        np.isfinite(data).all()
+        and (data[:, 0] == np.trunc(data[:, 0])).all()
+        and ((data[:, 4] == 0.0) | (data[:, 4] == 1.0)).all()
+    ):
+        data = _scenario_rows(path)
     columns = dict(zip(SCENARIO_CSV_COLUMNS, data.T))
     columns["rep"] = columns["rep"].astype(int)
     columns["exceeded"] = columns["exceeded"].astype(bool)

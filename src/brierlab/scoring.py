@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .validation import as_outcome_vector, as_probability_vector, check_same_length
+from .validation import DOMAIN_TOL, as_outcome_vector, as_probability_vector, check_same_length, float_table
 
 __all__ = [
     "ScoreReport",
@@ -178,12 +178,12 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
 def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column delimited text file of predictions and outcomes.
 
-    Expected format: a header row ``p,y`` followed by one decimal probability
-    and one 0/1 outcome per row. Raises ValidationError naming the offending
-    line on any parse or domain problem.
+    Expected format: a header row ``p,y`` followed by one probability and one
+    0/1 outcome per row, each a cell float() accepts; blank lines are skipped.
+    The rows are parsed and range-checked in one vectorised pass. If that
+    fails, the file is reread line by line and a ValidationError names the
+    first offending line.
     """
-    preds: list[float] = []
-    outs: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -193,6 +193,22 @@ def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError(
                 f"{path}: line 1: expected header 'p,y', got {','.join(header)!r}"
             )
+        table = float_table(fh, 2)
+    if table is not None:
+        p, y = table.T
+        if ((p >= -DOMAIN_TOL) & (p <= 1.0 + DOMAIN_TOL) & ((y == 0.0) | (y == 1.0))).all():
+            # y is copied so that the table can be freed.
+            return as_probability_vector(p, "predictions"), as_outcome_vector(y.copy(), "outcomes")
+    return _pair_rows(path)
+
+
+def _pair_rows(path) -> tuple[np.ndarray, np.ndarray]:
+    """The per-line reader of the rows under a pair file's header; names the first bad line."""
+    preds: list[float] = []
+    outs: list[float] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked by read_pair_file
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -205,7 +221,7 @@ def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
                 raise ValidationError(
                     f"{path}: line {lineno}: non-numeric entry {row!r}"
                 ) from None
-            if not (-1e-12 <= p_val <= 1.0 + 1e-12):
+            if not (-DOMAIN_TOL <= p_val <= 1.0 + DOMAIN_TOL):
                 raise ValidationError(
                     f"{path}: line {lineno}: probability {row[0]} outside [0, 1]"
                 )

@@ -1,6 +1,8 @@
-"""Input validation shared by the scoring, analytic, and oracle modules."""
+"""Input validation shared by the scoring, analytic, oracle, and engine modules."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -65,3 +67,33 @@ def as_unit_scalar(value, name: str) -> float:
     if x < -DOMAIN_TOL or x > 1.0 + DOMAIN_TOL:
         raise ValidationError(f"{name} = {value!r} lies outside [0, 1]")
     return min(max(x, 0.0), 1.0)
+
+
+def _float_lines(fh):
+    """The remaining lines of fh, read in bulk.
+
+    Raises ValueError on U+001C..U+001F, which np.loadtxt strips from around
+    a number and float() refuses.
+    """
+    while lines := fh.readlines(1 << 20):
+        text = "".join(lines)
+        if any(char in text for char in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("ASCII separator character in the data")
+        yield from lines
+
+
+def float_table(fh, width: int) -> np.ndarray | None:
+    """The rest of an open CSV file as a (rows, width) float table, or None.
+
+    The CSV readers' fast path, called after their header check: np.loadtxt
+    parses every line at once and skips empty ones. A cell float() refuses, a
+    ragged or whitespace-only line, another width or no rows give None, and
+    the caller rereads the file line by line to name the bad line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # caller reports it
+            table = np.loadtxt(_float_lines(fh), delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return table if len(table) and table.shape[1] == width else None

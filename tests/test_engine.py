@@ -2,16 +2,23 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import inspect
+import io
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brierlab import engine
 from brierlab.analytic import perfect_bs_lower_bound
+from brierlab.cli import main
 from brierlab.dgm import (
     PREDICTOR_TRANSFORM_FIELDS,
     TRUE_DISTRIBUTION_FIELDS,
@@ -39,13 +46,18 @@ from brierlab.engine import (
     scenario_filename,
     scenarios_for,
     summarize,
+    write_scenario_csv,
     write_study_results,
+    write_summary_csv,
 )
 from brierlab.errors import ConfigError, ValidationError
 from brierlab.oracle import exact_exceedance_probability
 from brierlab.presets import DEFAULT_SEED, synthetic_pools
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Float cells for the scenario-reader parity test; see CELLS in test_scoring.py.
+SCENARIO_CELLS = ("0.25", "-0.5", "1e-3", "-0", "nan", "inf", "1e400", "0.2_5", '"0.5"', " 0.5", "", "abc", "\x1c0.5")
 
 
 def small_config(**overrides):
@@ -495,6 +507,90 @@ class TestPersistence:
         replace_cell(paths[0], 5, 2, cell)  # cil of replication 5
         with pytest.raises(ValidationError, match=rf"{paths[0].name}: line 6: "):
             read_scenario_csv(paths[0])
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (0, "1.5", "rep '1.5' is not an integer"),
+            (4, "0.5", "exceeded '0.5' is not 0 or 1"),
+            (4, "2", "exceeded '2' is not 0 or 1"),
+            (4, "-1", "exceeded '-1' is not 0 or 1"),
+        ],
+    )
+    def test_impossible_scenario_cell_names_file_and_line(self, tmp_path, column, cell, message):
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        replace_cell(paths[0], 5, column, cell)
+        with pytest.raises(ValidationError, match=rf"{paths[0].name}: line 6: {message}$"):
+            read_scenario_csv(paths[0])
+
+    def test_impossible_scenario_cell_exits_2_in_report(self, tmp_path, capsys):
+        results = run_study(small_config(sample_sizes=(300,)))
+        paths = write_study_results(results, tmp_path / "res")
+        replace_cell(paths[0], 5, 4, "0.5")
+        args = ["report", "--results", str(tmp_path / "res"), "--figure", "2", "--out", str(tmp_path / "fig")]
+        assert main(args) == 2
+        assert f"{paths[0].name}: line 6: exceeded '0.5' is not 0 or 1" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.lists(
+            st.tuples(
+                st.sampled_from(["1", "2", "7", "1.5", "-3", "1e2", "x"]),
+                *[st.sampled_from(SCENARIO_CELLS)] * 3,
+                st.sampled_from(["0", "1", "0.5", "2", "-0", "1.0", "nan"]),
+                st.sampled_from(SCENARIO_CELLS),
+            ).map(",".join)
+            | st.sampled_from(["", "  ", "1,2"]),
+            max_size=5,
+        ).map(lambda lines: "\n".join([",".join(SCENARIO_CSV_COLUMNS), *lines]) + "\n")
+    )
+    def test_scenario_reader_matches_per_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("scenario") / "s.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+
+        def outcome(read):
+            try:
+                return np.asarray(read(path), dtype=float).tolist()
+            except ValidationError as exc:
+                return str(exc)
+
+        def public(path):
+            return np.column_stack(list(read_scenario_csv(path).values()))
+
+        assert outcome(public) == outcome(engine._scenario_rows)
+
+    def test_scenario_csv_text(self, tmp_path):
+        result = run_study(small_config())[0]
+        path = write_scenario_csv(result, tmp_path)
+        samples = zip(result.brier_samples, result.cil_samples, result.gap_samples,
+                      result.exceeded, result.ybar_samples)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [SCENARIO_CSV_COLUMNS]
+            + [
+                (rep, repr(float(b)), repr(float(c)), repr(float(g)), int(e), repr(float(ybar)))
+                for rep, (b, c, g, e, ybar) in enumerate(samples, start=1)
+            ]
+        )
+        assert path.read_text() == buf.getvalue()
+
+    def test_failed_write_leaves_no_stray_file(self, tmp_path):
+        results = run_study(small_config())
+        write_summary_csv(results, tmp_path)
+        before = (tmp_path / "summary.csv").read_bytes()
+        scenario = dataclasses.replace(results[0].scenario, label="unencodable\udc80")
+        broken = [dataclasses.replace(results[0], scenario=scenario)]
+        with pytest.raises(UnicodeEncodeError):
+            write_summary_csv(broken, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+        assert (tmp_path / "summary.csv").read_bytes() == before
+
+    def test_written_files_take_the_default_mode(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        for path in write_study_results(run_study(small_config()), tmp_path):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_wrong_field_count_names_line(self, tmp_path):
         paths = write_study_results(run_study(small_config()), tmp_path)

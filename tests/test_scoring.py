@@ -1,10 +1,14 @@
 """Scoring metrics, reference scores, diagnostics, and pair-file parsing."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brierlab import scoring
+from brierlab.cli import main
 from brierlab.errors import DimensionError, ValidationError
 from brierlab.scoring import (
     ALL_EXTREME_PREDICTIONS,
@@ -19,6 +23,30 @@ from brierlab.scoring import (
     rmse,
     score_report,
 )
+
+# Cells the text readers must treat exactly as float() does: numbers, out of
+# range and non-finite values, cells float() accepts but np.loadtxt does not
+# (quoted, underscored, non-ASCII digits), and cells np.loadtxt accepts but
+# float() does not (U+001C..U+001F around a number).
+CELLS = (
+    "0", "1", "0.5", ".25", "1.", "1e-3", "-0", "-1e-13", "1.0000000000001", "1.5", "2",
+    "nan", "inf", "-inf", "1e400", "0.2_5", '"0.5"', '"1"', " 0.5", "0.5 ", "\t1", "\xa00.5",
+    "\u0661", "", "abc", "1 # x", "0x1p-2", "\x00", "\x1c0.5", "1\x1f",
+)
+
+
+@st.composite
+def pair_file_texts(draw):
+    """A header ``p,y`` and a few lines drawn from CELLS, with a random line end."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    line = st.one_of(
+        st.tuples(st.sampled_from(["0.25", "1e-3", "-0", "1."]), st.sampled_from(CELLS)).map(",".join),
+        st.tuples(st.sampled_from(CELLS), st.sampled_from(CELLS)).map(",".join),
+        st.lists(st.sampled_from(CELLS), min_size=1, max_size=3).map(",".join),
+        st.sampled_from(["", "   ", "\t"]),
+    )
+    lines = draw(st.lists(line, max_size=6))
+    return end.join(["p,y", *lines]) + draw(st.sampled_from([end, ""]))
 
 
 @st.composite
@@ -231,6 +259,15 @@ class TestProperties:
             assert (b1 < b2) == (r1 < r2) or b1 == b2
 
 
+def read_outcome(read, path):
+    """The arrays a reader returns, or the message of the ValidationError it raises."""
+    try:
+        p, y = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return p.tolist(), y.tolist()
+
+
 class TestPairFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -274,3 +311,62 @@ class TestPairFile:
         path.write_text("p,y\n")
         with pytest.raises(ValidationError):
             read_pair_file(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=pair_file_texts())
+    def test_matches_per_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert read_outcome(read_pair_file, path) == read_outcome(scoring._pair_rows, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p,y\r\n0.25,0\r\n0.75,1\r\n",  # CRLF line ends
+            "p,y\n0.25,0\n0.75,1",  # no trailing newline
+            "p,y\n0.25,0\n \t \n0.75,1\n",  # a whitespace-only line
+            'p,y\n"0.25",0\n0.75,"1"\n',  # quoted cells
+            "p,y\n0.2_5,0\n0.75,1\n",  # an underscore, which float() accepts
+        ],
+        ids=["crlf", "no-trailing-newline", "whitespace-line", "quoted", "underscore"],
+    )
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "pairs.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert read_outcome(read_pair_file, path) == ([0.25, 0.75], [0.0, 1.0])
+        assert read_outcome(scoring._pair_rows, path) == ([0.25, 0.75], [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p,y\n0.25,0\n0.75,1 # x\n", "line 3: non-numeric entry"),  # '#' starts no comment
+            ("p,y\n0.25,0\n\x1c0.75,1\n", "line 3: non-numeric entry"),  # loadtxt alone strips U+001C
+            ("p,y\n0.25,0\n0.75,1,0\n", "line 3: expected 2 columns, got 3"),
+            ("p,y\n0.25\n", "line 2: expected 2 columns, got 1"),
+        ],
+        ids=["hash", "separator", "three-columns", "one-column"],
+    )
+    def test_edge_files_rejected(self, tmp_path, text, message):
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            read_pair_file(path)
+
+    def test_header_only_file_prints_no_numpy_warning(self, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        path.write_text("p,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["score", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: no data rows found\n"
+
+    def test_arrays_are_contiguous_float(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("p,y\n0.25,0\n0.75,1\n1.0000000000001,1\n")
+        p, y = read_pair_file(path)
+        assert p.tolist() == [0.25, 0.75, 1.0]
+        for arr in (p, y):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
