@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
-from .validation import as_probability_vector
+from .validation import as_probability_vector, names_undecodable_file
 
 __all__ = [
     "EmpiricalProbabilityPool",
@@ -234,6 +234,7 @@ def sample_outcomes(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) < q).astype(np.float64)
 
 
+@names_undecodable_file
 def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityPool:
     """Read a probability pool file: one decimal per line, '#' comments allowed.
 

@@ -43,7 +43,7 @@ from .dgm import (
 )
 from .errors import ConfigError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
-from .validation import float_table
+from .validation import float_table, names_undecodable_file
 
 __all__ = [
     "Scenario",
@@ -74,6 +74,9 @@ BLOCK_REPS = 128
 
 SCENARIO_CSV_COLUMNS = ("rep", "brier", "cil", "gap", "exceeded", "ybar")
 SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean", "exceed_prob")
+
+# Replications are numbered from 1; float64 holds every count up to 2**53 exactly.
+_MAX_REP = 2**53
 
 
 def _finite_float(cell: str) -> float:
@@ -343,6 +346,7 @@ def _parse_dgm(entry: dict, context: str, base_dir: Path) -> TrueDistributionSpe
         raise ConfigError(f"{context}.path: cannot read pool file: {exc}") from None
 
 
+@names_undecodable_file
 def load_study_config(path) -> StudyConfig:
     """Parse and validate a JSON study document.
 
@@ -536,6 +540,8 @@ def _scenario_rows(path: Path) -> np.ndarray:
             values = [_finite_float(cell) for cell in row]
             if not values[0].is_integer():
                 raise ValueError(f"rep {row[0]!r} is not an integer")
+            if not 1.0 <= values[0] <= _MAX_REP:
+                raise ValueError(f"rep {row[0]!r} is outside 1..2**53")
             if values[4] not in (0.0, 1.0):
                 raise ValueError(f"exceeded {row[4]!r} is not 0 or 1")
         except ValueError as exc:
@@ -544,12 +550,14 @@ def _scenario_rows(path: Path) -> np.ndarray:
     return np.array(rows)
 
 
+@names_undecodable_file
 def read_scenario_csv(path) -> dict[str, np.ndarray]:
     """Read a per-scenario file back, validating the column schema and every cell.
 
-    Every cell must be finite, ``rep`` an integer and ``exceeded`` 0 or 1. The
-    rows are parsed and checked in one vectorised pass; if that fails, the file
-    is reread line by line and a ValidationError names the first bad line.
+    Every cell must be finite, ``rep`` an integer in 1..2**53 and ``exceeded``
+    0 or 1. The rows are parsed and checked in one vectorised pass; if that
+    fails, the file is reread line by line and a ValidationError names the
+    first bad line.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -558,6 +566,7 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
     if data is None or not (
         np.isfinite(data).all()
         and (data[:, 0] == np.trunc(data[:, 0])).all()
+        and ((data[:, 0] >= 1.0) & (data[:, 0] <= _MAX_REP)).all()
         and ((data[:, 4] == 0.0) | (data[:, 4] == 1.0)).all()
     ):
         data = _scenario_rows(path)
@@ -567,6 +576,7 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
     return columns
 
 
+@names_undecodable_file
 def read_summary_csv(path) -> list[dict]:
     """Read the summary file back as row dicts, validating the column schema and every cell."""
     path = Path(path)

@@ -2,8 +2,13 @@
 
 Every closed form in the analytic module, and every Monte Carlo estimand in
 the engine, can be checked against these enumerations for small n. The
-outcome space is processed in chunks so memory stays bounded; sums are
-accumulated with math.fsum so results are exact to the last few ulps.
+per-outcome table is built by doubling: case j appends a copy of the table
+for y_j = 1 beside the one for y_j = 0, so outcome k has y_j = bit j of k and
+each score sums its squared errors in case order. Memory is bounded by the
+2^20-entry table of ENUMERATION_LIMIT cases. The exceedance probability
+meets in the middle: two half tables of at most 2^20 entries each cover up to
+2 * ENUMERATION_LIMIT = 40 cases. Sums use math.fsum where an exact total is
+cheap, so results are exact to the last few ulps.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ __all__ = [
     "exact_exceedance_probability",
 ]
 
-# 2^20 outcomes is the largest space enumerated; beyond that use Monte Carlo.
+# 2^20 outcomes is the largest table built; beyond that use Monte Carlo.
 ENUMERATION_LIMIT = 20
 
 # Score atoms closer than this are merged into one support point.
@@ -34,66 +39,71 @@ ATOM_MERGE_TOL = 1e-12
 # whose score equals the benchmark exactly (up to float rounding) never count.
 EXCEEDANCE_TIE_TOL = 1e-12
 
-_CHUNK_BITS = 16
 
-
-def _check_budget(n: int) -> None:
-    if n > ENUMERATION_LIMIT:
+def _check_budget(n: int, limit: int = ENUMERATION_LIMIT) -> None:
+    if n > limit:
         raise EnumerationBudgetError(
-            f"exhaustive enumeration supports n <= {ENUMERATION_LIMIT}, got n = {n}"
+            f"exhaustive enumeration supports n <= {limit}, got n = {n}"
         )
 
 
-def _outcome_chunks(n: int):
-    """Yield blocks of outcome vectors as float 0/1 matrices of shape (m, n).
+def _doubling(op, if_zero: np.ndarray, if_one: np.ndarray, start: float) -> np.ndarray:
+    """op folded over the cases of every outcome vector, from start, in case order.
 
-    Outcome j of index k is bit j of k, so iteration order is deterministic
-    and independent of how callers split the work.
+    Entry k of the 2^n result is op(...op(start, term_0)..., term_{n-1}), where
+    term_j is if_one[j] when bit j of k is set and if_zero[j] otherwise.
     """
-    total = 1 << n
-    chunk = 1 << min(_CHUNK_BITS, n)
-    cols = np.arange(n, dtype=np.uint64)
-    for base in range(0, total, chunk):
-        idx = np.arange(base, base + chunk, dtype=np.uint64)
-        yield ((idx[:, None] >> cols[None, :]) & 1).astype(np.float64)
+    table = np.empty(1 << if_zero.size)
+    table[0] = start
+    for j, (zero, one) in enumerate(zip(if_zero.tolist(), if_one.tolist())):
+        done = table[: 1 << j]
+        op(done, one, out=table[1 << j : 2 << j])
+        op(done, zero, out=done)
+    return table
 
 
-def _scores_and_masses(p: np.ndarray, q: np.ndarray):
-    """Yield (scores, masses) arrays per outcome chunk."""
-    for y in _outcome_chunks(p.size):
-        scores = np.mean((p[None, :] - y) ** 2, axis=1)
-        masses = np.prod(np.where(y == 1.0, q[None, :], 1.0 - q[None, :]), axis=1)
-        yield scores, masses, y
+def _scores_and_masses(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BS(p, y) and Pr(y) for every outcome vector y."""
+    squares = _doubling(np.add, p * p, (p - 1.0) * (p - 1.0), 0.0)
+    return squares / p.size, _doubling(np.multiply, 1.0 - q, q, 1.0)
 
 
-def exact_expected_bs(p, q) -> float:
-    """Expected score by full enumeration: sum over y of Pr(y) * BS(p, y)."""
+def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     p = as_probability_vector(p, "predictions")
     q = as_probability_vector(q, "true probabilities")
     check_same_length(p, q, "predictions/true probabilities")
     _check_budget(p.size)
-    chunk_totals = [
-        math.fsum(scores * masses) for scores, masses, _ in _scores_and_masses(p, q)
-    ]
-    return math.fsum(chunk_totals)
+    return p, q
 
 
-@dataclass(frozen=True)
+def exact_expected_bs(p, q) -> float:
+    """Expected score by full enumeration: sum over y of Pr(y) * BS(p, y)."""
+    scores, masses = _scores_and_masses(*_checked_pair(p, q))
+    return math.fsum(scores * masses)
+
+
+@dataclass(frozen=True, eq=False)
 class ExactScoreDistribution:
-    """Full law of the random score BS(p, Y): support points with masses."""
+    """Full law of the random score BS(p, Y): sorted atom values with their masses."""
 
-    support: tuple[tuple[float, float], ...]
+    values: np.ndarray
+    masses: np.ndarray
     n: int
 
+    @property
+    def support(self) -> tuple[tuple[float, float], ...]:
+        """The atoms as (value, mass) pairs."""
+        return tuple(zip(self.values.tolist(), self.masses.tolist()))
+
     def mean(self) -> float:
-        return math.fsum(value * mass for value, mass in self.support)
+        return math.fsum(self.values * self.masses)
 
     def variance(self) -> float:
-        mu = self.mean()
-        return math.fsum(mass * (value - mu) ** 2 for value, mass in self.support)
+        deviations = self.values - self.mean()
+        return math.fsum(self.masses * (deviations * deviations))
 
     def total_mass(self) -> float:
-        return math.fsum(mass for _, mass in self.support)
+        return math.fsum(self.masses)
 
 
 def exact_distribution(p, q) -> ExactScoreDistribution:
@@ -103,18 +113,8 @@ def exact_distribution(p, q) -> ExactScoreDistribution:
     one atom (mass-weighted value), so a chain of such gaps can make an atom
     wider than the tolerance. This keeps the support canonical.
     """
-    p = as_probability_vector(p, "predictions")
-    q = as_probability_vector(q, "true probabilities")
-    check_same_length(p, q, "predictions/true probabilities")
-    _check_budget(p.size)
-
-    all_scores = []
-    all_masses = []
-    for scores, masses, _ in _scores_and_masses(p, q):
-        all_scores.append(scores)
-        all_masses.append(masses)
-    scores = np.concatenate(all_scores)
-    masses = np.concatenate(all_masses)
+    p, q = _checked_pair(p, q)
+    scores, masses = _scores_and_masses(p, q)
 
     order = np.argsort(scores, kind="stable")
     scores = scores[order]
@@ -135,26 +135,46 @@ def exact_distribution(p, q) -> ExactScoreDistribution:
             value[i] = math.fsum(scores[atom] * masses[atom]) / group_mass[i]
         else:
             value[i] = scores[starts[i]]
-    support = tuple(zip(value.tolist(), group_mass.tolist()))
-    return ExactScoreDistribution(support=support, n=int(p.size))
+    value.flags.writeable = False
+    group_mass.flags.writeable = False
+    return ExactScoreDistribution(values=value, masses=group_mass, n=int(p.size))
+
+
+def _by_successes(q: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For k = 0..n: S = sum(q * y) ascending and Pr(y), over the y with sum(y) = k."""
+    zeros = np.zeros(q.size)
+    k = _doubling(np.add, zeros, np.ones(q.size), 0.0)
+    s = _doubling(np.add, zeros, q, 0.0)
+    m = _doubling(np.multiply, 1.0 - q, q, 1.0)
+    order = np.lexsort((s, k))
+    s, m = s[order], m[order]
+    bounds = np.searchsorted(k[order], np.arange(q.size + 2))
+    return [(s[lo:hi], m[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def exact_exceedance_probability(q) -> float:
     """Probability that the perfect-prediction score exceeds ybar - ybar^2.
 
-    Enumerates every outcome vector y, scores the perfect prediction p = q,
-    and accumulates Pr(y) wherever BS(q, y) is strictly greater than the
-    incidence benchmark computed from that same y. Scores within
-    EXCEEDANCE_TIE_TOL of the benchmark count as ties, never as exceedances;
-    without that guard, outcomes that are exact ties in real arithmetic can
-    flip either way under float rounding.
+    With k = sum(y) and S = sum(q * y), BS(q, y) - (ybar - ybar^2) equals
+    (sum(q^2) - 2S + k^2/n) / n, so y exceeds when S < T_k = (sum(q^2) + k^2/n
+    - n * EXCEEDANCE_TIE_TOL) / 2. Scores within EXCEEDANCE_TIE_TOL of the
+    benchmark count as ties, never as exceedances; without that guard,
+    outcomes that are exact ties in real arithmetic can flip either way under
+    float rounding. The cases split into halves A and B, each enumerated by
+    doubling and grouped by its k. For each pair of groups, a binary search in
+    B's prefix-summed masses finds the B mass with S_B < T_k - S_A for every A
+    outcome at once.
     """
     q = as_probability_vector(q, "true probabilities")
-    _check_budget(q.size)
-    chunk_totals = []
-    for scores, masses, y in _scores_and_masses(q, q):
-        ybar = np.mean(y, axis=1)
-        reference = ybar - ybar * ybar
-        exceeded = scores > reference + EXCEEDANCE_TIE_TOL
-        chunk_totals.append(math.fsum(masses[exceeded]))
-    return math.fsum(chunk_totals)
+    n = q.size
+    _check_budget(n, 2 * ENUMERATION_LIMIT)
+    sum_sq = math.fsum(q * q)
+    half_a, half_b = _by_successes(q[: n // 2]), _by_successes(q[n // 2 :])
+    totals = []
+    for k_b, (s_b, m_b) in enumerate(half_b):
+        below = np.concatenate(([0.0], np.cumsum(m_b)))
+        for k_a, (s_a, m_a) in enumerate(half_a):
+            k = k_a + k_b
+            limit = (sum_sq + k * k / n - n * EXCEEDANCE_TIE_TOL) / 2.0
+            totals.append(float(np.sum(m_a * below[np.searchsorted(s_b, limit - s_a)])))
+    return math.fsum(totals)

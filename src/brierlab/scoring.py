@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .validation import DOMAIN_TOL, as_outcome_vector, as_probability_vector, check_same_length, float_table
+from .validation import (
+    DOMAIN_TOL,
+    as_outcome_vector,
+    as_probability_vector,
+    check_same_length,
+    float_table,
+    names_undecodable_file,
+)
 
 __all__ = [
     "ScoreReport",
@@ -175,6 +182,7 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
     )
 
 
+@names_undecodable_file
 def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column delimited text file of predictions and outcomes.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -97,3 +98,20 @@ def float_table(fh, width: int) -> np.ndarray | None:
     except ValueError:
         return None
     return table if len(table) and table.shape[1] == width else None
+
+
+def names_undecodable_file(read):
+    """Wrap a reader whose first argument is a path.
+
+    Bytes the text encoding cannot decode then raise a ValidationError naming
+    the file, which the command line reports with exit code 2.
+    """
+
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not readable as {exc.encoding} text: {exc.reason}") from None
+
+    return checked

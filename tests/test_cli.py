@@ -101,6 +101,12 @@ class TestScore:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(b"p,y\n0.5,1\n\xff0.5,0\n")
+        assert main(["score", "--input", str(path)]) == 2
+        assert f"{path}: not readable as utf-8 text" in capsys.readouterr().err
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["score", "--input", str(tmp_path / "nope.csv")]) == 3
 
@@ -171,6 +177,27 @@ class TestSimulate:
             assert main(["simulate", "--config", str(study_config), "--out", str(out)]) == 0
         for path_a in out_a.iterdir():
             assert path_a.read_bytes() == (out_b / path_a.name).read_bytes()
+
+    @pytest.mark.parametrize("undecodable", ["config", "pool"])
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, undecodable):
+        pool = tmp_path / "pool.txt"
+        pool.write_bytes(b"0.1\n0.2\n" + (b"\xff0.3\n" if undecodable == "pool" else b""))
+        config = tmp_path / "study.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "study": {"name": "x", "seed": 1, "N": 2, "sample_sizes": [1]},
+                    "dgms": [{"kind": "empirical", "path": str(pool)}],
+                    "transforms": [{"kind": "perfect"}],
+                }
+            )
+        )
+        if undecodable == "config":
+            config.write_bytes(config.read_bytes().replace(b'"x"', b'"\xff"'))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        bad = config if undecodable == "config" else pool
+        assert f"{bad}: not readable as utf-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_beta_exits_2_naming_field(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -301,6 +328,16 @@ class TestReport:
         assert main(["report", "--results", str(results_dir), "--figure", "1",
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         assert victim.name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("victim", ["summary", "scenario"])
+    def test_undecodable_file_exits_2_naming_it(self, results_dir, tmp_path, capsys, victim):
+        label = engine.read_summary_csv(results_dir / "summary.csv")[0]["scenario"]
+        name = "summary.csv" if victim == "summary" else engine.scenario_filename(label)
+        path = results_dir / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(["report", "--results", str(results_dir), "--figure", "1",
+                     "--out", str(tmp_path / "f"), "--n", "30"]) == 2
+        assert f"{path}: not readable as utf-8 text" in capsys.readouterr().err
 
     def test_corrupt_schema_detected(self, results_dir, tmp_path, capsys):
         summary = results_dir / "summary.csv"

@@ -239,6 +239,14 @@ class TestRunScenario:
             se = math.sqrt(max(estimate * (1 - estimate), 1e-12) / n_reps)
             assert abs(estimate - exact) <= 3 * se
 
+    def test_estimated_exceedance_matches_oracle_beyond_the_full_law(self):
+        # n = 30 is past the full law's limit; the split enumeration still covers it
+        n_reps = 4000
+        result = run_scenario(Scenario(Dist.constant(0.3), Transform.perfect(), 30), n_reps, 58)
+        exact = exact_exceedance_probability([0.3] * 30)
+        se = math.sqrt(exact * (1 - exact) / n_reps)
+        assert abs(result.exceed_prob - exact) <= 4 * se
+
     def test_validation(self):
         scenario = Scenario(Dist.constant(0.5), Transform.perfect(), 10)
         with pytest.raises(ValidationError):
@@ -530,6 +538,36 @@ class TestPersistence:
         args = ["report", "--results", str(tmp_path / "res"), "--figure", "2", "--out", str(tmp_path / "fig")]
         assert main(args) == 2
         assert f"{paths[0].name}: line 6: exceeded '0.5' is not 0 or 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["0", "-3", "1e300", "9007199254740994"])
+    def test_out_of_range_rep_names_file_and_line(self, tmp_path, cell):
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        replace_cell(paths[0], 5, 0, cell)
+        message = rf"{paths[0].name}: line 6: rep '{cell}' is outside 1\.\.2\*\*53$"
+        for read in (read_scenario_csv, engine._scenario_rows):
+            with pytest.raises(ValidationError, match=message):
+                read(paths[0])
+
+    def test_vectorised_path_bounds_rep(self, tmp_path, monkeypatch):
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        per_line = engine._scenario_rows
+        calls = []
+        monkeypatch.setattr(engine, "_scenario_rows", lambda path: calls.append(path) or per_line(path))
+        replace_cell(paths[0], 5, 0, str(2**53))
+        assert read_scenario_csv(paths[0])["rep"][4] == 2**53
+        assert calls == []
+        replace_cell(paths[0], 5, 0, "1e300")
+        with pytest.raises(ValidationError, match="line 6: rep '1e300'"):
+            read_scenario_csv(paths[0])
+        assert calls == [paths[0]]
+
+    def test_out_of_range_rep_exits_2_in_report(self, tmp_path, capsys):
+        results = run_study(small_config(sample_sizes=(300,)))
+        paths = write_study_results(results, tmp_path / "res")
+        replace_cell(paths[0], 5, 0, "1e300")
+        args = ["report", "--results", str(tmp_path / "res"), "--figure", "2", "--out", str(tmp_path / "fig")]
+        assert main(args) == 2
+        assert f"{paths[0].name}: line 6: rep '1e300' is outside 1..2**53" in capsys.readouterr().err
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -9,6 +9,8 @@ from brierlab.analytic import clt_normal_approx, expected_bs, variance_single
 from brierlab.errors import EnumerationBudgetError
 from brierlab.oracle import (
     ATOM_MERGE_TOL,
+    ENUMERATION_LIMIT,
+    EXCEEDANCE_TIE_TOL,
     exact_distribution,
     exact_exceedance_probability,
     exact_expected_bs,
@@ -19,8 +21,12 @@ def reference_support(p, q):
     """The atom merge as a plain loop: one fsum per atom, over sorted scores."""
     n = len(p)
     y = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-    scores = np.mean((p[None, :] - y) ** 2, axis=1)
-    masses = np.prod(np.where(y == 1.0, q[None, :], 1.0 - q[None, :]), axis=1)
+    scores, masses = np.zeros(1 << n), np.ones(1 << n)
+    for j in range(n):
+        d = p[j] - y[:, j]
+        scores = scores + d * d
+        masses = masses * np.where(y[:, j] == 1, q[j], 1 - q[j])
+    scores = scores / n
     order = np.argsort(scores, kind="stable")
     scores, masses = scores[order], masses[order]
     support = []
@@ -37,6 +43,32 @@ def reference_support(p, q):
         support.append((float(value), float(group_mass)))
         start = stop
     return tuple(support)
+
+
+def vectorised_enumeration(p, q):
+    """Every outcome vector with its np.mean score and its probability, as one matrix pass."""
+    n = len(p)
+    y = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+    scores = np.mean((p[None, :] - y) ** 2, axis=1)
+    masses = np.prod(np.where(y == 1.0, q[None, :], 1.0 - q[None, :]), axis=1)
+    return y, scores, masses
+
+
+def reference_exceedance(q):
+    """The exceedance as a 2^n enumeration compared in score units."""
+    q = np.asarray(q, dtype=float)
+    y, scores, masses = vectorised_enumeration(q, q)
+    ybar = np.mean(y, axis=1)
+    return math.fsum(masses[scores > ybar - ybar * ybar + EXCEEDANCE_TIE_TOL])
+
+
+def constant_exceedance(c, n):
+    """1 - P(Binomial(n, c) = nc): BS(c, y) - (ybar - ybar^2) = (c - ybar)^2."""
+    k = n * c
+    if not k.is_integer():
+        return 1.0
+    k = int(k)
+    return 1.0 - math.comb(n, k) * c**k * (1.0 - c) ** (n - k)
 
 
 class TestExactExpected:
@@ -138,6 +170,30 @@ class TestExactDistribution:
         q = rng.random(18)
         assert len(exact_distribution(p, q).support) == 2**18
 
+    def test_support_within_ulps_of_vectorised_enumeration(self, rng):
+        # the table sums squared errors in case order, np.mean sums them pairwise
+        for _ in range(25):
+            n = int(rng.integers(1, 13))
+            p, q = rng.random(n), rng.random(n)
+            _, scores, masses = vectorised_enumeration(p, q)
+            order = np.argsort(scores, kind="stable")
+            dist = exact_distribution(p, q)
+            assert dist.values.size == dist.masses.size == 1 << n
+            assert np.abs(dist.values - scores[order]).max() <= 1e-15
+            assert np.abs(dist.masses - masses[order]).max() <= 1e-15
+
+    def test_arrays_are_read_only_and_back_the_moments(self, rng):
+        p, q = rng.random(9), rng.random(9)
+        dist = exact_distribution(p, q)
+        assert dist.values.dtype == dist.masses.dtype == np.float64
+        with pytest.raises(ValueError):
+            dist.values[0] = 0.0
+        with pytest.raises(ValueError):
+            dist.masses[0] = 0.0
+        assert dist.support == tuple(zip(dist.values.tolist(), dist.masses.tolist()))
+        assert dist.mean() == math.fsum(v * m for v, m in dist.support)
+        assert dist.total_mass() == math.fsum(m for _, m in dist.support)
+
 
 class TestExceedance:
     def test_all_zero_truths(self):
@@ -162,3 +218,32 @@ class TestExceedance:
     def test_exact_ties_do_not_count(self):
         # constant 0.5 with n = 2: outcomes (0,1), (1,0) tie exactly
         assert exact_exceedance_probability([0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("inputs", ["beta", "half", "quarter", "rounded", "extremes"])
+    def test_matches_enumeration(self, rng, inputs):
+        for _ in range(40):
+            n = int(rng.integers(1, 15))
+            if inputs == "beta":
+                q = rng.beta(2.0, 5.0, n)
+            elif inputs == "half":
+                q = np.full(n, 0.5)  # exact ties wherever k = n / 2
+            elif inputs == "quarter":
+                q = np.full(n, 0.25)
+            elif inputs == "rounded":
+                q = np.round(rng.random(n), 1)
+            else:
+                q = rng.choice([0.0, 1.0, 0.3, 0.8], n)
+            assert abs(exact_exceedance_probability(q) - reference_exceedance(q)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [30, 40])
+    @pytest.mark.parametrize("c", [0.5, 0.25])
+    def test_closed_form_beyond_the_full_law(self, n, c):
+        expected = constant_exceedance(c, n)
+        assert exact_exceedance_probability([c] * n) == pytest.approx(expected, abs=1e-12)
+
+    def test_budget_is_twice_the_full_law(self):
+        assert exact_exceedance_probability([0.5] * 21) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(EnumerationBudgetError):
+            exact_exceedance_probability([0.5] * (2 * ENUMERATION_LIMIT + 1))
+        with pytest.raises(EnumerationBudgetError):
+            exact_distribution([0.5] * (ENUMERATION_LIMIT + 1), [0.5] * (ENUMERATION_LIMIT + 1))
