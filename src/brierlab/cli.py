@@ -186,10 +186,10 @@ def cmd_report(args) -> int:
 
     svg_path = out_dir / f"figure{args.figure}.svg"
     csv_path = out_dir / f"figure{args.figure}.csv"
-    svg_path.write_text(svg)
+    svg_path.write_text(svg, encoding="utf-8")
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-    csv_path.write_text(buf.getvalue())
+    csv_path.write_text(buf.getvalue(), encoding="utf-8")
     print(f"wrote {svg_path} and {csv_path}")
     return 0
 

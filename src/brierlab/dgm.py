@@ -242,7 +242,7 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
     line; an empty file (after comments) raises too.
     """
     values: list[float] = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -265,7 +265,7 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
 
 def write_pool_file(pool: EmpiricalProbabilityPool, path, comment: str | None = None) -> None:
     """Write a pool in the same format load_empirical_pool reads."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         if comment:
             for line in comment.splitlines():
                 fh.write(f"# {line}\n")

@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -81,7 +82,7 @@ _MAX_REP = 2**53
 
 def _finite_float(cell: str) -> float:
     value = float(cell)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value {cell!r}")
     return value
 
@@ -356,7 +357,7 @@ def load_study_config(path) -> StudyConfig:
     """
     path = Path(path)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
@@ -436,7 +437,7 @@ def _atomic_write(path: Path, text: str) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode of a new file, not mkstemp's 0600
-        with open(fd, "w") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -518,7 +519,7 @@ def _check_header(found: list[str] | None, expected: tuple[str, ...], path) -> N
 
 def _data_rows(path: Path, columns: tuple[str, ...]) -> list[tuple[int, list[str]]]:
     """The nonblank rows under a checked header, each with its 1-based line number."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         _check_header(next(reader, None), columns, path)
         rows = [(reader.line_num, row) for row in reader if row]
@@ -560,7 +561,7 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
     first bad line.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         _check_header(next(csv.reader(fh), None), SCENARIO_CSV_COLUMNS, path)
         data = float_table(fh, len(SCENARIO_CSV_COLUMNS))
     if data is None or not (

@@ -2,8 +2,9 @@
 
 Two chart kinds cover all report figures: violin plots (a mirrored Gaussian
 kernel density outline with median and 5%/95% tick marks per group) and bar
-charts. The SVG text is assembled with fixed numeric formatting and holds no
-timestamps, so identical inputs produce identical bytes. Kernel bandwidths
+charts. The SVG text is assembled with fixed numeric formatting ("%.2f" pixels)
+and holds no timestamps, so identical inputs produce identical bytes. Each violin
+outline is computed as float64 arrays and formatted in one pass. Kernel bandwidths
 (Silverman's rule, h = (3N/4) ** (-1/5) * sd with ddof=1) are recorded in the SVG metadata.
 """
 
@@ -47,6 +48,28 @@ def _kde_outline(samples: np.ndarray):
     return grid, np.exp(-0.5 * z * z).sum(axis=0) / norm, bandwidth
 
 
+def _y_of(value, lo: float, span: float):
+    """Pixel y of a data value, or of an array of them, on an axis from lo to lo + span."""
+    return _PLOT_TOP + _PLOT_HEIGHT * (1.0 - (value - lo) / span)
+
+
+def _outline_points(cx: float, grid: np.ndarray, density: np.ndarray, lo: float, span: float) -> str:
+    """The polygon points of one violin: down the right half, back up the left.
+
+    Each coordinate is computed elementwise in float64, so it rounds exactly as
+    the same expression on Python floats; all points are formatted in one pass.
+    """
+    peak = float(np.max(density))
+    scale = _HALF_VIOLIN / peak if peak > 0 else 0.0
+    y = _y_of(grid, lo, span)
+    xy = np.empty((2, grid.size, 2))
+    xy[0, :, 0] = cx + density * scale
+    xy[1, :, 0] = (cx - density * scale)[::-1]
+    xy[0, :, 1] = y
+    xy[1, :, 1] = y[::-1]
+    return ("%.2f,%.2f " * (2 * grid.size) % tuple(xy.ravel().tolist()))[:-1]
+
+
 def _axis_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
@@ -65,16 +88,12 @@ def _svg_header(width: float, height: float, title: str, metadata: str) -> list[
 
 def _y_axis(parts: list[str], lo: float, hi: float, ylabel: str, plot_right: float) -> None:
     span = hi - lo
-
-    def y_of(value: float) -> float:
-        return _PLOT_TOP + _PLOT_HEIGHT * (1.0 - (value - lo) / span)
-
     parts.append(
         f'<line x1="{_px(_MARGIN_LEFT)}" y1="{_px(_PLOT_TOP)}" x2="{_px(_MARGIN_LEFT)}" '
         f'y2="{_px(_PLOT_TOP + _PLOT_HEIGHT)}" stroke="black" stroke-width="1"/>'
     )
     for tick in _axis_ticks(lo, hi):
-        y = y_of(tick)
+        y = _y_of(tick, lo, span)
         parts.append(
             f'<line x1="{_px(_MARGIN_LEFT - 4)}" y1="{_px(y)}" x2="{_px(plot_right)}" '
             f'y2="{_px(y)}" stroke="#cccccc" stroke-width="0.5"/>'
@@ -138,31 +157,23 @@ def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) ->
     _y_axis(parts, lo, hi, ylabel, width - _MARGIN_RIGHT)
 
     span = hi - lo
-
-    def y_of(value: float) -> float:
-        return _PLOT_TOP + _PLOT_HEIGHT * (1.0 - (value - lo) / span)
-
     for index, (label, samples, outline, q05, median, q95) in enumerate(prepared):
         cx = _MARGIN_LEFT + _SLOT_WIDTH * (index + 0.5)
         if outline is None:
             value = float(samples[0])
-            y = y_of(value)
+            y = _y_of(value, lo, span)
             parts.append(
                 f'<rect x="{_px(cx - _HALF_VIOLIN)}" y="{_px(y - 1.5)}" '
                 f'width="{_px(2 * _HALF_VIOLIN)}" height="3" fill="#4878a8"/>'
             )
         else:
             grid, density, _ = outline
-            peak = float(np.max(density))
-            scale = _HALF_VIOLIN / peak if peak > 0 else 0.0
-            right = [(cx + d * scale, y_of(v)) for v, d in zip(grid, density)]
-            left = [(cx - d * scale, y_of(v)) for v, d in zip(reversed(grid), reversed(density))]
-            points = " ".join(f"{_px(x)},{_px(y)}" for x, y in right + left)
+            points = _outline_points(cx, grid, density, lo, span)
             parts.append(
                 f'<polygon points="{points}" fill="#a8c4e0" stroke="#4878a8" stroke-width="1"/>'
             )
         for value, half in ((q05, 12.0), (median, 20.0), (q95, 12.0)):
-            y = y_of(value)
+            y = _y_of(value, lo, span)
             parts.append(
                 f'<line x1="{_px(cx - half)}" y1="{_px(y)}" x2="{_px(cx + half)}" '
                 f'y2="{_px(y)}" stroke="#222222" stroke-width="1.5"/>'
@@ -188,14 +199,10 @@ def bar_svg(items: list[tuple[str, float]], title: str, ylabel: str) -> str:
     _y_axis(parts, lo, hi, ylabel, width - _MARGIN_RIGHT)
 
     span = hi - lo
-
-    def y_of(value: float) -> float:
-        return _PLOT_TOP + _PLOT_HEIGHT * (1.0 - (value - lo) / span)
-
-    base_y = y_of(0.0)
+    base_y = _y_of(0.0, lo, span)
     for index, (label, value) in enumerate(items):
         cx = _MARGIN_LEFT + _SLOT_WIDTH * (index + 0.5)
-        top = y_of(float(value))
+        top = _y_of(float(value), lo, span)
         bar_height = max(base_y - top, 0.0)
         parts.append(
             f'<rect x="{_px(cx - 28)}" y="{_px(top)}" width="56" '

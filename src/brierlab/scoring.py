@@ -192,7 +192,7 @@ def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
     fails, the file is reread line by line and a ValidationError names the
     first offending line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -214,7 +214,7 @@ def _pair_rows(path) -> tuple[np.ndarray, np.ndarray]:
     """The per-line reader of the rows under a pair file's header; names the first bad line."""
     preds: list[float] = []
     outs: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, checked by read_pair_file
         for lineno, row in enumerate(reader, start=2):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -338,6 +339,35 @@ class TestReport:
         assert main(["report", "--results", str(results_dir), "--figure", "1",
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         assert f"{path}: not readable as utf-8 text" in capsys.readouterr().err
+
+    def test_non_ascii_label_under_ascii_locale(self, tmp_path):
+        # every file is UTF-8 whatever the locale: a pool label written under
+        # one locale reads back, and lands in the SVG, under plain ASCII
+        pool = tmp_path / "pool.txt"
+        pool.write_text("0.1\n0.2\n0.3\n0.6\n", encoding="utf-8")
+        config = tmp_path / "study.json"
+        doc = {
+            "study": {"name": "x", "seed": 3, "N": 20, "sample_sizes": [2]},
+            "dgms": [{"kind": "empirical", "path": str(pool), "label": "ostéo"}],
+            "transforms": [{"kind": "uniform_noise", "half_width": 0.1}],
+        }
+        config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        results = tmp_path / "results"
+        assert main(["simulate", "--config", str(config), "--out", str(results)]) == 0
+        src = str(Path(brierlab.__file__).resolve().parents[1])
+        locale_free = (key for key in os.environ if not key.startswith(("LC_", "LANG", "PYTHONIO")))
+        env = {key: os.environ[key] for key in locale_free}
+        env.update(PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        out = tmp_path / "figs"
+        done = subprocess.run(
+            [sys.executable, "-m", "brierlab.cli", "report", "--results", str(results),
+             "--figure", "1", "--n", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        root = ElementTree.fromstring((out / "figure1.svg").read_bytes())
+        texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert any(text and "(ostéo)" in text for text in texts)
 
     def test_corrupt_schema_detected(self, results_dir, tmp_path, capsys):
         summary = results_dir / "summary.csv"

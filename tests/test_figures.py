@@ -1,11 +1,21 @@
-"""The violin density: a Gaussian KDE with Silverman's bandwidth, in numpy."""
+"""The violin density (a Gaussian KDE with Silverman's bandwidth, in numpy) and its outline."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from brierlab.figures import _kde_outline
+from brierlab.figures import (
+    _HALF_VIOLIN,
+    _MARGIN_LEFT,
+    _PLOT_HEIGHT,
+    _PLOT_TOP,
+    _SLOT_WIDTH,
+    _kde_outline,
+    _outline_points,
+    violin_svg,
+)
 
 
 def _normal_pdf(x, h):
@@ -39,3 +49,84 @@ def test_matches_scipy_gaussian_kde(n):
     reference = float(kde.factor) * np.std(samples, ddof=1)
     assert bandwidth == pytest.approx(reference, rel=1e-15, abs=0)
     np.testing.assert_allclose(density, kde(grid), rtol=1e-12, atol=0)
+
+
+def reference_polygon_points(cx, grid, density, lo, span):
+    """The violin outline as it was drawn point by point, one format call per coordinate."""
+
+    def y_of(value):
+        return _PLOT_TOP + _PLOT_HEIGHT * (1.0 - (value - lo) / span)
+
+    peak = float(np.max(density))
+    scale = _HALF_VIOLIN / peak if peak > 0 else 0.0
+    right = [(cx + d * scale, y_of(v)) for v, d in zip(grid, density)]
+    left = [(cx - d * scale, y_of(v)) for v, d in zip(reversed(grid), reversed(density))]
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in right + left)
+
+
+def _violin_centre(index):
+    return _MARGIN_LEFT + _SLOT_WIDTH * (index + 0.5)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_outline_matches_reference_on_random_densities(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 200))
+    grid = np.sort(rng.uniform(-1.0, 2.0, size))
+    density = rng.exponential(rng.uniform(0.01, 50.0), size)
+    lo = float(grid[0]) - rng.uniform(0.0, 0.5)
+    span = float(grid[-1]) - lo + rng.uniform(0.0, 0.5)
+    cx = _violin_centre(int(rng.integers(0, 35)))
+    expected = reference_polygon_points(cx, grid, density, lo, span)
+    assert _outline_points(cx, grid, density, lo, span) == expected
+
+
+def _near(values, ulps=3):
+    """Each value with its neighbours up to ``ulps`` representable steps either side."""
+    out = [values]
+    up = down = values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("lo, span", [(0.0, 1.0), (-0.125, 1.25), (0.1, 0.3), (0.0137, 0.0421)])
+def test_outline_matches_reference_on_rounding_boundaries(lo, span):
+    # grid and density values whose pixel coordinates land within a few ulps
+    # of a .xx5 boundary, where any other rounding of one step flips a digit
+    cx = _violin_centre(2)
+    peak = 0.7
+    halves = 0.005 + 0.01 * np.arange(0, 3400, 7)  # .xx5 offsets up to 34 px
+    grid = _near(lo + span * (1.0 - halves[halves < _PLOT_HEIGHT] / _PLOT_HEIGHT))
+    density = _near(halves * (peak / _HALF_VIOLIN))
+    size = min(grid.size, density.size)
+    grid, density = grid[:size], np.append(density[: size - 1], peak)
+    expected = reference_polygon_points(cx, grid, density, lo, span)
+    assert _outline_points(cx, grid, density, lo, span) == expected
+
+
+def test_outline_with_zero_peak_is_a_vertical_line():
+    grid = np.linspace(0.2, 0.4, 81)
+    density = np.zeros(81)
+    cx = _violin_centre(3)
+    points = _outline_points(cx, grid, density, 0.1, 0.5)
+    assert points == reference_polygon_points(cx, grid, density, 0.1, 0.5)
+    assert {pair.split(",")[0] for pair in points.split()} == {f"{cx:.2f}"}
+
+
+@pytest.mark.parametrize("n_groups", [1, 35])
+def test_violin_svg_polygons_match_reference(n_groups):
+    rng = np.random.default_rng(n_groups)
+    groups = [(f"g{i}", rng.beta(2.0, 5.0, size=200)) for i in range(n_groups)]
+    svg = violin_svg(groups, "t", "y")
+    outlines = [_kde_outline(samples) for _, samples in groups]
+    lo = min(float(grid[0]) for grid, _, _ in outlines)
+    hi = max(float(grid[-1]) for grid, _, _ in outlines)
+    pad = 0.02 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    polygons = re.findall(r'<polygon points="([^"]*)"', svg)
+    assert polygons == [
+        reference_polygon_points(_violin_centre(i), grid, density, lo, hi - lo)
+        for i, (grid, density, _) in enumerate(outlines)
+    ]

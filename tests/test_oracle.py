@@ -88,8 +88,8 @@ class TestExactExpected:
             q = rng.random(n)
             assert exact_expected_bs(p, q) == pytest.approx(expected_bs(p, q), abs=1e-12)
 
-    def test_multi_chunk_path(self, rng):
-        # n = 17 forces more than one enumeration chunk
+    def test_table_of_2_pow_17_outcomes(self, rng):
+        # n = 17 doubles the outcome table up to 2**17 rows, near the budget of 20
         p = rng.random(17)
         q = rng.random(17)
         assert exact_expected_bs(p, q) == pytest.approx(expected_bs(p, q), abs=1e-12)
@@ -157,15 +157,15 @@ class TestExactDistribution:
             assert dist.n == n
 
     @pytest.mark.parametrize("decimals", [None, 1])
-    def test_support_equals_reference_merge_across_chunks(self, rng, decimals):
-        # n = 17 enumerates two chunks; rounded p gives atoms drawn from both
+    def test_support_equals_reference_merge_at_n17(self, rng, decimals):
+        # n = 17 gives 2**17 outcomes; rounded p makes atoms merge outcomes from the whole table
         p, q = rng.uniform(0.15, 0.85, 17), rng.random(17)
         if decimals is not None:
             p = np.round(p, decimals)
         assert exact_distribution(p, q).support == reference_support(p, q)
 
     def test_large_support_has_every_outcome(self, rng):
-        # n = 18 spans several enumeration chunks; distinct p gives distinct scores
+        # n = 18 gives 2**18 outcomes; distinct p gives distinct scores, so no atoms merge
         p = rng.uniform(0.15, 0.85, 18)
         q = rng.random(18)
         assert len(exact_distribution(p, q).support) == 2**18
