@@ -247,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):  # print labels the locale cannot encode, as stderr does
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         return args.func(args)
     except BrierLabError as exc:

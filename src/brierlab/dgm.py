@@ -82,8 +82,8 @@ class TrueDistributionSpec:
 
     @classmethod
     def beta(cls, alpha: float, beta: float) -> "TrueDistributionSpec":
-        if not (alpha > 0 and beta > 0):
-            raise ValidationError(f"beta shapes must be positive, got ({alpha}, {beta})")
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):
+            raise ValidationError(f"beta shapes must be positive and finite, got ({alpha}, {beta})")
         return cls(kind="beta", params=(float(alpha), float(beta)), label=f"beta({alpha:g},{beta:g})")
 
     @classmethod

@@ -44,7 +44,7 @@ from .dgm import (
 )
 from .errors import ConfigError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
-from .validation import float_table, names_undecodable_file
+from .validation import CsvFormat, csv_rows, names_undecodable_file, read_float_csv
 
 __all__ = [
     "Scenario",
@@ -79,15 +79,21 @@ SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean"
 # Replications are numbered from 1; float64 holds every count up to 2**53 exactly.
 _MAX_REP = 2**53
 
-
-def _finite_float(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {cell!r}")
-    return value
-
-
-_SUMMARY_TYPES = (str, int, str) + (_finite_float,) * 5  # per summary column
+_SCENARIO_CSV = CsvFormat(
+    SCENARIO_CSV_COLUMNS,
+    (float,) * len(SCENARIO_CSV_COLUMNS),
+    (
+        *((column, np.isfinite, "non-finite value {!r}") for column in range(len(SCENARIO_CSV_COLUMNS))),
+        (0, lambda rep: rep == np.trunc(rep), "rep {!r} is not an integer"),
+        (0, lambda rep: (rep >= 1.0) & (rep <= _MAX_REP), "rep {!r} is outside 1..2**53"),
+        (4, lambda exceeded: (exceeded == 0.0) | (exceeded == 1.0), "exceeded {!r} is not 0 or 1"),
+    ),
+)
+_SUMMARY_CSV = CsvFormat(
+    SUMMARY_CSV_COLUMNS,
+    (str, int, str) + (float,) * 5,
+    tuple((column, math.isfinite, "non-finite value {!r}") for column in range(3, 8)),
+)
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
@@ -211,6 +217,8 @@ def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: 
         raise ValidationError(f"replication count must be >= 1, got {n_reps}")
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
+    if root_seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {root_seed}")
     n_blocks = -(-n_reps // BLOCK_REPS)
     tasks = [
         (scenario, root_seed, index, block, n_reps)
@@ -508,70 +516,15 @@ def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
     return paths
 
 
-def _check_header(found: list[str] | None, expected: tuple[str, ...], path) -> None:
-    if found is None:
-        raise ValidationError(f"{path}: empty file")
-    if found != list(expected):
-        raise ValidationError(
-            f"{path}: header mismatch: expected {','.join(expected)}, got {','.join(found)}"
-        )
-
-
-def _data_rows(path: Path, columns: tuple[str, ...]) -> list[tuple[int, list[str]]]:
-    """The nonblank rows under a checked header, each with its 1-based line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), columns, path)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    for line, row in rows:
-        if len(row) != len(columns):
-            raise ValidationError(
-                f"{path}: line {line}: expected {len(columns)} fields, got {row!r}"
-            )
-    return rows
-
-
-def _scenario_rows(path: Path) -> np.ndarray:
-    """The per-line reader of a scenario file; names the first bad line."""
-    rows = []
-    for line, row in _data_rows(path, SCENARIO_CSV_COLUMNS):
-        try:
-            values = [_finite_float(cell) for cell in row]
-            if not values[0].is_integer():
-                raise ValueError(f"rep {row[0]!r} is not an integer")
-            if not 1.0 <= values[0] <= _MAX_REP:
-                raise ValueError(f"rep {row[0]!r} is outside 1..2**53")
-            if values[4] not in (0.0, 1.0):
-                raise ValueError(f"exceeded {row[4]!r} is not 0 or 1")
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {line}: {exc}") from None
-        rows.append(values)
-    return np.array(rows)
-
-
 @names_undecodable_file
 def read_scenario_csv(path) -> dict[str, np.ndarray]:
     """Read a per-scenario file back, validating the column schema and every cell.
 
     Every cell must be finite, ``rep`` an integer in 1..2**53 and ``exceeded``
-    0 or 1. The rows are parsed and checked in one vectorised pass; if that
-    fails, the file is reread line by line and a ValidationError names the
-    first bad line.
+    0 or 1. A bad file raises a ValidationError naming the first bad line
+    (see validation.read_float_csv).
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        _check_header(next(csv.reader(fh), None), SCENARIO_CSV_COLUMNS, path)
-        data = float_table(fh, len(SCENARIO_CSV_COLUMNS))
-    if data is None or not (
-        np.isfinite(data).all()
-        and (data[:, 0] == np.trunc(data[:, 0])).all()
-        and ((data[:, 0] >= 1.0) & (data[:, 0] <= _MAX_REP)).all()
-        and ((data[:, 4] == 0.0) | (data[:, 4] == 1.0)).all()
-    ):
-        data = _scenario_rows(path)
-    columns = dict(zip(SCENARIO_CSV_COLUMNS, data.T))
+    columns = dict(zip(SCENARIO_CSV_COLUMNS, read_float_csv(path, _SCENARIO_CSV).T))
     columns["rep"] = columns["rep"].astype(int)
     columns["exceeded"] = columns["exceeded"].astype(bool)
     return columns
@@ -580,12 +533,4 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
 @names_undecodable_file
 def read_summary_csv(path) -> list[dict]:
     """Read the summary file back as row dicts, validating the column schema and every cell."""
-    path = Path(path)
-    rows = []
-    for line, parts in _data_rows(path, SUMMARY_CSV_COLUMNS):
-        try:
-            converted = zip(SUMMARY_CSV_COLUMNS, _SUMMARY_TYPES, parts)
-            rows.append({column: convert(cell) for column, convert, cell in converted})
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {line}: {exc}") from None
-    return rows
+    return [dict(zip(SUMMARY_CSV_COLUMNS, row)) for row in csv_rows(path, _SUMMARY_CSV)]

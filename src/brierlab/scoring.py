@@ -12,7 +12,6 @@ are commonly misread.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -21,11 +20,12 @@ import numpy as np
 from .errors import ValidationError
 from .validation import (
     DOMAIN_TOL,
+    CsvFormat,
     as_outcome_vector,
     as_probability_vector,
     check_same_length,
-    float_table,
     names_undecodable_file,
+    read_float_csv,
 )
 
 __all__ = [
@@ -182,63 +182,26 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
     )
 
 
+# A header p,y in any case and spacing; a probability and a 0/1 outcome per row.
+_PAIR_CSV = CsvFormat(
+    ("p", "y"),
+    (float, float),
+    (
+        (0, lambda p: (p >= -DOMAIN_TOL) & (p <= 1.0 + DOMAIN_TOL), "probability {} outside [0, 1]"),
+        (1, lambda y: (y == 0.0) | (y == 1.0), "outcome {} is not 0 or 1"),
+    ),
+    fold=lambda cell: cell.strip().lower(),
+)
+
+
 @names_undecodable_file
 def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column delimited text file of predictions and outcomes.
 
     Expected format: a header row ``p,y`` followed by one probability and one
-    0/1 outcome per row, each a cell float() accepts; blank lines are skipped.
-    The rows are parsed and range-checked in one vectorised pass. If that
-    fails, the file is reread line by line and a ValidationError names the
-    first offending line.
+    0/1 outcome per row, each a cell float() accepts. A bad file raises a
+    ValidationError naming the first offending line (see validation.read_float_csv).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: file is empty, expected header 'p,y'")
-        if [c.strip().lower() for c in header] != ["p", "y"]:
-            raise ValidationError(
-                f"{path}: line 1: expected header 'p,y', got {','.join(header)!r}"
-            )
-        table = float_table(fh, 2)
-    if table is not None:
-        p, y = table.T
-        if ((p >= -DOMAIN_TOL) & (p <= 1.0 + DOMAIN_TOL) & ((y == 0.0) | (y == 1.0))).all():
-            # y is copied so that the table can be freed.
-            return as_probability_vector(p, "predictions"), as_outcome_vector(y.copy(), "outcomes")
-    return _pair_rows(path)
-
-
-def _pair_rows(path) -> tuple[np.ndarray, np.ndarray]:
-    """The per-line reader of the rows under a pair file's header; names the first bad line."""
-    preds: list[float] = []
-    outs: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # the header, checked by read_pair_file
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}: line {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                p_val = float(row[0])
-                y_val = float(row[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: non-numeric entry {row!r}"
-                ) from None
-            if not (-DOMAIN_TOL <= p_val <= 1.0 + DOMAIN_TOL):
-                raise ValidationError(
-                    f"{path}: line {lineno}: probability {row[0]} outside [0, 1]"
-                )
-            if y_val not in (0.0, 1.0):
-                raise ValidationError(
-                    f"{path}: line {lineno}: outcome {row[1]} is not 0 or 1"
-                )
-            preds.append(p_val)
-            outs.append(y_val)
-    if not preds:
-        raise ValidationError(f"{path}: no data rows found")
-    return as_probability_vector(preds, "predictions"), as_outcome_vector(outs, "outcomes")
+    p, y = read_float_csv(path, _PAIR_CSV).T
+    # y is copied so that the table can be freed.
+    return as_probability_vector(p, "predictions"), as_outcome_vector(y.copy(), "outcomes")

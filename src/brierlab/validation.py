@@ -1,9 +1,15 @@
-"""Input validation shared by the scoring, analytic, oracle, and engine modules."""
+"""Input validation shared by the scoring, analytic, oracle, and engine modules.
+
+Each CSV table (pair, scenario, summary file) is described by one CsvFormat and read here.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import functools
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,21 +89,80 @@ def _float_lines(fh):
         yield from lines
 
 
-def float_table(fh, width: int) -> np.ndarray | None:
-    """The rest of an open CSV file as a (rows, width) float table, or None.
+class CsvFormat(NamedTuple):
+    """A CSV table format: its header, the type of each column and the rules its cells obey.
 
-    The CSV readers' fast path, called after their header check: np.loadtxt
-    parses every line at once and skips empty ones. A cell float() refuses, a
-    ragged or whitespace-only line, another width or no rows give None, and
-    the caller rereads the file line by line to name the bad line.
+    A header matches when ``fold`` maps its cells to ``header``. A rule is
+    ``(column, test, message)``: ``test`` maps the column's values, an array
+    or a single number, to booleans, and ``message.format(cell)`` says why a
+    cell fails it.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # caller reports it
+
+    header: tuple[str, ...]
+    types: tuple[Callable, ...]
+    rules: tuple[tuple[int, Callable, str], ...]
+    fold: Callable[[str], str] = str
+
+
+def _past_header(fh, path, fmt: CsvFormat):
+    """A csv reader of fh, positioned after a header that matches fmt."""
+    reader = csv.reader(fh)
+    found = next(reader, None)
+    expected = ",".join(fmt.header)
+    if found is None:
+        raise ValidationError(f"{path}: file is empty, expected header {expected!r}")
+    if [fmt.fold(cell) for cell in found] != list(fmt.header):
+        raise ValidationError(f"{path}: line 1: expected header {expected!r}, got {','.join(found)!r}")
+    return reader
+
+
+def csv_rows(path, fmt: CsvFormat) -> list[list]:
+    """The per-line reader: each data row of a CSV file, its cells converted by fmt.types.
+
+    Empty and whitespace-only lines are skipped. The first line with another
+    number of fields, a cell its type refuses or a cell that fails a rule
+    raises a ValidationError naming the file and line, as does a file with
+    no data rows.
+    """
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = _past_header(fh, path, fmt)
+        for cells in reader:
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(cells) != len(fmt.types):
+                raise ValidationError(f"{where}: expected {len(fmt.types)} fields, got {len(cells)}")
+            try:
+                row = [convert(cell) for convert, cell in zip(fmt.types, cells)]
+            except ValueError:
+                raise ValidationError(f"{where}: non-numeric entry {cells!r}") from None
+            for column, test, message in fmt.rules:
+                if not test(row[column]):
+                    raise ValidationError(f"{where}: {message.format(cells[column])}")
+            rows.append(row)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows found")
+    return rows
+
+
+def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
+    """A CSV file of numbers in fmt as a (rows, columns) float table.
+
+    np.loadtxt parses every row in one pass (skipping empty lines) and each
+    rule is applied to a whole column. If the parse or a rule fails, or there
+    are no rows, csv_rows rereads the file to name the first bad line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        _past_header(fh, path, fmt)
+        with contextlib.suppress(ValueError), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # csv_rows reports it
             table = np.loadtxt(_float_lines(fh), delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
-        return None
-    return table if len(table) and table.shape[1] == width else None
+            if len(table) and table.shape[1] == len(fmt.header) and all(
+                test(table[:, column]).all() for column, test, _ in fmt.rules
+            ):
+                return table
+    return np.array(csv_rows(path, fmt))
 
 
 def names_undecodable_file(read):

@@ -1,5 +1,7 @@
 """Command-line verbs: outputs, exit codes, figure emission, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -47,6 +49,17 @@ def results_dir(tmp_path, study_config):
     out = tmp_path / "results"
     assert main(["simulate", "--config", str(study_config), "--out", str(out)]) == 0
     return out
+
+
+def run_under_ascii_locale(*args):
+    """Run the command line in a fresh interpreter whose locale encodes ASCII only."""
+    src = str(Path(brierlab.__file__).resolve().parents[1])
+    locale_free = (key for key in os.environ if not key.startswith(("LC_", "LANG", "PYTHONIO")))
+    env = {key: os.environ[key] for key in locale_free}
+    env.update(PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    return subprocess.run(
+        [sys.executable, "-m", "brierlab.cli", *args], env=env, capture_output=True, text=True
+    )
 
 
 def test_rendering_does_not_load_scipy():
@@ -107,6 +120,13 @@ class TestScore:
         path.write_bytes(b"p,y\n0.5,1\n\xff0.5,0\n")
         assert main(["score", "--input", str(path)]) == 2
         assert f"{path}: not readable as utf-8 text" in capsys.readouterr().err
+
+    def test_redirected_stdout_takes_the_report(self, pair_file):
+        # main() leaves a stdout that is not a text file as it is
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["score", "--input", str(pair_file), "--json"]) == 0
+        assert json.loads(out.getvalue())["n"] == 4
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["score", "--input", str(tmp_path / "nope.csv")]) == 3
@@ -199,6 +219,32 @@ class TestSimulate:
         bad = config if undecodable == "config" else pool
         assert f"{bad}: not readable as utf-8 text" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, study_config, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(study_config), "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_non_ascii_label_in_progress_under_ascii_locale(self, tmp_path):
+        # the progress line names each scenario; a label the locale cannot
+        # encode is printed with a backslash escape instead of failing the run
+        pool = tmp_path / "pool.txt"
+        pool.write_text("0.1\n0.2\n0.3\n0.6\n", encoding="utf-8")
+        config = tmp_path / "study.json"
+        doc = {
+            "study": {"name": "x", "seed": 3, "N": 20, "sample_sizes": [2]},
+            "dgms": [{"kind": "empirical", "path": str(pool), "label": "ostéo"}],
+            "transforms": [{"kind": "perfect"}],
+        }
+        config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        results = tmp_path / "results"
+        done = run_under_ascii_locale("simulate", "--config", str(config), "--out", str(results))
+        assert done.returncode == 0, done.stderr
+        assert "empirical(ost\\xe9o)" in done.stdout
+        assert sorted(path.name for path in results.iterdir()) == [
+            "empirical_ost_o_perfect_n2.csv", "summary.csv"
+        ]
 
     def test_invalid_beta_exits_2_naming_field(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -354,15 +400,9 @@ class TestReport:
         config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
         results = tmp_path / "results"
         assert main(["simulate", "--config", str(config), "--out", str(results)]) == 0
-        src = str(Path(brierlab.__file__).resolve().parents[1])
-        locale_free = (key for key in os.environ if not key.startswith(("LC_", "LANG", "PYTHONIO")))
-        env = {key: os.environ[key] for key in locale_free}
-        env.update(PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
         out = tmp_path / "figs"
-        done = subprocess.run(
-            [sys.executable, "-m", "brierlab.cli", "report", "--results", str(results),
-             "--figure", "1", "--n", "2", "--out", str(out)],
-            env=env, capture_output=True, text=True,
+        done = run_under_ascii_locale(
+            "report", "--results", str(results), "--figure", "1", "--n", "2", "--out", str(out)
         )
         assert done.returncode == 0, done.stderr
         root = ElementTree.fromstring((out / "figure1.svg").read_bytes())

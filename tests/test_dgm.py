@@ -66,6 +66,8 @@ class TestTrueDistributions:
             TrueDistributionSpec.uniform(-0.1, 1.0)
         with pytest.raises(ValidationError):
             TrueDistributionSpec.beta(0.0, 5.0)
+        with pytest.raises(ValidationError, match="finite"):
+            TrueDistributionSpec.beta(2.0, float("inf"))
         with pytest.raises(ValidationError):
             TrueDistributionSpec.constant(1.5)
         with pytest.raises(ValidationError):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brierlab import engine
+from brierlab import engine, validation
 from brierlab.analytic import perfect_bs_lower_bound
 from brierlab.cli import main
 from brierlab.dgm import (
@@ -73,6 +73,11 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return StudyConfig(**defaults)
+
+
+def per_line_scenario_rows(path):
+    """The rows of a scenario file as the per-line reader alone reads them."""
+    return validation.csv_rows(path, engine._SCENARIO_CSV)
 
 
 def replace_cell(path, row, column, text):
@@ -256,6 +261,14 @@ class TestRunScenario:
         with pytest.raises(ValidationError):
             Scenario(Dist.constant(0.5), Transform.perfect(), 0)
 
+    def test_negative_seed_rejected_before_any_block(self, monkeypatch):
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        scenario = Scenario(Dist.constant(0.5), Transform.perfect(), 10)
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            run_scenario(scenario, 10, -1)
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            run_study(small_config(seed=-1))
+
 
 class TestStudy:
     def test_cartesian_count(self):
@@ -358,6 +371,15 @@ class TestConfigDocuments:
         doc["dgms"] = [{"kind": "beta", "alpha": 0, "beta": 5}]
         with pytest.raises(ConfigError, match=r"dgms\[0\]"):
             load_study_config(self.write(tmp_path, doc))
+
+    def test_infinite_beta_shape_names_field(self, tmp_path):
+        # JSON as Python reads it: "Infinity" is a number
+        path = tmp_path / "study.json"
+        doc = self.base_doc()
+        doc["dgms"] = [{"kind": "beta", "alpha": 2, "beta": 5}]
+        path.write_text(json.dumps(doc).replace('"alpha": 2', '"alpha": Infinity'))
+        with pytest.raises(ConfigError, match=r"^dgms\[0\]: beta shapes must be positive and finite"):
+            load_study_config(path)
 
     def test_empty_transforms_rejected(self, tmp_path):
         doc = self.base_doc()
@@ -544,15 +566,15 @@ class TestPersistence:
         paths = write_study_results(run_study(small_config()), tmp_path)
         replace_cell(paths[0], 5, 0, cell)
         message = rf"{paths[0].name}: line 6: rep '{cell}' is outside 1\.\.2\*\*53$"
-        for read in (read_scenario_csv, engine._scenario_rows):
+        for read in (read_scenario_csv, per_line_scenario_rows):
             with pytest.raises(ValidationError, match=message):
                 read(paths[0])
 
     def test_vectorised_path_bounds_rep(self, tmp_path, monkeypatch):
         paths = write_study_results(run_study(small_config()), tmp_path)
-        per_line = engine._scenario_rows
+        per_line = validation.csv_rows
         calls = []
-        monkeypatch.setattr(engine, "_scenario_rows", lambda path: calls.append(path) or per_line(path))
+        monkeypatch.setattr(validation, "csv_rows", lambda path, fmt: calls.append(path) or per_line(path, fmt))
         replace_cell(paths[0], 5, 0, str(2**53))
         assert read_scenario_csv(paths[0])["rep"][4] == 2**53
         assert calls == []
@@ -596,7 +618,7 @@ class TestPersistence:
         def public(path):
             return np.column_stack(list(read_scenario_csv(path).values()))
 
-        assert outcome(public) == outcome(engine._scenario_rows)
+        assert outcome(public) == outcome(per_line_scenario_rows)
 
     def test_scenario_csv_text(self, tmp_path):
         result = run_study(small_config())[0]

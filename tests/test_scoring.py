@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brierlab import scoring
+from brierlab import scoring, validation
 from brierlab.cli import main
 from brierlab.errors import DimensionError, ValidationError
 from brierlab.scoring import (
@@ -23,6 +23,7 @@ from brierlab.scoring import (
     rmse,
     score_report,
 )
+from brierlab.validation import as_probability_vector
 
 # Cells the text readers must treat exactly as float() does: numbers, out of
 # range and non-finite values, cells float() accepts but np.loadtxt does not
@@ -268,6 +269,12 @@ def read_outcome(read, path):
     return p.tolist(), y.tolist()
 
 
+def per_line_pairs(path):
+    """read_pair_file's arrays, from the per-line reader alone."""
+    p, y = np.array(validation.csv_rows(path, scoring._PAIR_CSV)).T
+    return as_probability_vector(p), y
+
+
 class TestPairFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -318,7 +325,7 @@ class TestPairFile:
         path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        assert read_outcome(read_pair_file, path) == read_outcome(scoring._pair_rows, path)
+        assert read_outcome(read_pair_file, path) == read_outcome(per_line_pairs, path)
 
     @pytest.mark.parametrize(
         "text",
@@ -336,15 +343,15 @@ class TestPairFile:
         with open(path, "w", newline="") as fh:
             fh.write(text)
         assert read_outcome(read_pair_file, path) == ([0.25, 0.75], [0.0, 1.0])
-        assert read_outcome(scoring._pair_rows, path) == ([0.25, 0.75], [0.0, 1.0])
+        assert read_outcome(per_line_pairs, path) == ([0.25, 0.75], [0.0, 1.0])
 
     @pytest.mark.parametrize(
         "text, message",
         [
             ("p,y\n0.25,0\n0.75,1 # x\n", "line 3: non-numeric entry"),  # '#' starts no comment
             ("p,y\n0.25,0\n\x1c0.75,1\n", "line 3: non-numeric entry"),  # loadtxt alone strips U+001C
-            ("p,y\n0.25,0\n0.75,1,0\n", "line 3: expected 2 columns, got 3"),
-            ("p,y\n0.25\n", "line 2: expected 2 columns, got 1"),
+            ("p,y\n0.25,0\n0.75,1,0\n", "line 3: expected 2 fields, got 3"),
+            ("p,y\n0.25\n", "line 2: expected 2 fields, got 1"),
         ],
         ids=["hash", "separator", "three-columns", "one-column"],
     )
