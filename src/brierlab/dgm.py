@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,10 +21,11 @@ from .validation import as_probability_vector, names_undecodable_file
 
 __all__ = [
     "EmpiricalProbabilityPool",
+    "Kind",
     "TrueDistributionSpec",
-    "TRUE_DISTRIBUTION_FIELDS",
+    "TRUE_DISTRIBUTIONS",
     "PredictorTransformSpec",
-    "PREDICTOR_TRANSFORM_FIELDS",
+    "PREDICTOR_TRANSFORMS",
     "derive_stream",
     "sample_true_probs",
     "apply_predictor_transform",
@@ -74,6 +76,12 @@ class TrueDistributionSpec:
     pool: EmpiricalProbabilityPool | None = None
     label: str = ""
 
+    def __post_init__(self):
+        if self.kind != "empirical":
+            _check_kind(self, TRUE_DISTRIBUTIONS, "true-distribution")
+        elif self.pool is None or self.params:
+            raise ValidationError("an empirical true distribution takes a pool and no params")
+
     @classmethod
     def uniform(cls, a: float, b: float) -> "TrueDistributionSpec":
         if not (0.0 <= a < b <= 1.0):
@@ -119,6 +127,9 @@ class PredictorTransformSpec:
     params: tuple[float, ...] = ()
     label: str = ""
 
+    def __post_init__(self):
+        _check_kind(self, PREDICTOR_TRANSFORMS, "predictor-transform")
+
     @classmethod
     def perfect(cls) -> "PredictorTransformSpec":
         return cls(kind="perfect", label="perfect")
@@ -142,21 +153,38 @@ class PredictorTransformSpec:
         return cls(kind="rademacher_noise", params=(float(magnitude),), label=f"rademacher({magnitude:g})")
 
 
-# Each parametric kind -> its constructor's field names, in argument order.
-# A kind is also the name of its classmethod on the spec class; "empirical"
-# is absent because it takes a pool, not numbers.
-TRUE_DISTRIBUTION_FIELDS: dict[str, tuple[str, ...]] = {
-    "uniform": ("a", "b"),
-    "beta": ("alpha", "beta"),
-    "constant": ("c",),
-    "two_point": ("v0", "v1", "w"),
+class Kind(NamedTuple):
+    """One kind of a spec family: its constructor's field names, in argument order, and its draw."""
+
+    fields: tuple[str, ...]
+    draw: Callable[..., np.ndarray]
+
+
+# Each kind is also the name of its classmethod on the spec class.
+# A true distribution draws (params..., shape, rng) -> q. "empirical" is
+# absent because it takes a pool, not numbers.
+TRUE_DISTRIBUTIONS: dict[str, Kind] = {
+    "uniform": Kind(("a", "b"), lambda a, b, shape, rng: rng.uniform(a, b, shape)),
+    "beta": Kind(("alpha", "beta"), lambda alpha, beta, shape, rng: rng.beta(alpha, beta, shape)),
+    "constant": Kind(("c",), lambda c, shape, rng: np.full(shape, c)),
+    "two_point": Kind(("v0", "v1", "w"), lambda v0, v1, w, shape, rng: np.where(rng.random(shape) < w, v1, v0)),
 }
-PREDICTOR_TRANSFORM_FIELDS: dict[str, tuple[str, ...]] = {
-    "perfect": (),
-    "additive_bias": ("delta",),
-    "uniform_noise": ("half_width",),
-    "rademacher_noise": ("magnitude",),
+# A transform draws (q, params..., rng) -> p, which apply_predictor_transform clamps.
+PREDICTOR_TRANSFORMS: dict[str, Kind] = {
+    "perfect": Kind((), lambda q, rng: q.copy()),
+    "additive_bias": Kind(("delta",), lambda q, delta, rng: q + delta),
+    "uniform_noise": Kind(("half_width",), lambda q, h, rng: q + rng.uniform(-h, h, q.shape)),
+    "rademacher_noise": Kind(("magnitude",), lambda q, m, rng: q + m * (1.0 - 2.0 * rng.integers(0, 2, q.shape))),
 }
+
+
+def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
+    """Raise ValidationError unless spec names a kind of registry, with one param per field."""
+    kind = registry.get(spec.kind) if isinstance(spec.kind, str) else None
+    if kind is None:
+        raise ValidationError(f"unknown {family} kind {spec.kind!r}")
+    if len(spec.params) != len(kind.fields):
+        raise ValidationError(f"{family} kind {spec.kind!r} takes params {kind.fields}, got {spec.params!r}")
 
 
 def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator) -> np.ndarray:
@@ -171,32 +199,19 @@ def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator
     n = shape[-1]
     if n < 1:
         raise ValidationError(f"sample size must be >= 1, got {n}")
-    if spec.kind == "uniform":
-        a, b = spec.params
-        return rng.uniform(a, b, shape)
-    if spec.kind == "beta":
-        alpha, beta = spec.params
-        return rng.beta(alpha, beta, shape)
-    if spec.kind == "constant":
-        return np.full(shape, spec.params[0])
-    if spec.kind == "two_point":
-        v0, v1, w = spec.params
-        return np.where(rng.random(shape) < w, v1, v0)
-    if spec.kind == "empirical":
-        pool = spec.pool
-        if pool.size < n:
-            raise InsufficientPoolError(
-                f"pool {pool.label!r} has {pool.size} values, cannot subsample {n} "
-                "without replacement"
-            )
-        # One choice per row: for 100 rows of a 5000-value pool on a 2-vCPU
-        # x86-64 VM, argpartition of random keys took 2-4x and
-        # Generator.permuted 3-6x as long (numpy 2.4).
-        q = np.empty(shape)
-        for row in q.reshape(-1, n):
-            row[:] = rng.choice(pool.probabilities, size=n, replace=False)
-        return q
-    raise ValidationError(f"unknown true-distribution kind {spec.kind!r}")
+    if spec.kind != "empirical":
+        return TRUE_DISTRIBUTIONS[spec.kind].draw(*spec.params, shape, rng)
+    pool = spec.pool
+    if pool.size < n:
+        raise InsufficientPoolError(
+            f"pool {pool.label!r} has {pool.size} values, cannot subsample {n} without replacement"
+        )
+    # One choice per row: for 100 rows of a 5000-value pool on a 2-vCPU x86-64 VM,
+    # argpartition of random keys took 2-4x and Generator.permuted 3-6x as long (numpy 2.4).
+    q = np.empty(shape)
+    for row in q.reshape(-1, n):
+        row[:] = rng.choice(pool.probabilities, size=n, replace=False)
+    return q
 
 
 def apply_predictor_transform(
@@ -206,21 +221,9 @@ def apply_predictor_transform(
 
     perfect copies q; additive_bias adds a constant; uniform_noise adds
     independent Uniform(-h, h) noise; rademacher_noise adds +/-magnitude with
-    equal probability. Clamping happens after the noise or bias is applied.
+    equal probability. Every kind's result, perfect's too, is clamped after any noise or bias.
     """
-    q = np.asarray(q, dtype=float)
-    if spec.kind == "perfect":
-        return q.copy()
-    if spec.kind == "additive_bias":
-        p = q + spec.params[0]
-    elif spec.kind == "uniform_noise":
-        half_width = spec.params[0]
-        p = q + rng.uniform(-half_width, half_width, q.shape)
-    elif spec.kind == "rademacher_noise":
-        magnitude = spec.params[0]
-        p = q + magnitude * (1.0 - 2.0 * rng.integers(0, 2, q.shape))
-    else:
-        raise ValidationError(f"unknown predictor-transform kind {spec.kind!r}")
+    p = PREDICTOR_TRANSFORMS[spec.kind].draw(np.asarray(q, dtype=float), *spec.params, rng)
     return np.clip(p, 0.0, 1.0, out=p)
 
 

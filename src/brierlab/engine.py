@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dgm import (
-    PREDICTOR_TRANSFORM_FIELDS,
-    TRUE_DISTRIBUTION_FIELDS,
+    PREDICTOR_TRANSFORMS,
+    TRUE_DISTRIBUTIONS,
     PredictorTransformSpec,
     TrueDistributionSpec,
     apply_predictor_transform,
@@ -320,26 +320,24 @@ def _require(mapping: dict, field: str, context: str):
     return mapping[field]
 
 
-def _parse_spec(entry: dict, context: str, spec_class, fields_by_kind: dict, family: str):
-    """Build a spec through the classmethod named by the entry's kind."""
+def _parse_spec(entry: dict, context: str, spec_class, registry: dict, family: str):
+    """Build a spec through the classmethod named by the entry's kind, from the fields registry gives it."""
     kind = _require(entry, "kind", context)
-    if not isinstance(kind, str) or kind not in fields_by_kind:
+    if not isinstance(kind, str) or kind not in registry:
         raise ConfigError(f"{context}.kind: unknown {family} kind {kind!r}")
-    args = [_require(entry, field, context) for field in fields_by_kind[kind]]
-    for field, value in zip(fields_by_kind[kind], args):
+    args = {field: _require(entry, field, context) for field in registry[kind].fields}
+    for field, value in args.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{context}.{field}: must be a number, got {value!r}")
     try:
-        return getattr(spec_class, kind)(*args)
+        return getattr(spec_class, kind)(*args.values())
     except ValidationError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
 def _parse_dgm(entry: dict, context: str, base_dir: Path) -> TrueDistributionSpec:
     if _require(entry, "kind", context) != "empirical":
-        return _parse_spec(
-            entry, context, TrueDistributionSpec, TRUE_DISTRIBUTION_FIELDS, "true-distribution"
-        )
+        return _parse_spec(entry, context, TrueDistributionSpec, TRUE_DISTRIBUTIONS, "true-distribution")
     _require(entry, "path", context)
     strings = {field: entry[field] for field in ("path", "label") if field in entry}
     for field, value in strings.items():
@@ -401,7 +399,7 @@ def load_study_config(path) -> StudyConfig:
     )
     transforms = tuple(
         _parse_spec(
-            entry, f"transforms[{i}]", PredictorTransformSpec, PREDICTOR_TRANSFORM_FIELDS, "predictor-transform"
+            entry, f"transforms[{i}]", PredictorTransformSpec, PREDICTOR_TRANSFORMS, "predictor-transform"
         )
         for i, entry in enumerate(transform_entries)
     )

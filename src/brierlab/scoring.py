@@ -13,7 +13,7 @@ are commonly misread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -123,19 +123,7 @@ def diagnose(p, y, near_reference_delta: float = 0.01) -> list[str]:
 
     Inputs are never mutated.
     """
-    if not (math.isfinite(near_reference_delta) and near_reference_delta > 0):
-        raise ValidationError("near_reference_delta must be finite and positive")
-    p, y = _paired(p, y)
-    bs = float(np.mean((p - y) ** 2))
-    _, ref_incidence = reference_scores(y)
-    warnings = []
-    if bs == 0.0 and p.size >= 10:
-        warnings.append(ZERO_SCORE_SUSPECT)
-    if np.all((p == 0.0) | (p == 1.0)):
-        warnings.append(ALL_EXTREME_PREDICTIONS)
-    if abs(bs - ref_incidence) < near_reference_delta:
-        warnings.append(NEAR_REFERENCE)
-    return warnings
+    return list(score_report(p, y, near_reference_delta).warnings)
 
 
 @dataclass(frozen=True)
@@ -152,33 +140,34 @@ class ScoreReport:
     warnings: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        """Flat key/value view, with warnings as a list of codes."""
-        return {
-            "n": self.n,
-            "brier": self.brier,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "cil": self.cil,
-            "reference_half": self.reference_half,
-            "reference_incidence": self.reference_incidence,
-            "warnings": list(self.warnings),
-        }
+        """Flat key/value view in field order, with warnings as a list of codes."""
+        return {**asdict(self), "warnings": list(self.warnings)}
 
 
 def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
-    """Compute every metric, the reference scores, and diagnostics at once."""
+    """Every metric, the reference scores and the diagnostics (see diagnose), validating p and y once."""
+    if not (math.isfinite(near_reference_delta) and near_reference_delta > 0):
+        raise ValidationError("near_reference_delta must be finite and positive")
     p, y = _paired(p, y)
     bs = float(np.mean((p - y) ** 2))
-    ref_half, ref_incidence = reference_scores(y)
+    ybar = float(np.mean(y))
+    ref_incidence = ybar - ybar * ybar
+    warnings = []
+    if bs == 0.0 and p.size >= 10:
+        warnings.append(ZERO_SCORE_SUSPECT)
+    if np.all((p == 0.0) | (p == 1.0)):
+        warnings.append(ALL_EXTREME_PREDICTIONS)
+    if abs(bs - ref_incidence) < near_reference_delta:
+        warnings.append(NEAR_REFERENCE)
     return ScoreReport(
         n=int(p.size),
         brier=bs,
         rmse=math.sqrt(bs),
         mae=float(np.mean(np.abs(p - y))),
-        cil=float(np.mean(p) - np.mean(y)),
-        reference_half=ref_half,
+        cil=float(np.mean(p)) - ybar,
+        reference_half=0.25,
         reference_incidence=ref_incidence,
-        warnings=tuple(diagnose(p, y, near_reference_delta)),
+        warnings=tuple(warnings),
     )
 
 

@@ -104,10 +104,18 @@ class CsvFormat(NamedTuple):
     fold: Callable[[str], str] = str
 
 
+def _records(reader, path):
+    """The records of a csv reader; a csv.Error (say, a cell over csv.field_size_limit()) names the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _past_header(fh, path, fmt: CsvFormat):
     """A csv reader of fh, positioned after a header that matches fmt."""
     reader = csv.reader(fh)
-    found = next(reader, None)
+    found = next(_records(reader, path), None)
     expected = ",".join(fmt.header)
     if found is None:
         raise ValidationError(f"{path}: file is empty, expected header {expected!r}")
@@ -120,14 +128,14 @@ def csv_rows(path, fmt: CsvFormat) -> list[list]:
     """The per-line reader: each data row of a CSV file, its cells converted by fmt.types.
 
     Empty and whitespace-only lines are skipped. The first line with another
-    number of fields, a cell its type refuses or a cell that fails a rule
-    raises a ValidationError naming the file and line, as does a file with
-    no data rows.
+    number of fields, a cell its type refuses, a cell that fails a rule or a
+    cell longer than csv.field_size_limit() raises a ValidationError naming
+    the file and line, as does a file with no data rows.
     """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _past_header(fh, path, fmt)
-        for cells in reader:
+        for cells in _records(reader, path):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
             where = f"{path}: line {reader.line_num}"

@@ -131,6 +131,18 @@ class TestScore:
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["score", "--input", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("p,y\n0.5,1\n" + "x" * 200_000 + ",1\n", 3), ("x" * 200_000 + ",y\n0.5,1\n", 1)],
+        ids=["data-cell", "header-cell"],
+    )
+    def test_oversized_cell_exits_2_naming_line(self, tmp_path, capsys, text, line):
+        # a cell over csv.field_size_limit() (128 KiB) is bad input, not a crash
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        assert main(["score", "--input", str(path)]) == 2
+        assert f"{path}: line {line}: field larger than field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_non_finite_delta_exits_2(self, pair_file, capsys, delta):
         assert main(["score", "--input", str(pair_file), "--near-reference-delta", delta]) == 2
@@ -426,6 +438,15 @@ class TestReport:
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         err = capsys.readouterr().err
         assert "summary.csv: line 2:" in err and "abc" in err
+
+    def test_oversized_summary_cell_exits_2_naming_line(self, results_dir, tmp_path, capsys):
+        summary = results_dir / "summary.csv"
+        lines = summary.read_text().splitlines()
+        lines.insert(2, "x" * 200_000 + lines[2])
+        summary.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--results", str(results_dir), "--figure", "1",
+                     "--out", str(tmp_path / "f"), "--n", "30"]) == 2
+        assert "summary.csv: line 3: field larger than field limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_scenario_cell_exits_2_naming_line(self, results_dir, tmp_path, capsys, cell):

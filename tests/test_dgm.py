@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from brierlab.dgm import (
+    PREDICTOR_TRANSFORMS,
+    TRUE_DISTRIBUTIONS,
     PredictorTransformSpec,
     TrueDistributionSpec,
     apply_predictor_transform,
@@ -21,6 +23,89 @@ def _pool(values):
     from brierlab.dgm import _make_pool
 
     return _make_pool(values, "test-pool")
+
+
+def reference_sample_true_probs(spec, size, rng):
+    """The draw of every true-distribution kind as one if-chain, before the kinds became a registry."""
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    n = shape[-1]
+    if spec.kind == "uniform":
+        a, b = spec.params
+        return rng.uniform(a, b, shape)
+    if spec.kind == "beta":
+        alpha, beta = spec.params
+        return rng.beta(alpha, beta, shape)
+    if spec.kind == "constant":
+        return np.full(shape, spec.params[0])
+    if spec.kind == "two_point":
+        v0, v1, w = spec.params
+        return np.where(rng.random(shape) < w, v1, v0)
+    if spec.kind == "empirical":
+        q = np.empty(shape)
+        for row in q.reshape(-1, n):
+            row[:] = rng.choice(spec.pool.probabilities, size=n, replace=False)
+        return q
+    raise ValueError(f"unknown true-distribution kind {spec.kind!r}")
+
+
+def reference_apply_predictor_transform(q, spec, rng):
+    """The draw of every predictor-transform kind as one if-chain, before the kinds became a registry."""
+    q = np.asarray(q, dtype=float)
+    if spec.kind == "perfect":
+        return q.copy()
+    if spec.kind == "additive_bias":
+        p = q + spec.params[0]
+    elif spec.kind == "uniform_noise":
+        half_width = spec.params[0]
+        p = q + rng.uniform(-half_width, half_width, q.shape)
+    elif spec.kind == "rademacher_noise":
+        magnitude = spec.params[0]
+        p = q + magnitude * (1.0 - 2.0 * rng.integers(0, 2, q.shape))
+    else:
+        raise ValueError(f"unknown predictor-transform kind {spec.kind!r}")
+    return np.clip(p, 0.0, 1.0, out=p)
+
+
+# One spec per kind of each family, built through the public constructors.
+TRUE_SPECS = {
+    "uniform": TrueDistributionSpec.uniform(0.1, 0.7),
+    "beta": TrueDistributionSpec.beta(2.0, 5.0),
+    "constant": TrueDistributionSpec.constant(0.3),
+    "two_point": TrueDistributionSpec.two_point(0.1, 0.9, 0.3),
+    "empirical": TrueDistributionSpec.empirical(_pool(np.linspace(0.01, 0.99, 80))),
+}
+TRANSFORM_SPECS = {
+    "perfect": PredictorTransformSpec.perfect(),
+    "additive_bias": PredictorTransformSpec.additive_bias(-0.2),
+    "uniform_noise": PredictorTransformSpec.uniform_noise(0.1),
+    "rademacher_noise": PredictorTransformSpec.rademacher_noise(0.1),
+}
+SHAPES = [37, (5, 37)]
+
+
+class TestRegistryMatchesReference:
+    """The registries draw the same numbers, and consume the same randomness, as the if-chains."""
+
+    def test_every_kind_has_a_spec(self):
+        assert set(TRUE_SPECS) == {*TRUE_DISTRIBUTIONS, "empirical"}
+        assert set(TRANSFORM_SPECS) == set(PREDICTOR_TRANSFORMS)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", sorted(TRUE_SPECS))
+    def test_true_distribution(self, kind, shape):
+        new, old = derive_stream(20250810, 3, 1, 0), derive_stream(20250810, 3, 1, 0)
+        q = sample_true_probs(TRUE_SPECS[kind], shape, new)
+        assert np.array_equal(q, reference_sample_true_probs(TRUE_SPECS[kind], shape, old))
+        assert new.random() == old.random()
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", sorted(TRANSFORM_SPECS))
+    def test_transform(self, kind, shape):
+        q = sample_true_probs(TRUE_SPECS["uniform"], shape, derive_stream(20250810, 3, 1, 0))
+        new, old = derive_stream(20250810, 3, 1, 1), derive_stream(20250810, 3, 1, 1)
+        p = apply_predictor_transform(q, TRANSFORM_SPECS[kind], new)
+        assert np.array_equal(p, reference_apply_predictor_transform(q, TRANSFORM_SPECS[kind], old))
+        assert new.random() == old.random()
 
 
 class TestTrueDistributions:
@@ -73,6 +158,17 @@ class TestTrueDistributions:
         with pytest.raises(ValidationError):
             TrueDistributionSpec.two_point(0.0, 1.2, 0.5)
 
+    def test_direct_spec_checked_at_construction(self):
+        with pytest.raises(ValidationError, match="unknown true-distribution kind 'zeta'"):
+            TrueDistributionSpec(kind="zeta")
+        with pytest.raises(ValidationError, match=r"uniform' takes params \('a', 'b'\), got \(0.1,\)"):
+            TrueDistributionSpec(kind="uniform", params=(0.1,))
+        with pytest.raises(ValidationError, match="takes a pool and no params"):
+            TrueDistributionSpec(kind="empirical")
+        with pytest.raises(ValidationError, match="takes a pool and no params"):
+            TrueDistributionSpec(kind="empirical", params=(0.1,), pool=_pool([0.2]))
+        assert TrueDistributionSpec(kind="constant", params=(0.4,)).params == (0.4,)
+
     def test_sample_size_validated(self, rng):
         with pytest.raises(ValidationError):
             sample_true_probs(TrueDistributionSpec.constant(0.5), 0, rng)
@@ -84,6 +180,11 @@ class TestTransforms:
         p = apply_predictor_transform(q, PredictorTransformSpec.perfect(), rng)
         assert np.array_equal(p, q)
         assert p is not q  # fresh array, inputs never aliased
+
+    def test_perfect_clamps_out_of_range_truths(self, rng):
+        # sample_true_probs never draws such a q; perfect shares the one clamp with the other kinds
+        p = apply_predictor_transform(np.array([-0.5, 0.25, 1.5]), PredictorTransformSpec.perfect(), rng)
+        assert p.tolist() == [0.0, 0.25, 1.0]
 
     def test_bias_clamps_at_one(self, rng):
         p = apply_predictor_transform(
@@ -127,6 +228,13 @@ class TestTransforms:
             PredictorTransformSpec.uniform_noise(0.0)
         with pytest.raises(ValidationError):
             PredictorTransformSpec.rademacher_noise(-0.1)
+
+    def test_direct_spec_checked_at_construction(self):
+        with pytest.raises(ValidationError, match=r"perfect' takes params \(\), got \(1.0,\)"):
+            PredictorTransformSpec(kind="perfect", params=(1.0,))
+        for kind in ("empirical", ["perfect"]):
+            with pytest.raises(ValidationError, match="unknown predictor-transform kind"):
+                PredictorTransformSpec(kind=kind)
 
 
 class TestOutcomes:

@@ -20,8 +20,8 @@ from brierlab import engine, validation
 from brierlab.analytic import perfect_bs_lower_bound
 from brierlab.cli import main
 from brierlab.dgm import (
-    PREDICTOR_TRANSFORM_FIELDS,
-    TRUE_DISTRIBUTION_FIELDS,
+    PREDICTOR_TRANSFORMS,
+    TRUE_DISTRIBUTIONS,
     EmpiricalProbabilityPool,
     PredictorTransformSpec as Transform,
     TrueDistributionSpec as Dist,
@@ -289,6 +289,13 @@ class TestStudy:
         scenarios = scenarios_for(config)
         assert len(scenarios) == 9
 
+    def test_every_kind_config_covers_both_registries(self):
+        # the CI smoke run simulates this config, so a new kind cannot skip it
+        config = load_study_config(CONFIGS / "every_kind.json")
+        assert {dgm.kind for dgm in config.dgms} == {*TRUE_DISTRIBUTIONS, "empirical"}
+        assert {transform.kind for transform in config.transforms} == set(PREDICTOR_TRANSFORMS)
+        assert config.n_reps % BLOCK_REPS != 0  # one block is partial
+
     def test_study_reproducible(self):
         a = run_study(small_config())
         b = run_study(small_config())
@@ -418,10 +425,10 @@ class TestConfigDocuments:
 
     @pytest.mark.parametrize(
         "spec_class, fields_by_kind",
-        [(Dist, TRUE_DISTRIBUTION_FIELDS), (Transform, PREDICTOR_TRANSFORM_FIELDS)],
+        [(Dist, TRUE_DISTRIBUTIONS), (Transform, PREDICTOR_TRANSFORMS)],
     )
     def test_kind_tables_match_constructors(self, spec_class, fields_by_kind):
-        for kind, fields in fields_by_kind.items():
+        for kind, (fields, _) in fields_by_kind.items():
             constructor = getattr(spec_class, kind)
             assert tuple(inspect.signature(constructor).parameters) == fields
             args = [0.1 * (i + 1) for i in range(len(fields))]

@@ -215,6 +215,25 @@ class TestScoreReport:
         assert report.brier <= report.mae + 1e-12
         assert report.reference_half == 0.25
 
+    def test_fields_equal_the_single_metric_functions(self, rng):
+        # bit for bit: score_report computes each field from one validated pass
+        for n in (1, 7, 400):
+            p, y = rng.random(n), (rng.random(n) < 0.3).astype(float)
+            report = score_report(p, y)
+            half, incidence = reference_scores(y)
+            assert (report.brier, report.rmse, report.mae, report.cil) == (
+                brier_score(p, y), rmse(p, y), mae(p, y), cil(p, y)
+            )
+            assert (report.reference_half, report.reference_incidence) == (half, incidence)
+
+    def test_warnings_are_diagnose(self, rng):
+        for p, y in (([0.5] * 10, [1, 0] * 5), ([1, 0] * 10, [1, 0] * 10), (rng.random(50), [1, 0] * 25)):
+            assert list(score_report(p, y).warnings) == diagnose(p, y)
+
+    def test_delta_checked_before_vectors(self):
+        with pytest.raises(ValidationError, match="near_reference_delta"):
+            score_report([1.5], [2], near_reference_delta=0.0)
+
     def test_as_dict_round_trips_warnings(self):
         report = score_report([0.5, 0.5], [1, 0])
         record = report.as_dict()
