@@ -11,6 +11,7 @@ that any parallel schedule reproduces bit-identical draws.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -179,12 +180,14 @@ PREDICTOR_TRANSFORMS: dict[str, Kind] = {
 
 
 def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
-    """Raise ValidationError unless spec names a kind of registry, with one param per field."""
+    """Raise ValidationError unless spec names a kind of registry, with one finite param per field."""
     kind = registry.get(spec.kind) if isinstance(spec.kind, str) else None
     if kind is None:
         raise ValidationError(f"unknown {family} kind {spec.kind!r}")
     if len(spec.params) != len(kind.fields):
         raise ValidationError(f"{family} kind {spec.kind!r} takes params {kind.fields}, got {spec.params!r}")
+    if not all(isinstance(value, numbers.Real) and math.isfinite(value) for value in spec.params):
+        raise ValidationError(f"{family} kind {spec.kind!r} takes finite numbers, got {spec.params!r}")
 
 
 def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator) -> np.ndarray:

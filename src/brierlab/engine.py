@@ -1,16 +1,20 @@
 """Monte Carlo simulation engine for scenario grids.
 
-A scenario is one cell of the study: a true-probability distribution, a
-predictor transform, and a sample size. Each replication draws q, derives p,
-draws outcomes, and records the score of p, the calibration-in-the-large of
-p, and two quantities defined against the perfect prediction q: the gap
-(ybar - ybar^2) - BS(q, y) and the indicator that BS(q, y) strictly exceeds
-ybar - ybar^2.
+A scenario is a true-probability distribution, a predictor transform, and a
+sample size; a cell is the scenarios of one (distribution, sample size) pair.
+Each replication draws q, derives p, draws outcomes, and records the score
+of p, the calibration-in-the-large of p, and two quantities defined against
+the perfect prediction q: the gap (ybar - ybar^2) - BS(q, y) and the
+indicator that BS(q, y) strictly exceeds ybar - ybar^2. Every transform of a
+cell is applied to the same q and y (common random numbers), so comparisons
+between transforms are paired, and a cell's scenarios share gap, exceedance
+and ybar.
 
 Replications run in blocks of BLOCK_REPS, each drawn as (rows, n) matrices.
-Block b of scenario s draws from the streams addressed by
-(root seed, s, b, purpose), so the block, not the replication, is the unit
-of determinism, and results are bit-identical at any worker count.
+Block b of cell c draws q from the stream addressed by (root seed, c, b, 0),
+the outcomes from (root seed, c, b, 2), and transform t's noise from
+(root seed, c, b, 1, t). The (cell, block) pair, not the replication, is the
+unit of determinism, so results are bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -114,39 +118,45 @@ class Scenario:
             object.__setattr__(self, "label", auto)
 
 
-def replication_streams(root_seed: int, scenario_index: int, block: int) -> tuple:
-    """The q, transform and outcome streams (purposes 0, 1, 2) of one block of a scenario."""
-    return tuple(derive_stream(root_seed, scenario_index, block, purpose) for purpose in range(3))
+def _cell_streams(root_seed: int, cell: int, block: int, width: int) -> tuple:
+    """One block's q stream, transform streams for ``width`` scenarios, and outcome stream."""
+    return (
+        derive_stream(root_seed, cell, block, 0),
+        [derive_stream(root_seed, cell, block, 1, t) for t in range(width)],
+        derive_stream(root_seed, cell, block, 2),
+    )
 
 
-def _score_rows(scenario: Scenario, streams, rows: int) -> np.ndarray:
-    """Score ``rows`` replications drawn as (rows, n) matrices.
+def replication_streams(root_seed: int, cell: int, block: int) -> tuple:
+    """The q, (first) transform and outcome streams of one block of a one-scenario cell."""
+    return _cell_streams(root_seed, cell, block, 1)
 
-    Each replication gives one row: brier, cil, gap, exceeded, ybar.
 
-    The gap and the exceedance flag are computed against the score of the
-    perfect prediction q (scored alongside whatever transform the scenario
-    applies), because both estimands are defined relative to BS(q, y). The
-    exceedance comparison uses the same tie tolerance as the enumeration
-    oracle, so exact ties never count as exceedances.
+def _score_cell(scenarios, streams, rows: int) -> np.ndarray:
+    """Score ``rows`` replications of each of a cell's T scenarios as a (T, rows, 5) array.
+
+    A row is brier, cil, gap, exceeded, ybar. q and y are drawn once, and
+    transform t draws from streams[1][t]. The gap and exceedance flag are
+    scored once, against the perfect prediction q; the flag uses the
+    oracle's tie tolerance, so exact ties never count as exceedances.
     """
-    q_stream, transform_stream, outcome_stream = streams
-    q = sample_true_probs(scenario.true_dist, (rows, scenario.n), q_stream)
-    p = apply_predictor_transform(q, scenario.transform, transform_stream)
+    q_stream, transform_streams, outcome_stream = streams
+    q = sample_true_probs(scenarios[0].true_dist, (rows, scenarios[0].n), q_stream)
     y = sample_outcomes(q, outcome_stream)
 
     ybar = y.mean(axis=1)
     reference = ybar - ybar * ybar
     brier_perfect = np.mean((q - y) ** 2, axis=1)
-    return np.column_stack(
-        (
-            np.mean((p - y) ** 2, axis=1),
-            p.mean(axis=1) - ybar,
-            reference - brier_perfect,
-            brier_perfect > reference + EXCEEDANCE_TIE_TOL,
-            ybar,
-        )
-    )
+    scores = np.empty((len(scenarios), rows, 5))
+    scores[:, :, 2] = reference - brier_perfect
+    scores[:, :, 3] = brier_perfect > reference + EXCEEDANCE_TIE_TOL
+    scores[:, :, 4] = ybar
+    for scored, scenario, stream in zip(scores, scenarios, transform_streams):
+        p = apply_predictor_transform(q, scenario.transform, stream)
+        scored[:, 0] = np.mean((p - y) ** 2, axis=1)
+        scored[:, 1] = p.mean(axis=1) - ybar
+        del p  # one (rows, n) prediction matrix at a time
+    return scores
 
 
 class SummaryStats(NamedTuple):
@@ -194,24 +204,23 @@ class ScenarioResult:
 
 
 def run_replication(scenario: Scenario, streams) -> np.ndarray:
-    """One replication on the given streams, scored as a one-row block."""
-    return _score_rows(scenario, streams, 1)[0]
+    """One replication on the streams of replication_streams, scored as a one-row block."""
+    return _score_cell((scenario,), streams, 1)[0, 0]
 
 
-def _run_block(
-    scenario: Scenario, root_seed: int, scenario_index: int, block: int, n_reps: int
-) -> np.ndarray:
-    """Replications [block * BLOCK_REPS, ...) of N = n_reps as score rows; the worker task."""
+def _run_block(scenarios: tuple, root_seed: int, cell: int, block: int, n_reps: int) -> np.ndarray:
+    """Replications [block * BLOCK_REPS, ...) of N = n_reps of one cell's scenarios; the worker task."""
     rows = min(BLOCK_REPS, n_reps - block * BLOCK_REPS)
-    return _score_rows(scenario, replication_streams(root_seed, scenario_index, block), rows)
+    return _score_cell(scenarios, _cell_streams(root_seed, cell, block, len(scenarios)), rows)
 
 
-def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: int, workers: int):
-    """Yield one ScenarioResult per (scenario index, scenario), in the given order.
+def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_seed: int, workers: int):
+    """Yield one ScenarioResult per scenario of the (cell index, scenarios) pairs, in order.
 
-    Every (scenario, block) task is known up front. One worker maps them in
-    process; more submit them all to a single pool, so a study starts one
-    pool however many scenarios it has.
+    A cell's T scenarios share one true distribution and n; scenario t of
+    cell c has index c * T + t. Every (cell, block) task is known up front.
+    One worker maps them in process; more submit them all to a single pool,
+    so a study starts one pool however many cells it has.
     """
     if n_reps < 1:
         raise ValidationError(f"replication count must be >= 1, got {n_reps}")
@@ -221,9 +230,7 @@ def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: 
         raise ValidationError(f"seed must be >= 0, got {root_seed}")
     n_blocks = -(-n_reps // BLOCK_REPS)
     tasks = [
-        (scenario, root_seed, index, block, n_reps)
-        for index, scenario in indexed
-        for block in range(n_blocks)
+        (scenarios, root_seed, cell, block, n_reps) for cell, scenarios in cells for block in range(n_blocks)
     ]
     with contextlib.ExitStack() as stack:
         if workers == 1 or len(tasks) == 1:
@@ -234,17 +241,18 @@ def _run_scenarios(indexed: list[tuple[int, Scenario]], n_reps: int, root_seed: 
             stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(_run_block, *task) for task in tasks]
             blocks = (future.result() for future in futures)
-        for index, scenario in indexed:
-            # Blocks arrive in replication order; the copy makes each column contiguous.
-            columns = np.concatenate([next(blocks) for _ in range(n_blocks)]).T.copy()
-            brier, cil, gap, exceeded, ybar = columns
-            summaries = {
-                metric: summarize(samples) for metric, samples in zip(_SUMMARY_METRICS, columns)
-            }
-            yield ScenarioResult(
-                scenario, n_reps, root_seed, index,
-                brier, cil, gap, ybar, exceeded.astype(bool), summaries,
-            )
+        for cell, scenarios in cells:
+            # Blocks arrive in replication order, each (T, rows, 5).
+            cell_scores = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
+            for t, (scenario, scores) in enumerate(zip(scenarios, cell_scores)):
+                brier, cil, gap, exceeded, ybar = columns = scores.T.copy()  # contiguous columns
+                summaries = {
+                    metric: summarize(samples) for metric, samples in zip(_SUMMARY_METRICS, columns)
+                }
+                yield ScenarioResult(
+                    scenario, n_reps, root_seed, cell * len(scenarios) + t,
+                    brier, cil, gap, ybar, exceeded.astype(bool), summaries,
+                )
 
 
 def run_scenario(
@@ -254,14 +262,14 @@ def run_scenario(
     scenario_index: int = 0,
     workers: int = 1,
 ) -> ScenarioResult:
-    """Run N independent replications and summarize the estimands.
+    """Run N independent replications and summarize the estimands: a one-cell study.
 
     Block b holds replications [b * BLOCK_REPS, (b + 1) * BLOCK_REPS) and
-    draws from the streams addressed by (root_seed, scenario_index, b,
-    purpose), so the result is identical for any ``workers`` value; workers
-    only controls which process runs each block.
+    draws from the streams of cell ``scenario_index`` (see the module
+    docstring), so the result is identical for any ``workers`` value;
+    workers only controls which process runs each block.
     """
-    [result] = _run_scenarios([(scenario_index, scenario)], n_reps, root_seed, workers)
+    [result] = _run_cells([(scenario_index, (scenario,))], n_reps, root_seed, workers)
     return result
 
 
@@ -292,15 +300,17 @@ def run_study(
     workers: int = 1,
     progress: Callable[[int, int, ScenarioResult], None] | None = None,
 ) -> list[ScenarioResult]:
-    """Run every scenario in the grid; scenario index keys its random streams.
+    """Run every scenario in the grid; the (n, dgm) cell index keys the random streams.
 
-    With ``workers`` > 1 one process pool serves every block of every
-    scenario; results and ``progress`` calls still come in scenario order.
+    With ``workers`` > 1 one process pool serves every block of every cell;
+    results and ``progress`` calls still come in scenario order.
     """
     scenarios = scenarios_for(config)
     _check_filenames_unique([s.label for s in scenarios])
+    width = len(config.transforms)  # scenarios_for lists each cell's transforms together
+    cells = [(cell, tuple(scenarios[cell * width:(cell + 1) * width])) for cell in range(len(scenarios) // width)]
     results = []
-    for result in _run_scenarios(list(enumerate(scenarios)), config.n_reps, config.seed, workers):
+    for result in _run_cells(cells, config.n_reps, config.seed, workers):
         results.append(result)
         if progress is not None:
             progress(len(results), len(scenarios), result)

@@ -34,12 +34,12 @@ def as_probability_vector(values, name: str = "probabilities") -> np.ndarray:
         raise ValidationError(f"{name} must contain at least one element")
     if not np.all(np.isfinite(arr)):
         idx = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValidationError(f"{name}[{idx}] is not finite: {arr[idx]!r}")
+        raise ValidationError(f"{name}[{idx}] is not finite: {float(arr[idx])!r}")
     out_of_range = (arr < -DOMAIN_TOL) | (arr > 1.0 + DOMAIN_TOL)
     if np.any(out_of_range):
         idx = int(np.flatnonzero(out_of_range)[0])
         raise ValidationError(
-            f"{name}[{idx}] = {arr[idx]!r} lies outside [0, 1] by more than {DOMAIN_TOL}"
+            f"{name}[{idx}] = {float(arr[idx])!r} lies outside [0, 1] by more than {DOMAIN_TOL}"
         )
     return np.clip(arr, 0.0, 1.0)
 
@@ -57,7 +57,7 @@ def as_outcome_vector(values, name: str = "outcomes") -> np.ndarray:
     bad = ~((arr == 0.0) | (arr == 1.0))
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
-        raise ValidationError(f"{name}[{idx}] = {arr[idx]!r} is not a 0/1 outcome")
+        raise ValidationError(f"{name}[{idx}] = {float(arr[idx])!r} is not a 0/1 outcome")
     return arr
 
 
@@ -70,9 +70,9 @@ def as_unit_scalar(value, name: str) -> float:
     """Validate a scalar probability in [0, 1] (with DOMAIN_TOL slack)."""
     x = float(value)
     if not np.isfinite(x):
-        raise ValidationError(f"{name} is not finite: {value!r}")
+        raise ValidationError(f"{name} is not finite: {x!r}")
     if x < -DOMAIN_TOL or x > 1.0 + DOMAIN_TOL:
-        raise ValidationError(f"{name} = {value!r} lies outside [0, 1]")
+        raise ValidationError(f"{name} = {x!r} lies outside [0, 1]")
     return min(max(x, 0.0), 1.0)
 
 

@@ -188,6 +188,12 @@ class TestExpect:
     def test_domain_error_exits_2(self, capsys):
         assert main(["expect", "--mode", "f", "--q1", "1.5"]) == 2
 
+    def test_domain_error_prints_a_plain_float(self, capsys):
+        assert main(["expect", "--mode", "clt", "--p", "1.5,0.2", "--q", "0.5,0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "predictions[0] = 1.5 lies outside" in err
+        assert "np.float64" not in err
+
 
 class TestSimulate:
     def test_writes_expected_files(self, results_dir):

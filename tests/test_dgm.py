@@ -169,6 +169,13 @@ class TestTrueDistributions:
             TrueDistributionSpec(kind="empirical", params=(0.1,), pool=_pool([0.2]))
         assert TrueDistributionSpec(kind="constant", params=(0.4,)).params == (0.4,)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_direct_spec_rejects_non_finite_params(self, value):
+        with pytest.raises(ValidationError, match=r"^true-distribution kind 'uniform' takes finite numbers, got \(0.0, "):
+            TrueDistributionSpec(kind="uniform", params=(0.0, value))
+        with pytest.raises(ValidationError, match=r"^predictor-transform kind 'additive_bias' takes finite numbers"):
+            PredictorTransformSpec(kind="additive_bias", params=(value,))
+
     def test_sample_size_validated(self, rng):
         with pytest.raises(ValidationError):
             sample_true_probs(TrueDistributionSpec.constant(0.5), 0, rng)

@@ -90,32 +90,32 @@ def replace_cell(path, row, column, text):
 
 
 class TestRunReplication:
-    """Replications as the rows of a block: engine._run_block and run_replication."""
+    """Replications as the rows of a cell's block: engine._run_block, _score_cell and run_replication."""
 
     def test_constant_half_perfect_is_exact(self):
         scenario = Scenario(Dist.constant(0.5), Transform.perfect(), 300)
         for block in range(2):
-            rows = engine._run_block(scenario, 5, 0, block, BLOCK_REPS + 20)
+            [rows] = engine._run_block((scenario,), 5, 0, block, BLOCK_REPS + 20)
             assert rows.shape == ((BLOCK_REPS, 20)[block], 5)
             assert np.all(rows[:, 0] == 0.25)  # each (0.5 - y)^2 is exactly 0.25
 
     def test_two_point_degenerate_is_zero(self):
         scenario = Scenario(Dist.two_point(0.0, 1.0, 0.5), Transform.perfect(), 300)
-        rows = engine._run_block(scenario, 5, 0, 0, 20)
+        [rows] = engine._run_block((scenario,), 5, 0, 0, 20)
         assert rows.shape == (20, 5)
         assert np.all(rows[:, 0] == 0.0)
 
     def test_deterministic_per_stream(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.uniform_noise(0.1), 100)
-        a = engine._run_block(scenario, 7, 2, 9, 10 * BLOCK_REPS)
-        b = engine._run_block(scenario, 7, 2, 9, 10 * BLOCK_REPS)
-        other = engine._run_block(scenario, 7, 2, 8, 10 * BLOCK_REPS)
+        a = engine._run_block((scenario,), 7, 2, 9, 10 * BLOCK_REPS)
+        b = engine._run_block((scenario,), 7, 2, 9, 10 * BLOCK_REPS)
+        other = engine._run_block((scenario,), 7, 2, 8, 10 * BLOCK_REPS)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, other)
 
     def test_gap_and_exceedance_are_consistent(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 50)
-        brier, _, gap, exceeded, ybar = engine._run_block(scenario, 11, 0, 0, 50).T
+        brier, _, gap, exceeded, ybar = engine._run_block((scenario,), 11, 0, 0, 50)[0].T
         reference = ybar - ybar**2
         brier_perfect = reference - gap
         assert np.array_equal(exceeded == 1.0, brier_perfect > reference + 1e-12)
@@ -136,7 +136,7 @@ class TestRunReplication:
         for transform in transforms:
             scenario = Scenario(dist, transform, 60)
             row = run_replication(scenario, replication_streams(13, 4, 2))
-            assert np.array_equal(row, engine._run_block(scenario, 13, 4, 2, 3 * BLOCK_REPS)[0])
+            assert np.array_equal(row, engine._run_block((scenario,), 13, 4, 2, 3 * BLOCK_REPS)[0, 0])
 
     def test_empirical_rows_hold_distinct_pool_entries(self):
         values = np.linspace(0.001, 0.999, 500)  # every pool entry distinct
@@ -343,6 +343,52 @@ class TestStudy:
             stored = load_empirical_pool(CONFIGS / "pools" / f"{pool.label}.txt")
             assert stored.label == pool.label
             assert np.array_equal(stored.probabilities, pool.probabilities)
+
+
+
+class TestCommonRandomNumbers:
+    """The transforms of one (DGM, n) cell are scored on the same q and y."""
+
+    def test_cell_scenarios_share_gap_exceedance_and_ybar(self):
+        transforms = (Transform.perfect(), Transform.additive_bias(0.1), Transform.uniform_noise(0.1))
+        config = small_config(
+            n_reps=BLOCK_REPS + 37,
+            sample_sizes=(50, 60),
+            dgms=(Dist.uniform(0.0, 1.0), Dist.beta(2.0, 5.0)),
+            transforms=transforms,
+        )
+        results = run_study(config)
+        assert [r.scenario_index for r in results] == list(range(12))
+        cells = [results[start:start + 3] for start in range(0, 12, 3)]
+        for cell, (first, *others) in enumerate(cells):
+            assert len({(r.scenario.n, r.scenario.true_dist) for r in (first, *others)}) == 1
+            for other in others:
+                assert np.array_equal(first.gap_samples, other.gap_samples)
+                assert np.array_equal(first.exceeded, other.exceeded)
+                assert np.array_equal(first.ybar_samples, other.ybar_samples)
+                assert not np.array_equal(first.brier_samples, other.brier_samples)
+            # the first transform of cell c draws what a one-cell study at index c draws
+            alone = run_scenario(first.scenario, config.n_reps, config.seed, scenario_index=cell)
+            for name in ("brier_samples", "cil_samples", "gap_samples", "ybar_samples", "exceeded"):
+                assert np.array_equal(getattr(alone, name), getattr(first, name))
+        assert not np.array_equal(cells[0][0].ybar_samples, cells[1][0].ybar_samples)
+
+    def test_paired_bias_difference_is_delta_squared(self):
+        # q <= 0.2, so q + 0.1 never clamps and brier(bias) - brier(perfect) = delta^2 + 2 delta cil(perfect)
+        n_reps, delta = 2000, 0.1
+        config = small_config(
+            n_reps=n_reps,
+            sample_sizes=(300,),
+            dgms=(Dist.uniform(0.0, 0.2),),
+            transforms=(Transform.perfect(), Transform.additive_bias(delta)),
+        )
+        perfect, bias = run_study(config)
+        difference = bias.brier_samples - perfect.brier_samples
+        assert np.allclose(difference, delta**2 + 2 * delta * perfect.cil_samples, rtol=0, atol=1e-15)
+        se = np.std(difference, ddof=1) / math.sqrt(n_reps)
+        assert abs(np.mean(difference) - delta**2) <= 4 * se
+        # unpaired draws would give about sqrt(2) times brier's SD, not a quarter of it
+        assert np.std(difference, ddof=1) < np.std(perfect.brier_samples, ddof=1) / 3
 
 
 class TestConfigDocuments:
