@@ -101,6 +101,10 @@ _SUMMARY_CSV = CsvFormat(
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One study cell: true distribution x predictor transform x sample size."""
@@ -111,8 +115,8 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"scenario sample size must be >= 1, got {self.n}")
+        if not _is_integer(self.n) or self.n < 1:
+            raise ValidationError(f"scenario sample size must be an integer >= 1, got {self.n!r}")
         if not self.label:
             auto = f"{self.true_dist.label}+{self.transform.label}+n{self.n}"
             object.__setattr__(self, "label", auto)
@@ -153,9 +157,10 @@ def _score_cell(scenarios, streams, rows: int) -> np.ndarray:
     scores[:, :, 4] = ybar
     for scored, scenario, stream in zip(scores, scenarios, transform_streams):
         p = apply_predictor_transform(q, scenario.transform, stream)
-        scored[:, 0] = np.mean((p - y) ** 2, axis=1)
         scored[:, 1] = p.mean(axis=1) - ybar
-        del p  # one (rows, n) prediction matrix at a time
+        p -= y  # squared in place: one (rows, n) matrix per transform
+        scored[:, 0] = np.square(p, out=p).mean(axis=1)
+        del p
     return scores
 
 
@@ -164,6 +169,12 @@ class SummaryStats(NamedTuple):
     q05: float
     q95: float
     mean: float
+
+
+def _summarize_rows(table: np.ndarray) -> list[SummaryStats]:
+    """The SummaryStats of each row of a table, bit for bit as alone if each row is contiguous."""
+    q05, median, q95 = np.quantile(table, [0.05, 0.5, 0.95], axis=-1).tolist()
+    return list(map(SummaryStats, median, q05, q95, np.mean(table, axis=-1).tolist()))
 
 
 def summarize(samples) -> SummaryStats:
@@ -175,13 +186,12 @@ def summarize(samples) -> SummaryStats:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("summarize needs a nonempty one-dimensional sample set")
-    q05, median, q95 = np.quantile(arr, [0.05, 0.5, 0.95])
-    return SummaryStats(median=float(median), q05=float(q05), q95=float(q95), mean=float(np.mean(arr)))
+    return _summarize_rows(arr[np.newaxis])[0]
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """All per-replication samples plus summary estimands for one scenario."""
+    """All per-replication samples plus summary estimands; a cell's scenarios share gap, exceeded and ybar."""
 
     scenario: Scenario
     n_reps: int
@@ -222,12 +232,15 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
     One worker maps them in process; more submit them all to a single pool,
     so a study starts one pool however many cells it has.
     """
-    if n_reps < 1:
-        raise ValidationError(f"replication count must be >= 1, got {n_reps}")
+    if not _is_integer(n_reps) or n_reps < 1:
+        raise ValidationError(f"replication count must be an integer >= 1, got {n_reps!r}")
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
     if root_seed < 0:
         raise ValidationError(f"seed must be >= 0, got {root_seed}")
+    for cell, _ in cells:
+        if not _is_integer(cell) or cell < 0:
+            raise ValidationError(f"cell index must be an integer >= 0, got {cell!r}")
     n_blocks = -(-n_reps // BLOCK_REPS)
     tasks = [
         (scenarios, root_seed, cell, block, n_reps) for cell, scenarios in cells for block in range(n_blocks)
@@ -243,15 +256,18 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
             blocks = (future.result() for future in futures)
         for cell, scenarios in cells:
             # Blocks arrive in replication order, each (T, rows, 5).
-            cell_scores = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
-            for t, (scenario, scores) in enumerate(zip(scenarios, cell_scores)):
-                brier, cil, gap, exceeded, ybar = columns = scores.T.copy()  # contiguous columns
-                summaries = {
-                    metric: summarize(samples) for metric, samples in zip(_SUMMARY_METRICS, columns)
-                }
+            scores = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
+            width = len(scenarios)
+            # Contiguous rows: T brier, T cil, then the cell's one gap row.
+            table = np.concatenate((scores[:, :, 0], scores[:, :, 1], scores[:1, :, 2]))
+            stats = _summarize_rows(table)
+            gap, exceeded, ybar = table[-1], scores[0, :, 3].astype(bool), scores[0, :, 4].copy()
+            gap.flags.writeable = exceeded.flags.writeable = ybar.flags.writeable = False
+            for t, scenario in enumerate(scenarios):
+                summaries = dict(zip(_SUMMARY_METRICS, (stats[t], stats[width + t], stats[-1])))
                 yield ScenarioResult(
-                    scenario, n_reps, root_seed, cell * len(scenarios) + t,
-                    brier, cil, gap, ybar, exceeded.astype(bool), summaries,
+                    scenario, n_reps, root_seed, cell * width + t,
+                    table[t], table[width + t], gap, ybar, exceeded, summaries,
                 )
 
 
@@ -305,6 +321,8 @@ def run_study(
     With ``workers`` > 1 one process pool serves every block of every cell;
     results and ``progress`` calls still come in scenario order.
     """
+    if not (config.sample_sizes and config.dgms and config.transforms):
+        raise ValidationError("a study needs at least one sample size, true distribution and transform")
     scenarios = scenarios_for(config)
     _check_filenames_unique([s.label for s in scenarios])
     width = len(config.transforms)  # scenarios_for lists each cell's transforms together
@@ -385,14 +403,12 @@ def load_study_config(path) -> StudyConfig:
     seed = _require(study, "seed", "study")
     n_reps = _require(study, "N", "study")
     sample_sizes = _require(study, "sample_sizes", "study")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ConfigError(f"study.seed: must be a nonnegative integer, got {seed!r}")
-    if not isinstance(n_reps, int) or isinstance(n_reps, bool) or n_reps < 1:
+    if not _is_integer(n_reps) or n_reps < 1:
         raise ConfigError(f"study.N: must be a positive integer, got {n_reps!r}")
-    if (
-        not isinstance(sample_sizes, list)
-        or not sample_sizes
-        or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sample_sizes)
+    if not isinstance(sample_sizes, list) or not sample_sizes or not all(
+        _is_integer(n) and n >= 1 for n in sample_sizes
     ):
         raise ConfigError("study.sample_sizes: must be a nonempty list of positive integers")
 
@@ -404,9 +420,7 @@ def load_study_config(path) -> StudyConfig:
         raise ConfigError("transforms: must be a nonempty list")
 
     base_dir = path.parent
-    dgms = tuple(
-        _parse_dgm(entry, f"dgms[{i}]", base_dir) for i, entry in enumerate(dgm_entries)
-    )
+    dgms = tuple(_parse_dgm(entry, f"dgms[{i}]", base_dir) for i, entry in enumerate(dgm_entries))
     transforms = tuple(
         _parse_spec(
             entry, f"transforms[{i}]", PredictorTransformSpec, PREDICTOR_TRANSFORMS, "predictor-transform"
@@ -461,11 +475,27 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+# The last read-only (gap, exceeded, ybar) arrays formatted, the rep text and those arrays' row text.
+_NO_TEXT = ((None,) * 3, (), [])
+_row_text_memo = _NO_TEXT
+
+
+def _row_text(result: ScenarioResult) -> tuple:
+    """The rep and "gap,exceeded,ybar" text of each row, kept while the next result shares its arrays."""
+    global _row_text_memo
+    arrays = (result.gap_samples, result.exceeded, result.ybar_samples)
+    cached, reps, shared = _row_text_memo
+    if any(array is not other for array, other in zip(arrays, cached)):
+        _row_text_memo = ((None,) * 3, reps, [])  # the last cell's text goes before this one's is made
+        if len(reps) != len(result.exceeded):
+            reps = tuple(map(str, range(1, len(result.exceeded) + 1)))
+        exceeded = ("1" if flag else "0" for flag in result.exceeded.tolist())
+        gap, ybar = map(repr, result.gap_samples.tolist()), map(repr, result.ybar_samples.tolist())
+        shared = list(map(",".join, zip(gap, exceeded, ybar)))
+        if any(array.flags.writeable for array in arrays):
+            arrays = (None,) * 3  # only arrays that cannot change in place are matched by identity
+        _row_text_memo = (arrays, reps, shared)
+    return reps, shared
 
 
 def write_scenario_csv(result: ScenarioResult, directory) -> Path:
@@ -473,14 +503,8 @@ def write_scenario_csv(result: ScenarioResult, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / scenario_filename(result.scenario.label)
-    cells = zip(
-        map(str, range(1, len(result.exceeded) + 1)),
-        map(repr, result.brier_samples.tolist()),
-        map(repr, result.cil_samples.tolist()),
-        map(repr, result.gap_samples.tolist()),
-        ("1" if exceeded else "0" for exceeded in result.exceeded.tolist()),
-        map(repr, result.ybar_samples.tolist()),
-    )
+    reps, shared = _row_text(result)
+    cells = zip(reps, map(repr, result.brier_samples.tolist()), map(repr, result.cil_samples.tolist()), shared)
     lines = [",".join(SCENARIO_CSV_COLUMNS), *map(",".join, cells)]
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -494,20 +518,12 @@ def write_summary_csv(results: list[ScenarioResult], directory) -> Path:
     rows = [SUMMARY_CSV_COLUMNS]
     for result in results:
         for metric in _SUMMARY_METRICS:
-            stats = result.summaries[metric]
-            rows.append(
-                (
-                    result.scenario.label,
-                    str(result.scenario.n),
-                    metric,
-                    _fmt(stats.median),
-                    _fmt(stats.q05),
-                    _fmt(stats.q95),
-                    _fmt(stats.mean),
-                    _fmt(result.exceed_prob),
-                )
-            )
-    _atomic_write(path, _csv_text(rows))
+            # median, q05, q95 and mean, in SummaryStats order, then exceed_prob
+            values = (*result.summaries[metric], result.exceed_prob)
+            rows.append((result.scenario.label, str(result.scenario.n), metric, *map(_fmt, values)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _atomic_write(path, buf.getvalue())
     return path
 
 
@@ -515,11 +531,15 @@ def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
     """Persist every scenario file plus the summary; summary is written last.
 
     An earlier run's summary is removed first, so a failed write cannot leave
-    it beside new scenario files.
+    it beside new scenario files. A cell's shared columns are formatted once.
     """
+    global _row_text_memo
     _check_filenames_unique([r.scenario.label for r in results])
     (Path(directory) / "summary.csv").unlink(missing_ok=True)
-    paths = [write_scenario_csv(result, directory) for result in results]
+    try:
+        paths = [write_scenario_csv(result, directory) for result in results]
+    finally:
+        _row_text_memo = _NO_TEXT
     paths.append(write_summary_csv(results, directory))
     return paths
 

@@ -10,8 +10,6 @@ outline is computed as float64 arrays and formatted in one pass. Kernel bandwidt
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 __all__ = ["violin_svg", "bar_svg"]
@@ -28,6 +26,11 @@ _KDE_POINTS = 81  # density grid points per violin
 
 def _px(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _escape(text: str) -> str:
+    """XML character data: &, then > and <, as xml.sax.saxutils.escape does; quotes stay as they are."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _kde_outline(samples: np.ndarray):
@@ -79,10 +82,10 @@ def _svg_header(width: float, height: float, title: str, metadata: str) -> list[
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_px(width)}" '
         f'height="{_px(height)}" viewBox="0 0 {_px(width)} {_px(height)}">',
-        f"<metadata>{escape(metadata)}</metadata>",
+        f"<metadata>{_escape(metadata)}</metadata>",
         f'<rect x="0" y="0" width="{_px(width)}" height="{_px(height)}" fill="white"/>',
         f'<text x="{_px(width / 2)}" y="24" font-family="sans-serif" font-size="15" '
-        f'text-anchor="middle">{escape(title)}</text>',
+        f'text-anchor="middle">{_escape(title)}</text>',
     ]
 
 
@@ -105,7 +108,7 @@ def _y_axis(parts: list[str], lo: float, hi: float, ylabel: str, plot_right: flo
     parts.append(
         f'<text x="14" y="{_px(_PLOT_TOP + _PLOT_HEIGHT / 2)}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_px(_PLOT_TOP + _PLOT_HEIGHT / 2)})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 14 {_px(_PLOT_TOP + _PLOT_HEIGHT / 2)})">{_escape(ylabel)}</text>'
     )
 
 
@@ -113,7 +116,7 @@ def _x_label(parts: list[str], x: float, label: str) -> None:
     y = _PLOT_TOP + _PLOT_HEIGHT + 14
     parts.append(
         f'<text x="{_px(x)}" y="{_px(y)}" font-family="sans-serif" font-size="10" '
-        f'text-anchor="end" transform="rotate(-55 {_px(x)} {_px(y)})">{escape(label)}</text>'
+        f'text-anchor="end" transform="rotate(-55 {_px(x)} {_px(y)})">{_escape(label)}</text>'
     )
 
 
@@ -127,15 +130,15 @@ def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) ->
     if not groups:
         raise ValueError("violin_svg needs at least one group")
     prepared = []
-    bandwidths = []
     lo = np.inf
     hi = -np.inf
+    distinct = {}  # sample bytes -> outline and quantiles, so identical groups are computed once
     for label, samples in groups:
         samples = np.asarray(samples, dtype=float)
-        outline = _kde_outline(samples)
-        q05, median, q95 = np.quantile(samples, [0.05, 0.5, 0.95])
-        prepared.append((label, samples, outline, float(q05), float(median), float(q95)))
-        bandwidths.append((label, 0.0 if outline is None else outline[2]))
+        if (key := samples.tobytes()) not in distinct:
+            distinct[key] = (_kde_outline(samples), *np.quantile(samples, [0.05, 0.5, 0.95]).tolist())
+        outline, q05, median, q95 = distinct[key]
+        prepared.append((label, samples, outline, q05, median, q95))
         if outline is None:
             lo = min(lo, float(np.min(samples)))
             hi = max(hi, float(np.max(samples)))
@@ -151,7 +154,7 @@ def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) ->
     width = _MARGIN_LEFT + _SLOT_WIDTH * len(groups) + _MARGIN_RIGHT
     height = _PLOT_TOP + _PLOT_HEIGHT + _LABEL_SPACE
     metadata = "silverman bandwidths: " + "; ".join(
-        f"{label}={bw!r}" for label, bw in bandwidths
+        f"{label}={0.0 if outline is None else outline[2]!r}" for label, _, outline, *_ in prepared
     )
     parts = _svg_header(width, height, title, metadata)
     _y_axis(parts, lo, hi, ylabel, width - _MARGIN_RIGHT)

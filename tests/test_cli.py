@@ -76,6 +76,15 @@ def test_rendering_does_not_load_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_xml_sax():
+    # figures escapes its three characters itself; xml.sax.saxutils pulls in urllib, http and email
+    src = str(Path(brierlab.__file__).resolve().parents[1])
+    code = "import sys, brierlab.cli\nprint(sorted(m for m in sys.modules if m.startswith('xml.sax')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestScore:
     def test_text_report(self, pair_file, capsys):
         assert main(["score", "--input", str(pair_file)]) == 0

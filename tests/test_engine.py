@@ -170,6 +170,26 @@ class TestSummarize:
         with pytest.raises(ValidationError):
             summarize([])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 129, 1000])
+    def test_batched_rows_equal_summarize_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        table = np.stack([
+            rng.random(n),
+            rng.normal(size=n) * 1e6,
+            rng.integers(0, 3, n).astype(float),  # ties
+            np.full(n, 0.1),  # constant
+            -rng.random(n),
+        ])
+        rows = engine._summarize_rows(table)
+        assert len(rows) == len(table)
+        strided = np.empty((len(table), 2 * n))
+        strided[:, ::2] = table
+        for row, stats, spaced in zip(table, rows, strided):
+            # the per-row definition: one 1-D quantile call and one 1-D mean
+            q05, median, q95 = np.quantile(row, [0.05, 0.5, 0.95])
+            assert stats == (float(median), float(q05), float(q95), float(np.mean(row)))
+            assert stats == summarize(row) == summarize(row.tolist()) == summarize(spaced[::2])
+
 
 class TestRunScenario:
     def test_single_replication_summaries(self):
@@ -346,6 +366,40 @@ class TestStudy:
 
 
 
+class TestDirectInputChecks:
+    """Bad direct-API input fails with ValidationError, not a numpy or Python error."""
+
+    @pytest.mark.parametrize("empty", ["transforms", "dgms", "sample_sizes"])
+    def test_empty_grid_rejected_before_any_block(self, monkeypatch, empty):
+        calls = []
+        monkeypatch.setattr(engine, "_run_block", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError, match="at least one"):
+            run_study(small_config(**{empty: ()}))
+        assert calls == []
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True])
+    def test_bad_cell_index_rejected(self, index):
+        scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 10)
+        with pytest.raises(ValidationError, match="cell index"):
+            run_scenario(scenario, 5, 1, scenario_index=index)
+
+    @pytest.mark.parametrize("n_reps", [0, -3, 10.5, True])
+    def test_bad_replication_count_rejected(self, n_reps):
+        scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 10)
+        with pytest.raises(ValidationError, match="replication count"):
+            run_scenario(scenario, n_reps, 1)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, "10", 0])
+    def test_non_integral_sample_size_rejected(self, n):
+        with pytest.raises(ValidationError, match="sample size"):
+            Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), n)
+
+    def test_numpy_integer_sample_size_accepted(self):
+        scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), np.int64(10))
+        assert scenario.label.endswith("+n10")
+        assert run_scenario(scenario, 3, 1).brier_samples.shape == (3,)
+
+
 class TestCommonRandomNumbers:
     """The transforms of one (DGM, n) cell are scored on the same q and y."""
 
@@ -372,6 +426,24 @@ class TestCommonRandomNumbers:
             for name in ("brier_samples", "cil_samples", "gap_samples", "ybar_samples", "exceeded"):
                 assert np.array_equal(getattr(alone, name), getattr(first, name))
         assert not np.array_equal(cells[0][0].ybar_samples, cells[1][0].ybar_samples)
+
+    def test_cell_results_share_read_only_arrays(self):
+        config = small_config(
+            n_reps=BLOCK_REPS + 37,
+            transforms=(Transform.perfect(), Transform.additive_bias(0.1), Transform.uniform_noise(0.1)),
+        )
+        results = run_study(config)
+        cells = [results[:3], results[3:]]
+        for first, *others in cells:
+            for other in others:
+                assert other.gap_samples is first.gap_samples
+                assert other.exceeded is first.exceeded
+                assert other.ybar_samples is first.ybar_samples
+                assert other.summaries["gap"] == first.summaries["gap"]
+            for shared in (first.gap_samples, first.exceeded, first.ybar_samples):
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0] = 0
+        assert cells[0][0].gap_samples is not cells[1][0].gap_samples
 
     def test_paired_bias_difference_is_delta_squared(self):
         # q <= 0.2, so q + 0.1 never clamps and brier(bias) - brier(perfect) = delta^2 + 2 delta cil(perfect)
@@ -539,7 +611,41 @@ class TestConfigDocuments:
             load_study_config(path)
 
 
+def reference_scenario_text(result):
+    """A scenario file as the per-scenario writer formatted it, every column of every file on its own."""
+    cells = zip(
+        map(str, range(1, len(result.exceeded) + 1)),
+        map(repr, result.brier_samples.tolist()),
+        map(repr, result.cil_samples.tolist()),
+        map(repr, result.gap_samples.tolist()),
+        ("1" if exceeded else "0" for exceeded in result.exceeded.tolist()),
+        map(repr, result.ybar_samples.tolist()),
+    )
+    lines = [",".join(SCENARIO_CSV_COLUMNS), *map(",".join, cells)]
+    return "\n".join(lines) + "\n"
+
+
 class TestPersistence:
+    def test_study_files_match_per_scenario_writer(self, tmp_path):
+        # two cells, N = 165: a full block and a partial one
+        results = run_study(small_config(n_reps=BLOCK_REPS + 37))
+        paths = write_study_results(results, tmp_path)
+        assert len(paths) == len(results) + 1
+        for result, path in zip(results, paths):
+            assert path.read_bytes() == reference_scenario_text(result).encode()
+        assert engine._row_text_memo is engine._NO_TEXT  # the text is dropped
+
+    def test_changed_writable_arrays_are_formatted_again(self, tmp_path):
+        # only read-only arrays are matched by identity, so an array changed in place is not stale
+        result = run_scenario(Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 20), 5, 3)
+        gap = result.gap_samples.copy()
+        own = dataclasses.replace(result, gap_samples=gap)
+        first = write_scenario_csv(own, tmp_path / "a").read_bytes()
+        gap[0] = 0.5
+        second = write_scenario_csv(own, tmp_path / "b").read_bytes()
+        assert first != second
+        assert second == reference_scenario_text(own).encode()
+
     def test_round_trip(self, tmp_path):
         results = run_study(small_config())
         paths = write_study_results(results, tmp_path)

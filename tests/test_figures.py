@@ -2,10 +2,12 @@
 
 import math
 import re
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
+from brierlab import figures
 from brierlab.figures import (
     _HALF_VIOLIN,
     _MARGIN_LEFT,
@@ -130,3 +132,25 @@ def test_violin_svg_polygons_match_reference(n_groups):
         reference_polygon_points(_violin_centre(i), grid, density, lo, hi - lo)
         for i, (grid, density, _) in enumerate(outlines)
     ]
+
+
+def test_markup_characters_escaped_as_saxutils_does(monkeypatch):
+    text = """a&b<c>d"e'f &amp;"""
+    groups = [(text, np.linspace(0.0, 1.0, 20)), ("flat" + text, np.full(5, 0.5))]
+    ours = violin_svg(groups, text, text), figures.bar_svg([(text, 0.25)], text, text)
+    monkeypatch.setattr(figures, "_escape", escape)
+    assert ours == (violin_svg(groups, text, text), figures.bar_svg([(text, 0.25)], text, text))
+    assert "a&amp;b&lt;c&gt;d\"e'f &amp;amp;" in ours[0]
+
+
+def test_identical_groups_are_computed_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    shared, other = rng.random(300), rng.random(300)
+    groups = [("a", shared), ("b", other), ("c", shared.copy()), ("d", shared), ("e", np.full(4, 0.2))]
+    expected = violin_svg(groups, "t", "y")
+    calls = []
+    monkeypatch.setattr(figures, "_kde_outline", lambda samples: calls.append(samples) or _kde_outline(samples))
+    assert violin_svg(groups, "t", "y") == expected
+    assert len(calls) == 3
+    assert expected.count("<polygon ") == 4  # still one violin per group
+    assert expected.count('width="68.00" height="3"') == 1
