@@ -234,6 +234,9 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
     """
     if not _is_integer(n_reps) or n_reps < 1:
         raise ValidationError(f"replication count must be an integer >= 1, got {n_reps!r}")
+    for name, value in (("worker count", workers), ("seed", root_seed)):
+        if not _is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
     if root_seed < 0:
@@ -531,9 +534,12 @@ def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
     """Persist every scenario file plus the summary; summary is written last.
 
     An earlier run's summary is removed first, so a failed write cannot leave
-    it beside new scenario files. A cell's shared columns are formatted once.
+    it beside new scenario files. A cell's shared columns are formatted once. An
+    empty list is refused untouched: a lone summary would look like a complete run.
     """
     global _row_text_memo
+    if not results:
+        raise ValidationError("no scenario results to write")
     _check_filenames_unique([r.scenario.label for r in results])
     (Path(directory) / "summary.csv").unlink(missing_ok=True)
     try:

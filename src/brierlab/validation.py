@@ -8,6 +8,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import io
+import os
+import stat
 import warnings
 from typing import Callable, NamedTuple
 
@@ -76,19 +79,6 @@ def as_unit_scalar(value, name: str) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _float_lines(fh):
-    """The remaining lines of fh, read in bulk.
-
-    Raises ValueError on U+001C..U+001F, which np.loadtxt strips from around
-    a number and float() refuses.
-    """
-    while lines := fh.readlines(1 << 20):
-        text = "".join(lines)
-        if any(char in text for char in "\x1c\x1d\x1e\x1f"):
-            raise ValueError("ASCII separator character in the data")
-        yield from lines
-
-
 class CsvFormat(NamedTuple):
     """A CSV table format: its header, the type of each column and the rules its cells obey.
 
@@ -132,44 +122,70 @@ def csv_rows(path, fmt: CsvFormat) -> list[list]:
     cell longer than csv.field_size_limit() raises a ValidationError naming
     the file and line, as does a file with no data rows.
     """
-    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _past_header(fh, path, fmt)
-        for cells in _records(reader, path):
-            if not cells or (len(cells) == 1 and not cells[0].strip()):
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(cells) != len(fmt.types):
-                raise ValidationError(f"{where}: expected {len(fmt.types)} fields, got {len(cells)}")
-            try:
-                row = [convert(cell) for convert, cell in zip(fmt.types, cells)]
-            except ValueError:
-                raise ValidationError(f"{where}: non-numeric entry {cells!r}") from None
-            for column, test, message in fmt.rules:
-                if not test(row[column]):
-                    raise ValidationError(f"{where}: {message.format(cells[column])}")
-            rows.append(row)
+        return _rows(_past_header(fh, path, fmt), path, fmt)
+
+
+def _rows(reader, path, fmt: CsvFormat) -> list[list]:
+    """The data rows of csv_rows, from a csv reader past the header."""
+    rows = []
+    for cells in _records(reader, path):
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            continue
+        where = f"{path}: line {reader.line_num}"
+        if len(cells) != len(fmt.types):
+            raise ValidationError(f"{where}: expected {len(fmt.types)} fields, got {len(cells)}")
+        try:
+            row = [convert(cell) for convert, cell in zip(fmt.types, cells)]
+        except ValueError:
+            raise ValidationError(f"{where}: non-numeric entry {cells!r}") from None
+        for column, test, message in fmt.rules:
+            if not test(row[column]):
+                raise ValidationError(f"{where}: {message.format(cells[column])}")
+        rows.append(row)
     if not rows:
         raise ValidationError(f"{path}: no data rows found")
     return rows
 
 
+# Text is read and checked in chunks of this many characters; a longer body is parsed from the file.
+_CHUNK = 1 << 20
+# np.loadtxt decompresses a file whose name ends in one of these, and the reader reads plain text only.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     """A CSV file of numbers in fmt as a (rows, columns) float table.
 
-    np.loadtxt parses every row in one pass (skipping empty lines) and each
-    rule is applied to a whole column. If the parse or a rule fails, or there
-    are no rows, csv_rows rereads the file to name the first bad line.
+    The text is decoded and checked here. np.loadtxt then parses every row in
+    one pass (skipping empty lines): from that text if the body fits one chunk
+    or the file cannot be named to numpy (a pipe, or a name numpy would
+    decompress), else from the absolute path (numpy reads scheme:// names as
+    URLs) in its C file reader. Each rule is applied to a whole column. If the
+    parse or a rule fails, or there are no rows, the per-line reader names the
+    first bad line, from that text if the file cannot be read again.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        _past_header(fh, path, fmt)
+        header_lines = _past_header(fh, path, fmt).line_num
+        whole = os.fsdecode(path).endswith(_COMPRESSED) or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        text = chunk = fh.read(-1 if whole else _CHUNK)
+        large = False
+        # np.loadtxt strips U+001C..U+001F from around a number, which float() refuses.
+        while (clean := not any(char in chunk for char in "\x1c\x1d\x1e\x1f")) and (chunk := fh.read(_CHUNK)):
+            large = True
+    if clean:
+        source = os.path.abspath(os.fsdecode(path)) if large else io.StringIO(text, newline="")
         with contextlib.suppress(ValueError), warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # csv_rows reports it
-            table = np.loadtxt(_float_lines(fh), delimiter=",", comments=None, dtype=float, ndmin=2)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the per-line reader reports it
+            table = np.loadtxt(source, skiprows=header_lines if large else 0, encoding="utf-8", delimiter=",",
+                               comments=None, dtype=float, ndmin=2)
             if len(table) and table.shape[1] == len(fmt.header) and all(
                 test(table[:, column]).all() for column, test, _ in fmt.rules
             ):
                 return table
+    if whole:
+        # Blank lines stand in for the header, so line numbers count from the top of the file.
+        return np.array(_rows(csv.reader(io.StringIO("\n" * header_lines + text, newline="")), path, fmt))
     return np.array(csv_rows(path, fmt))
 
 

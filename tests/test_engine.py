@@ -394,6 +394,24 @@ class TestDirectInputChecks:
         with pytest.raises(ValidationError, match="sample size"):
             Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), n)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3", None])
+    def test_non_integer_seed_rejected_before_any_block(self, monkeypatch, seed):
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        with pytest.raises(ValidationError, match=rf"^seed must be an integer, got {seed!r}$"):
+            run_study(small_config(seed=seed))
+
+    @pytest.mark.parametrize("workers", [1.5, True, "2", None])
+    def test_non_integer_worker_count_rejected_before_any_block(self, monkeypatch, workers):
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        with pytest.raises(ValidationError, match=rf"^worker count must be an integer, got {workers!r}$"):
+            run_study(small_config(), workers=workers)
+
+    def test_numpy_integer_seed_and_worker_count_accepted(self):
+        expected = run_study(small_config())
+        results = run_study(small_config(seed=np.int64(321)), workers=np.int32(1))
+        for got, want in zip(results, expected, strict=True):
+            assert np.array_equal(got.brier_samples, want.brier_samples)
+
     def test_numpy_integer_sample_size_accepted(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), np.int64(10))
         assert scenario.label.endswith("+n10")
@@ -645,6 +663,17 @@ class TestPersistence:
         second = write_scenario_csv(own, tmp_path / "b").read_bytes()
         assert first != second
         assert second == reference_scenario_text(own).encode()
+
+    def test_empty_result_list_writes_nothing(self, tmp_path):
+        # a summary with no scenario files beside it would look like a complete run
+        with pytest.raises(ValidationError, match="no scenario results"):
+            write_study_results([], tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+        earlier = write_study_results(run_study(small_config()), tmp_path / "old")
+        before = {path: path.read_bytes() for path in earlier}
+        with pytest.raises(ValidationError, match="no scenario results"):
+            write_study_results([], tmp_path / "old")
+        assert {path: path.read_bytes() for path in (tmp_path / "old").iterdir()} == before
 
     def test_round_trip(self, tmp_path):
         results = run_study(small_config())

@@ -156,6 +156,18 @@ class TestExactDistribution:
             assert dist.support == reference_support(p, q)
             assert dist.n == n
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 13])
+    def test_support_bits_equal_stable_sort_reference_at_extremes(self, rng, n):
+        # repeated p, and p and q at 0 and 1, make many exact score ties and zero-mass
+        # outcomes; the atoms must not depend on the order the sort leaves ties in
+        for _ in range(10):
+            p = rng.choice([0.0, 0.25, 0.5, 1.0], n)
+            q = rng.choice([0.0, 0.3, 0.5, 1.0], n)
+            dist = exact_distribution(p, q)
+            expected = reference_support(p, q)
+            assert [value.hex() for value in dist.values.tolist()] == [value.hex() for value, _ in expected]
+            assert [mass.hex() for mass in dist.masses.tolist()] == [mass.hex() for _, mass in expected]
+
     @pytest.mark.parametrize("decimals", [None, 1])
     def test_support_equals_reference_merge_at_n17(self, rng, decimals):
         # n = 17 gives 2**17 outcomes; rounded p makes atoms merge outcomes from the whole table

@@ -1,8 +1,17 @@
 """The shared CSV table reader: one rule table per format, one per-line reader."""
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import brierlab
 from brierlab import engine, scoring, validation
+from brierlab.cli import main
 from brierlab.errors import ValidationError
 
 # Each format with its public reader and one valid data row.
@@ -111,3 +120,172 @@ def test_valid_file_is_read_in_one_pass(tmp_path, monkeypatch, name):
     path = write_table(tmp_path / f"{name}.csv", name, [good] * 5)
     read(path)
     assert calls == ([path] if name == "summary" else [])
+
+
+# The two parses of read_float_csv: from the text in memory, and from the file by name.
+IN_MEMORY, BY_NAME = io.StringIO, str
+
+GOOD_PAIRS = ([0.25, 0.75], [0.0, 1.0])
+
+
+def pair_outcome(path):
+    """read_pair_file's arrays as lists, or the message of its ValidationError."""
+    try:
+        p, y = scoring.read_pair_file(path)
+    except ValidationError as exc:
+        return str(exc)
+    return p.tolist(), y.tolist()
+
+
+def parses_used(monkeypatch):
+    """A list to which each later np.loadtxt call appends the type of its source."""
+    sources = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kwargs: sources.append(type(source)) or loadtxt(source, **kwargs))
+    return sources
+
+
+def on_both_branches(monkeypatch, path):
+    """The outcome of reading path with the default chunk, then with a 2-character one, and the parses used."""
+    sources = parses_used(monkeypatch)
+    outcomes = []
+    for chunk in (validation._CHUNK, 2):
+        monkeypatch.setattr(validation, "_CHUNK", chunk)
+        outcomes.append(pair_outcome(path))
+    return outcomes, sources
+
+
+def write_text(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p,y\r\n0.25,0\r\n0.75,1\r\n",
+        "p,y\r0.25,0\r0.75,1\r",
+        "p,y\n\n0.25,0\n\n\n0.75,1\n\n",
+        "p,y\n0.25,0\n0.75,1",
+        " P , Y \n0.25,0\n0.75,1\n",
+        '"p\n",y\n0.25,0\n0.75,1\n',
+        "p,y\n0.25,0\x0b\n0.75,1\x0c\n",
+        "p,y\n0.25\x85,0\n0.75,1\u2028\n",
+    ],
+    ids=["crlf", "cr", "blank-lines", "no-final-newline", "header-case-spaces", "two-line-header", "vt-ff", "nel-ls"],
+)
+def test_both_parses_read_the_same_table(tmp_path, monkeypatch, text):
+    path = write_text(tmp_path / "pairs.csv", text)
+    monkeypatch.setattr(validation, "_rows", lambda *args: pytest.fail("a good file reached the per-line reader"))
+    assert on_both_branches(monkeypatch, path) == ([GOOD_PAIRS, GOOD_PAIRS], [IN_MEMORY, BY_NAME])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p,y\n0.25,0\x850.75,1\n", "line 2: expected 2 fields, got 3"),  # U+0085 ends no line
+        ("p,y\n0.25,0\x0b0.75,1\n", "line 2: expected 2 fields, got 3"),  # nor does U+000B
+        ("p,y\r\n0.25,0\r\nnope,1\r\n", "line 3: non-numeric entry ['nope', '1']"),
+        ('"p\n",y\n0.25,0\n0.75,2\n', "line 4: outcome 2 is not 0 or 1"),
+        ("p,y\n0.25,0\n\x1c\n0.75,1\n\x1c0.5,1\n", "line 5: non-numeric entry ['\\x1c0.5', '1']"),
+    ],
+    ids=["nel", "vt", "crlf-bad-row", "two-line-header", "separator"],
+)
+def test_both_parses_name_the_same_bad_line(tmp_path, monkeypatch, text, message):
+    path = write_text(tmp_path / "pairs.csv", text)
+    outcomes, _ = on_both_branches(monkeypatch, path)
+    assert outcomes == [f"{path}: {message}"] * 2
+
+
+def sized_body(size):
+    """Rows ``0.25,1`` making up a body of exactly size characters, and their count."""
+    row = "0.25,1\n"
+    count = (size - 2) // len(row)
+    return row * count + " " * (size - count * len(row) - 1) + "\n", count
+
+
+@pytest.mark.parametrize("extra, source", [(-1, IN_MEMORY), (0, IN_MEMORY), (1, BY_NAME)], ids=["under", "at", "over"])
+def test_body_over_one_chunk_is_parsed_by_name(tmp_path, monkeypatch, extra, source):
+    body, count = sized_body(validation._CHUNK + extra)
+    path = write_text(tmp_path / "pairs.csv", "p,y\n" + body)
+    sources = parses_used(monkeypatch)
+    p, y = scoring.read_pair_file(path)
+    assert sources == [source]
+    assert p.tolist() == [0.25] * count and y.tolist() == [1.0] * count
+
+
+def test_separator_in_a_later_chunk_names_its_line(tmp_path, monkeypatch):
+    body, count = sized_body(validation._CHUNK)
+    path = write_text(tmp_path / "pairs.csv", "p,y\n" + body + "0.5,0\n\x1c0.5,1\n0.5,0\n")
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: pytest.fail("parsed despite a separator"))
+    with pytest.raises(ValidationError) as info:
+        scoring.read_pair_file(path)
+    assert str(info.value) == f"{path}: line {count + 4}: non-numeric entry ['\\x1c0.5', '1']"
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_names_numpy_would_decompress_are_read_as_text(tmp_path, monkeypatch, suffix):
+    path = write_text(tmp_path / f"pairs.csv{suffix}", "p,y\n0.25,0\n0.75,1\n")
+    assert on_both_branches(monkeypatch, path) == ([GOOD_PAIRS, GOOD_PAIRS], [IN_MEMORY, IN_MEMORY])
+    write_text(path, "p,y\n0.25,0\n\x1c\n0.75,x\n")
+    assert on_both_branches(monkeypatch, path)[0] == [f"{path}: line 4: non-numeric entry ['0.75', 'x']"] * 2
+
+
+@pytest.mark.parametrize("as_path", [True, False], ids=["Path", "relative-str"])
+def test_path_forms(tmp_path, monkeypatch, as_path):
+    monkeypatch.chdir(tmp_path)
+    name = Path("pairs.csv") if as_path else "pairs.csv"
+    write_text(name, "p,y\n0.25,0\n0.75,1\n")
+    assert on_both_branches(monkeypatch, name) == ([GOOD_PAIRS, GOOD_PAIRS], [IN_MEMORY, BY_NAME])
+    write_text(name, "p,y\n0.25,0\nnope,1\n")
+    assert on_both_branches(monkeypatch, name)[0] == ["pairs.csv: line 3: non-numeric entry ['nope', '1']"] * 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p,y\r\n0.25,0\r\n0.75,1\r\n",
+        "p,y\n0.25,0\nnope,1\n",
+        "p,y\n0.25,0\n\x1c\n0.75,2\n",  # the separator line is blank to the per-line reader
+        '"p\n",y\n0.25,0\n0.75,1,0\n',
+        "p,y\n",
+    ],
+    ids=["good", "non-numeric", "separator", "two-line-header", "no-rows"],
+)
+def test_pipe_reads_as_the_file_does(tmp_path, text):
+    # a pipe cannot be read twice, so its text is what the per-line reader reads
+    path = write_text(tmp_path / "pairs.csv", text)
+    read, write = os.pipe()
+    try:
+        os.write(write, text.encode())
+        os.close(write)
+        piped = pair_outcome(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    expected = pair_outcome(path)
+    if isinstance(expected, str):
+        expected = expected.replace(str(path), f"/dev/fd/{read}")
+    assert piped == expected
+
+
+def score_from_stdin(text, *args):
+    src = str(Path(brierlab.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "brierlab.cli", "score", "--input", "/dev/stdin", *args],
+        input=text, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+
+
+def test_piped_bad_file_names_its_line():
+    done = score_from_stdin("p,y\n0.5,1\nnope,0\n")
+    assert done.returncode == 2
+    assert done.stderr == "error: /dev/stdin: line 3: non-numeric entry ['nope', '0']\n"
+
+
+def test_piped_file_scores_as_the_file_does(tmp_path, capsys):
+    text = "p,y\n" + "".join(f"{i / 997!r},{i % 3 == 0:d}\n" for i in range(997))
+    path = write_text(tmp_path / "pairs.csv", text)
+    assert main(["score", "--input", str(path), "--json"]) == 0
+    done = score_from_stdin(text, "--json")
+    assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
