@@ -70,7 +70,7 @@ def _make_pool(values, label: str) -> EmpiricalProbabilityPool:
 
 @dataclass(frozen=True)
 class TrueDistributionSpec:
-    """How true probabilities q_i are drawn for one scenario."""
+    """How true probabilities q_i are drawn for one scenario; checked and labelled by its kind's entry."""
 
     kind: str
     params: tuple[float, ...] = ()
@@ -82,47 +82,36 @@ class TrueDistributionSpec:
             _check_kind(self, TRUE_DISTRIBUTIONS, "true-distribution")
         elif self.pool is None or self.params:
             raise ValidationError("an empirical true distribution takes a pool and no params")
+        elif self.pool.size < 1:
+            raise ValidationError("empirical pool must be nonempty")
+        elif not self.label:
+            object.__setattr__(self, "label", f"empirical({self.pool.label})")
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "TrueDistributionSpec":
-        if not (0.0 <= a < b <= 1.0):
-            raise ValidationError(f"uniform bounds need 0 <= a < b <= 1, got ({a}, {b})")
-        return cls(kind="uniform", params=(float(a), float(b)), label=f"uniform({a:g},{b:g})")
+        return cls("uniform", (a, b))
 
     @classmethod
     def beta(cls, alpha: float, beta: float) -> "TrueDistributionSpec":
-        if not (0 < alpha < math.inf and 0 < beta < math.inf):
-            raise ValidationError(f"beta shapes must be positive and finite, got ({alpha}, {beta})")
-        return cls(kind="beta", params=(float(alpha), float(beta)), label=f"beta({alpha:g},{beta:g})")
+        return cls("beta", (alpha, beta))
 
     @classmethod
     def constant(cls, c: float) -> "TrueDistributionSpec":
-        if not (0.0 <= c <= 1.0):
-            raise ValidationError(f"constant value must lie in [0, 1], got {c}")
-        return cls(kind="constant", params=(float(c),), label=f"constant({c:g})")
+        return cls("constant", (c,))
 
     @classmethod
     def two_point(cls, v0: float, v1: float, w: float) -> "TrueDistributionSpec":
         """Value v1 with probability w, otherwise v0."""
-        for name, val in (("v0", v0), ("v1", v1), ("w", w)):
-            if not (0.0 <= val <= 1.0):
-                raise ValidationError(f"two_point {name} must lie in [0, 1], got {val}")
-        return cls(
-            kind="two_point",
-            params=(float(v0), float(v1), float(w)),
-            label=f"two_point({v0:g},{v1:g},{w:g})",
-        )
+        return cls("two_point", (v0, v1, w))
 
     @classmethod
     def empirical(cls, pool: EmpiricalProbabilityPool) -> "TrueDistributionSpec":
-        if pool.size < 1:
-            raise ValidationError("empirical pool must be nonempty")
-        return cls(kind="empirical", pool=pool, label=f"empirical({pool.label})")
+        return cls("empirical", pool=pool)
 
 
 @dataclass(frozen=True)
 class PredictorTransformSpec:
-    """How predictions p_i are derived from the true probabilities q_i."""
+    """How predictions p_i are derived from the true probabilities q_i; checked and labelled by its kind's entry."""
 
     kind: str
     params: tuple[float, ...] = ()
@@ -133,61 +122,71 @@ class PredictorTransformSpec:
 
     @classmethod
     def perfect(cls) -> "PredictorTransformSpec":
-        return cls(kind="perfect", label="perfect")
+        return cls("perfect")
 
     @classmethod
     def additive_bias(cls, delta: float) -> "PredictorTransformSpec":
-        if not (math.isfinite(delta) and abs(delta) < 1.0):
-            raise ValidationError(f"bias delta must satisfy |delta| < 1, got {delta}")
-        return cls(kind="additive_bias", params=(float(delta),), label=f"bias({delta:+g})")
+        return cls("additive_bias", (delta,))
 
     @classmethod
     def uniform_noise(cls, half_width: float) -> "PredictorTransformSpec":
-        if not (0.0 < half_width < 1.0):
-            raise ValidationError(f"noise half width must lie in (0, 1), got {half_width}")
-        return cls(kind="uniform_noise", params=(float(half_width),), label=f"unif_noise({half_width:g})")
+        return cls("uniform_noise", (half_width,))
 
     @classmethod
     def rademacher_noise(cls, magnitude: float) -> "PredictorTransformSpec":
-        if not (math.isfinite(magnitude) and magnitude > 0.0):
-            raise ValidationError(f"noise magnitude must be positive, got {magnitude}")
-        return cls(kind="rademacher_noise", params=(float(magnitude),), label=f"rademacher({magnitude:g})")
+        return cls("rademacher_noise", (magnitude,))
 
 
 class Kind(NamedTuple):
-    """One kind of a spec family: its constructor's field names, in argument order, and its draw."""
+    """One kind of a spec family, defined once: its constructor's field names in argument order, its
+    draw, its label (a format of the float params) and its check (params as passed -> error text or None)."""
 
     fields: tuple[str, ...]
     draw: Callable[..., np.ndarray]
+    label: str
+    check: Callable[..., str | None]
 
 
 # Each kind is also the name of its classmethod on the spec class.
 # A true distribution draws (params..., shape, rng) -> q. "empirical" is
 # absent because it takes a pool, not numbers.
 TRUE_DISTRIBUTIONS: dict[str, Kind] = {
-    "uniform": Kind(("a", "b"), lambda a, b, shape, rng: rng.uniform(a, b, shape)),
-    "beta": Kind(("alpha", "beta"), lambda alpha, beta, shape, rng: rng.beta(alpha, beta, shape)),
-    "constant": Kind(("c",), lambda c, shape, rng: np.full(shape, c)),
-    "two_point": Kind(("v0", "v1", "w"), lambda v0, v1, w, shape, rng: np.where(rng.random(shape) < w, v1, v0)),
+    "uniform": Kind(("a", "b"), lambda a, b, shape, rng: rng.uniform(a, b, shape), "uniform({:g},{:g})",
+        lambda a, b: None if 0.0 <= a < b <= 1.0 else f"uniform bounds need 0 <= a < b <= 1, got ({a}, {b})"),
+    "beta": Kind(("alpha", "beta"), lambda alpha, beta, shape, rng: rng.beta(alpha, beta, shape), "beta({:g},{:g})",
+        lambda alpha, beta: None if 0 < alpha < math.inf and 0 < beta < math.inf
+        else f"beta shapes must be positive and finite, got ({alpha}, {beta})"),
+    "constant": Kind(("c",), lambda c, shape, rng: np.full(shape, c), "constant({:g})",
+        lambda c: None if 0.0 <= c <= 1.0 else f"constant value must lie in [0, 1], got {c}"),
+    "two_point": Kind(("v0", "v1", "w"), lambda v0, v1, w, shape, rng: np.where(rng.random(shape) < w, v1, v0),
+        "two_point({:g},{:g},{:g})", lambda *params: next((f"two_point {name} must lie in [0, 1], got {value}"
+            for name, value in zip(("v0", "v1", "w"), params) if not 0.0 <= value <= 1.0), None)),
 }
 # A transform draws (q, params..., rng) -> p, which apply_predictor_transform clamps.
 PREDICTOR_TRANSFORMS: dict[str, Kind] = {
-    "perfect": Kind((), lambda q, rng: q.copy()),
-    "additive_bias": Kind(("delta",), lambda q, delta, rng: q + delta),
-    "uniform_noise": Kind(("half_width",), lambda q, h, rng: q + rng.uniform(-h, h, q.shape)),
-    "rademacher_noise": Kind(("magnitude",), lambda q, m, rng: q + m * (1.0 - 2.0 * rng.integers(0, 2, q.shape))),
+    "perfect": Kind((), lambda q, rng: q.copy(), "perfect", lambda: None),
+    "additive_bias": Kind(("delta",), lambda q, delta, rng: q + delta, "bias({:+g})",
+        lambda delta: None if -1.0 < delta < 1.0 else f"bias delta must satisfy |delta| < 1, got {delta}"),
+    "uniform_noise": Kind(("half_width",), lambda q, h, rng: q + rng.uniform(-h, h, q.shape), "unif_noise({:g})",
+        lambda h: None if 0.0 < h < 1.0 else f"noise half width must lie in (0, 1), got {h}"),
+    "rademacher_noise": Kind(("magnitude",), lambda q, m, rng: q + m * (1.0 - 2.0 * rng.integers(0, 2, q.shape)),
+        "rademacher({:g})", lambda m: None if 0.0 < m < math.inf else f"noise magnitude must be positive, got {m}"),
 }
 
 
 def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
-    """Raise ValidationError unless spec names a kind of registry, with one finite param per field."""
+    """Check spec's kind, arity, real params and then domain (no NaN or +-inf); store float params and label."""
     kind = registry.get(spec.kind) if isinstance(spec.kind, str) else None
     if kind is None:
         raise ValidationError(f"unknown {family} kind {spec.kind!r}")
     if len(spec.params) != len(kind.fields):
         raise ValidationError(f"{family} kind {spec.kind!r} takes params {kind.fields}, got {spec.params!r}")
-    if not all(isinstance(value, numbers.Real) and math.isfinite(value) for value in spec.params):
+    if not all(isinstance(value, numbers.Real) for value in spec.params):
         raise ValidationError(f"{family} kind {spec.kind!r} takes finite numbers, got {spec.params!r}")
+    if (message := kind.check(*spec.params)) is not None:
+        raise ValidationError(message)
+    object.__setattr__(spec, "params", tuple(float(value) for value in spec.params))
+    object.__setattr__(spec, "label", spec.label or kind.label.format(*spec.params))
 
 
 def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator) -> np.ndarray:

@@ -252,6 +252,8 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
         if workers == 1 or len(tasks) == 1:
             blocks = (_run_block(*task) for task in tasks)
         else:
+            import numpy.random  # numpy loads it lazily: once here, not again in every forked worker
+
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
             # On an error, drop the queued tasks instead of running them out.
             stack.callback(pool.shutdown, cancel_futures=True)
@@ -352,7 +354,7 @@ def _require(mapping: dict, field: str, context: str):
 
 
 def _parse_spec(entry: dict, context: str, spec_class, registry: dict, family: str):
-    """Build a spec through the classmethod named by the entry's kind, from the fields registry gives it."""
+    """Build a spec of the entry's kind from the fields registry gives it; the spec checks its own domain."""
     kind = _require(entry, "kind", context)
     if not isinstance(kind, str) or kind not in registry:
         raise ConfigError(f"{context}.kind: unknown {family} kind {kind!r}")
@@ -361,7 +363,7 @@ def _parse_spec(entry: dict, context: str, spec_class, registry: dict, family: s
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{context}.{field}: must be a number, got {value!r}")
     try:
-        return getattr(spec_class, kind)(*args.values())
+        return spec_class(kind, tuple(args.values()))
     except ValidationError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 

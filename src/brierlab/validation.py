@@ -160,10 +160,11 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     The text is decoded and checked here. np.loadtxt then parses every row in
     one pass (skipping empty lines): from that text if the body fits one chunk
     or the file cannot be named to numpy (a pipe, or a name numpy would
-    decompress), else from the absolute path (numpy reads scheme:// names as
-    URLs) in its C file reader. Each rule is applied to a whole column. If the
-    parse or a rule fails, or there are no rows, the per-line reader names the
-    first bad line, from that text if the file cannot be read again.
+    decompress; a body over one chunk from its UTF-8 bytes), else from the
+    absolute path (numpy reads scheme:// names as URLs) in its C file reader.
+    Each rule is applied to a whole column. If the parse or a rule fails, or
+    there are no rows, the per-line reader names the first bad line, from
+    that text if the file cannot be read again.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header_lines = _past_header(fh, path, fmt).line_num
@@ -174,7 +175,14 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
         while (clean := not any(char in chunk for char in "\x1c\x1d\x1e\x1f")) and (chunk := fh.read(_CHUNK)):
             large = True
     if clean:
-        source = os.path.abspath(os.fsdecode(path)) if large else io.StringIO(text, newline="")
+        if large:
+            source = os.path.abspath(os.fsdecode(path))
+        # A StringIO holds 4 bytes per character and UTF-8 bytes one per ASCII character,
+        # but numpy parses a small StringIO about 10% faster.
+        elif len(text) <= _CHUNK:
+            source = io.StringIO(text, newline="")
+        else:
+            source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
         with contextlib.suppress(ValueError), warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the per-line reader reports it
             table = np.loadtxt(source, skiprows=header_lines if large else 0, encoding="utf-8", delimiter=",",

@@ -77,9 +77,10 @@ def test_rendering_does_not_load_scipy():
 
 
 def test_import_does_not_load_xml_sax():
-    # figures escapes its three characters itself; xml.sax.saxutils pulls in urllib, http and email
+    # figures escapes its three characters itself; xml.sax.saxutils pulls in urllib, http and email.
+    # numpy.random (secrets, hashlib) is loaded by the first draw or pool start, not by the import.
     src = str(Path(brierlab.__file__).resolve().parents[1])
-    code = "import sys, brierlab.cli\nprint(sorted(m for m in sys.modules if m.startswith('xml.sax')))"
+    code = "import sys, brierlab.cli\nprint(sorted(m for m in sys.modules if m.startswith(('xml.sax', 'numpy.random'))))"
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brierlab.dgm import (
+    EmpiricalProbabilityPool,
     PREDICTOR_TRANSFORMS,
     TRUE_DISTRIBUTIONS,
     PredictorTransformSpec,
@@ -108,6 +109,94 @@ class TestRegistryMatchesReference:
         assert new.random() == old.random()
 
 
+# Per kind: in-domain params and the label they get, then out-of-domain params and their text.
+LABELS = {
+    "uniform": ((0.1, 0.7), "uniform(0.1,0.7)"),
+    "beta": ((2, 5), "beta(2,5)"),
+    "constant": ((0.3,), "constant(0.3)"),
+    "two_point": ((0.1, 0.9, 0.3), "two_point(0.1,0.9,0.3)"),
+    "perfect": ((), "perfect"),
+    "additive_bias": ((0.1,), "bias(+0.1)"),
+    "uniform_noise": ((0.1,), "unif_noise(0.1)"),
+    "rademacher_noise": ((0.1,), "rademacher(0.1)"),
+}
+OUT_OF_DOMAIN = {
+    "uniform": ((0.5, 0.2), "uniform bounds need 0 <= a < b <= 1, got (0.5, 0.2)"),
+    "beta": ((-1.0, 2.0), "beta shapes must be positive and finite, got (-1.0, 2.0)"),
+    "constant": ((1.5,), "constant value must lie in [0, 1], got 1.5"),
+    "two_point": ((0.1, 0.9, 2.0), "two_point w must lie in [0, 1], got 2.0"),
+    "additive_bias": ((1,), "bias delta must satisfy |delta| < 1, got 1"),
+    "uniform_noise": ((0,), "noise half width must lie in (0, 1), got 0"),
+    "rademacher_noise": ((-0.1,), "noise magnitude must be positive, got -0.1"),
+}
+FAMILIES = [(TrueDistributionSpec, TRUE_DISTRIBUTIONS), (PredictorTransformSpec, PREDICTOR_TRANSFORMS)]
+KINDS = [(spec_class, kind) for spec_class, registry in FAMILIES for kind in registry]
+
+
+def _kind_id(value):
+    return getattr(value, "__name__", value)
+
+
+class TestOneCheckedPathPerKind:
+    """A spec built directly is checked and labelled by its kind's entry, as the classmethod's is."""
+
+    def test_every_kind_is_tabled(self):
+        assert set(LABELS) == {kind for _, kind in KINDS}
+        assert set(OUT_OF_DOMAIN) == set(LABELS) - {"perfect"}
+
+    @pytest.mark.parametrize("spec_class, kind", [k for k in KINDS if k[1] in OUT_OF_DOMAIN], ids=_kind_id)
+    def test_direct_out_of_domain_spec_raises_the_classmethod_text(self, spec_class, kind):
+        params, text = OUT_OF_DOMAIN[kind]
+        for build in (lambda: spec_class(kind, params), lambda: getattr(spec_class, kind)(*params)):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value) == text
+
+    @pytest.mark.parametrize("spec_class, kind", KINDS, ids=_kind_id)
+    def test_direct_spec_gets_the_classmethod_label(self, spec_class, kind):
+        params, label = LABELS[kind]
+        direct, wrapped = spec_class(kind, params), getattr(spec_class, kind)(*params)
+        assert direct == wrapped
+        assert direct.label == label
+        assert direct.params == tuple(float(value) for value in params)
+        assert all(type(value) is float for value in direct.params)
+        assert spec_class(kind, params, label="mine").label == "mine"
+
+    def test_scenario_of_direct_specs_gets_the_classmethod_label(self):
+        from brierlab.engine import Scenario
+
+        direct = Scenario(TrueDistributionSpec("uniform", (0, 0.2)), PredictorTransformSpec("additive_bias", (0.1,)), 300)
+        wrapped = Scenario(TrueDistributionSpec.uniform(0, 0.2), PredictorTransformSpec.additive_bias(0.1), 300)
+        assert direct.label == wrapped.label == "uniform(0,0.2)+bias(+0.1)+n300"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=str)
+    @pytest.mark.parametrize("spec_class, kind", [k for k in KINDS if k[1] != "perfect"], ids=_kind_id)
+    def test_every_param_rejects_non_finite_values(self, spec_class, kind, value):
+        registry = dict(FAMILIES)[spec_class]
+        for i in range(len(registry[kind].fields)):
+            params = list(LABELS[kind][0])
+            params[i] = value
+            text = registry[kind].check(*params)
+            assert text is not None and "finite numbers" not in text
+            for build in (lambda: spec_class(kind, tuple(params)), lambda: getattr(spec_class, kind)(*params)):
+                with pytest.raises(ValidationError) as info:
+                    build()
+                assert str(info.value) == text
+
+    def test_non_numbers_rejected_before_the_domain_check(self):
+        with pytest.raises(ValidationError, match=r"^true-distribution kind 'beta' takes finite numbers, got \('2', 5\)$"):
+            TrueDistributionSpec("beta", ("2", 5))
+        with pytest.raises(ValidationError, match=r"^predictor-transform kind 'uniform_noise' takes finite numbers"):
+            PredictorTransformSpec.uniform_noise(None)
+
+    def test_direct_empirical_spec_is_checked_and_labelled(self):
+        assert TrueDistributionSpec("empirical", pool=_pool([0.2, 0.4])).label == "empirical(test-pool)"
+        empty = EmpiricalProbabilityPool(np.array([]), "none", 0.0)
+        for build in (lambda: TrueDistributionSpec("empirical", pool=empty), lambda: TrueDistributionSpec.empirical(empty)):
+            with pytest.raises(ValidationError, match="^empirical pool must be nonempty$"):
+                build()
+
+
 class TestTrueDistributions:
     def test_constant(self, rng):
         q = sample_true_probs(TrueDistributionSpec.constant(0.5), 3, rng)
@@ -171,9 +260,10 @@ class TestTrueDistributions:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_direct_spec_rejects_non_finite_params(self, value):
-        with pytest.raises(ValidationError, match=r"^true-distribution kind 'uniform' takes finite numbers, got \(0.0, "):
+        # the kind's own domain check names the bad value, as the classmethod does
+        with pytest.raises(ValidationError, match=rf"^uniform bounds need 0 <= a < b <= 1, got \(0.0, {value}\)$"):
             TrueDistributionSpec(kind="uniform", params=(0.0, value))
-        with pytest.raises(ValidationError, match=r"^predictor-transform kind 'additive_bias' takes finite numbers"):
+        with pytest.raises(ValidationError, match=rf"^bias delta must satisfy \|delta\| < 1, got {value}$"):
             PredictorTransformSpec(kind="additive_bias", params=(value,))
 
     def test_sample_size_validated(self, rng):

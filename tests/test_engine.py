@@ -7,8 +7,11 @@ import inspect
 import io
 import json
 import math
+import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +319,37 @@ class TestStudy:
         assert {transform.kind for transform in config.transforms} == set(PREDICTOR_TRANSFORMS)
         assert config.n_reps % BLOCK_REPS != 0  # one block is partial
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="only forked workers inherit modules")
+    def test_forked_workers_find_numpy_random_loaded(self, tmp_path):
+        # numpy loads numpy.random on first use; a fresh study loads it once, before its pool forks
+        code = """if True:
+            import functools, os, sys
+            from brierlab import engine
+            from brierlab.dgm import PredictorTransformSpec as T, TrueDistributionSpec as D
+
+            @functools.wraps(engine._run_block)
+            def first_task_reports(*task, run_block=engine._run_block):
+                mark = os.path.join(sys.argv[1], str(os.getpid()))
+                if not os.path.exists(mark):
+                    with open(mark, "w") as fh:
+                        fh.write(str("numpy.random" in sys.modules))
+                return run_block(*task)
+
+            engine._run_block = first_task_reports
+            dgms = tuple(D.constant(c) for c in (0.1, 0.3, 0.5, 0.7))
+            config = engine.StudyConfig("fresh", 5, 300, (20,), dgms, (T.perfect(),))
+            print("numpy.random" in sys.modules)
+            engine.run_study(config, workers=2)
+        """
+        src = str(Path(engine.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout == "False\n"  # nothing before the pool loads it
+        reports = [path.read_text() for path in tmp_path.iterdir()]
+        assert reports and set(reports) == {"True"}
+
     def test_study_reproducible(self):
         a = run_study(small_config())
         b = run_study(small_config())
@@ -564,7 +598,8 @@ class TestConfigDocuments:
         [(Dist, TRUE_DISTRIBUTIONS), (Transform, PREDICTOR_TRANSFORMS)],
     )
     def test_kind_tables_match_constructors(self, spec_class, fields_by_kind):
-        for kind, (fields, _) in fields_by_kind.items():
+        for kind, entry in fields_by_kind.items():
+            fields = entry.fields
             constructor = getattr(spec_class, kind)
             assert tuple(inspect.signature(constructor).parameters) == fields
             args = [0.1 * (i + 1) for i in range(len(fields))]

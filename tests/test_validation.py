@@ -4,6 +4,8 @@ import io
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +124,9 @@ def test_valid_file_is_read_in_one_pass(tmp_path, monkeypatch, name):
     assert calls == ([path] if name == "summary" else [])
 
 
-# The two parses of read_float_csv: from the text in memory, and from the file by name.
-IN_MEMORY, BY_NAME = io.StringIO, str
+# The parses of read_float_csv: from the text in memory, from its UTF-8 bytes when that text is over
+# one chunk and the file cannot be named to numpy, and from the file by name.
+IN_MEMORY, FROM_BYTES, BY_NAME = io.StringIO, io.TextIOWrapper, str
 
 GOOD_PAIRS = ([0.25, 0.75], [0.0, 1.0])
 
@@ -227,7 +230,7 @@ def test_separator_in_a_later_chunk_names_its_line(tmp_path, monkeypatch):
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
 def test_names_numpy_would_decompress_are_read_as_text(tmp_path, monkeypatch, suffix):
     path = write_text(tmp_path / f"pairs.csv{suffix}", "p,y\n0.25,0\n0.75,1\n")
-    assert on_both_branches(monkeypatch, path) == ([GOOD_PAIRS, GOOD_PAIRS], [IN_MEMORY, IN_MEMORY])
+    assert on_both_branches(monkeypatch, path) == ([GOOD_PAIRS, GOOD_PAIRS], [IN_MEMORY, FROM_BYTES])
     write_text(path, "p,y\n0.25,0\n\x1c\n0.75,x\n")
     assert on_both_branches(monkeypatch, path)[0] == [f"{path}: line 4: non-numeric entry ['0.75', 'x']"] * 2
 
@@ -289,3 +292,29 @@ def test_piped_file_scores_as_the_file_does(tmp_path, capsys):
     assert main(["score", "--input", str(path), "--json"]) == 0
     done = score_from_stdin(text, "--json")
     assert (done.returncode, done.stdout) == (0, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("piped", [False, True], ids=["gz-name", "pipe"])
+def test_body_parsed_from_memory_peaks_under_three_times_its_size(tmp_path, piped):
+    # a StringIO of the body holds 4 bytes per character beside the text: about 5x in all
+    data = ("p,y\n" + "".join(f"{i / 99991!r},{i % 2}\n" for i in range(90_000))).encode()
+    assert len(data) > 1 << 20
+    if piped:
+        read, write = os.pipe()
+        path = f"/dev/fd/{read}"
+        writer = threading.Thread(target=lambda: (os.write(write, data), os.close(write)))
+        writer.start()
+    else:
+        path = tmp_path / "pairs.csv.gz"
+        path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        table = validation.read_float_csv(path, scoring._PAIR_CSV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if piped:
+            os.close(read)  # a writer still blocked on a full pipe then fails instead of hanging
+            writer.join()
+    assert table.shape == (90_000, 2)
+    assert peak < 3 * len(data)
