@@ -174,14 +174,29 @@ PREDICTOR_TRANSFORMS: dict[str, Kind] = {
 }
 
 
+def _is_real(value) -> bool:
+    """A real number that float() takes: NaN and +-inf are, 10**400 is not (it overflows)."""
+    if not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
     """Check spec's kind, arity, real params and then domain (no NaN or +-inf); store float params and label."""
     kind = registry.get(spec.kind) if isinstance(spec.kind, str) else None
     if kind is None:
         raise ValidationError(f"unknown {family} kind {spec.kind!r}")
-    if len(spec.params) != len(kind.fields):
+    try:
+        arity = len(spec.params)
+    except TypeError:  # a bare number or None, not a sequence of params
+        arity = None
+    if arity != len(kind.fields):
         raise ValidationError(f"{family} kind {spec.kind!r} takes params {kind.fields}, got {spec.params!r}")
-    if not all(isinstance(value, numbers.Real) for value in spec.params):
+    if not all(map(_is_real, spec.params)):
         raise ValidationError(f"{family} kind {spec.kind!r} takes finite numbers, got {spec.params!r}")
     if (message := kind.check(*spec.params)) is not None:
         raise ValidationError(message)

@@ -23,6 +23,7 @@ import concurrent.futures
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -480,39 +481,27 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-# The last read-only (gap, exceeded, ybar) arrays formatted, the rep text and those arrays' row text.
-_NO_TEXT = ((None,) * 3, (), [])
-_row_text_memo = _NO_TEXT
+def _shared_text(result: ScenarioResult) -> tuple[list[str], list[str]]:
+    """The rep text and "gap,exceeded,ybar" text of each row: the columns a cell's scenarios share."""
+    reps = list(map(str, range(1, len(result.exceeded) + 1)))
+    exceeded = ("1" if flag else "0" for flag in result.exceeded.tolist())
+    gap, ybar = map(repr, result.gap_samples.tolist()), map(repr, result.ybar_samples.tolist())
+    return reps, list(map(",".join, zip(gap, exceeded, ybar)))
 
 
-def _row_text(result: ScenarioResult) -> tuple:
-    """The rep and "gap,exceeded,ybar" text of each row, kept while the next result shares its arrays."""
-    global _row_text_memo
-    arrays = (result.gap_samples, result.exceeded, result.ybar_samples)
-    cached, reps, shared = _row_text_memo
-    if any(array is not other for array, other in zip(arrays, cached)):
-        _row_text_memo = ((None,) * 3, reps, [])  # the last cell's text goes before this one's is made
-        if len(reps) != len(result.exceeded):
-            reps = tuple(map(str, range(1, len(result.exceeded) + 1)))
-        exceeded = ("1" if flag else "0" for flag in result.exceeded.tolist())
-        gap, ybar = map(repr, result.gap_samples.tolist()), map(repr, result.ybar_samples.tolist())
-        shared = list(map(",".join, zip(gap, exceeded, ybar)))
-        if any(array.flags.writeable for array in arrays):
-            arrays = (None,) * 3  # only arrays that cannot change in place are matched by identity
-        _row_text_memo = (arrays, reps, shared)
-    return reps, shared
+def _write_scenario_text(result: ScenarioResult, directory: Path, reps: list[str], shared: list[str]) -> Path:
+    path = directory / scenario_filename(result.scenario.label)
+    cells = zip(reps, map(repr, result.brier_samples.tolist()), map(repr, result.cil_samples.tolist()), shared)
+    lines = [",".join(SCENARIO_CSV_COLUMNS), *map(",".join, cells)]
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return path
 
 
 def write_scenario_csv(result: ScenarioResult, directory) -> Path:
     """One row per replication: rep, brier, cil, gap, exceeded, ybar; floats as their repr."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / scenario_filename(result.scenario.label)
-    reps, shared = _row_text(result)
-    cells = zip(reps, map(repr, result.brier_samples.tolist()), map(repr, result.cil_samples.tolist()), shared)
-    lines = [",".join(SCENARIO_CSV_COLUMNS), *map(",".join, cells)]
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    return _write_scenario_text(result, directory, *_shared_text(result))
 
 
 def write_summary_csv(results: list[ScenarioResult], directory) -> Path:
@@ -536,18 +525,23 @@ def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
     """Persist every scenario file plus the summary; summary is written last.
 
     An earlier run's summary is removed first, so a failed write cannot leave
-    it beside new scenario files. A cell's shared columns are formatted once. An
-    empty list is refused untouched: a lone summary would look like a complete run.
+    it beside new scenario files. Consecutive results that hold the same gap,
+    exceeded and ybar arrays (a cell's scenarios) have that text formatted
+    once. An empty list is refused untouched: a lone summary would look like a
+    complete run.
     """
-    global _row_text_memo
     if not results:
         raise ValidationError("no scenario results to write")
     _check_filenames_unique([r.scenario.label for r in results])
-    (Path(directory) / "summary.csv").unlink(missing_ok=True)
-    try:
-        paths = [write_scenario_csv(result, directory) for result in results]
-    finally:
-        _row_text_memo = _NO_TEXT
+    directory = Path(directory)
+    (directory / "summary.csv").unlink(missing_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    # results holds every array for the whole call, so no id is reused while it runs
+    for _, cell in itertools.groupby(results, lambda r: (id(r.gap_samples), id(r.exceeded), id(r.ybar_samples))):
+        cell = list(cell)
+        text = _shared_text(cell[0])
+        paths += [_write_scenario_text(result, directory, *text) for result in cell]
     paths.append(write_summary_csv(results, directory))
     return paths
 

@@ -347,17 +347,17 @@ class TestSimulate:
 
     def test_failed_rewrite_removes_stale_summary(self, results_dir, study_config, tmp_path, monkeypatch):
         writes = []
-        original = engine.write_scenario_csv
+        original = engine._atomic_write
 
-        def failing_second_write(result, directory):
-            writes.append(result.scenario.label)
+        def failing_second_write(path, text):
+            writes.append(path.name)
             if len(writes) == 2:
                 raise OSError("disk full")
-            return original(result, directory)
+            return original(path, text)
 
-        monkeypatch.setattr(engine, "write_scenario_csv", failing_second_write)
+        monkeypatch.setattr(engine, "_atomic_write", failing_second_write)
         assert main(["simulate", "--config", str(study_config), "--out", str(results_dir)]) == 3
-        assert len(writes) == 2
+        assert len(writes) == 2 and "summary.csv" not in writes  # the second scenario file failed
         assert not (results_dir / "summary.csv").exists()
         assert main(["report", "--results", str(results_dir), "--figure", "4",
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2

@@ -1,5 +1,7 @@
 """Sampling mechanisms: distributions, transforms, outcomes, pools, streams."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,7 @@ OUT_OF_DOMAIN = {
     "rademacher_noise": ((-0.1,), "noise magnitude must be positive, got -0.1"),
 }
 FAMILIES = [(TrueDistributionSpec, TRUE_DISTRIBUTIONS), (PredictorTransformSpec, PREDICTOR_TRANSFORMS)]
+FAMILY_NAMES = {TrueDistributionSpec: "true-distribution", PredictorTransformSpec: "predictor-transform"}
 KINDS = [(spec_class, kind) for spec_class, registry in FAMILIES for kind in registry]
 
 
@@ -188,6 +191,50 @@ class TestOneCheckedPathPerKind:
             TrueDistributionSpec("beta", ("2", 5))
         with pytest.raises(ValidationError, match=r"^predictor-transform kind 'uniform_noise' takes finite numbers"):
             PredictorTransformSpec.uniform_noise(None)
+
+    @pytest.mark.parametrize(
+        "spec_class, kind, position",
+        [(TrueDistributionSpec, "beta", 0), (TrueDistributionSpec, "beta", 1), (PredictorTransformSpec, "rademacher_noise", 0)],
+        ids=["beta-alpha", "beta-beta", "rademacher-magnitude"],
+    )
+    def test_integer_too_large_for_a_float_is_rejected(self, tmp_path, capsys, spec_class, kind, position):
+        # 10**400 passes a "< inf" domain check, so the real-number test must catch float()'s overflow
+        from brierlab.cli import main
+        from brierlab.engine import load_study_config
+        from brierlab.errors import ConfigError
+
+        params = list(LABELS[kind][0])
+        params[position] = 10**400
+        text = f"{FAMILY_NAMES[spec_class]} kind {kind!r} takes finite numbers, got {tuple(params)!r}"
+        for build in (lambda: spec_class(kind, tuple(params)), lambda: getattr(spec_class, kind)(*params)):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value) == text
+        entry = {"kind": kind, **dict(zip(dict(FAMILIES)[spec_class][kind].fields, params))}
+        place = "dgms" if spec_class is TrueDistributionSpec else "transforms"
+        doc = {
+            "study": {"name": "huge", "seed": 1, "N": 5, "sample_sizes": [10]},
+            "dgms": [{"kind": "constant", "c": 0.5}],
+            "transforms": [{"kind": "perfect"}],
+            place: [entry],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as info:
+            load_study_config(path)
+        assert str(info.value) == f"{place}[0]: {text}"
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{place}[0]: {text}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [0.5, None], ids=str)
+    @pytest.mark.parametrize("spec_class, kind", KINDS, ids=_kind_id)
+    def test_params_that_are_not_a_sequence_are_rejected(self, spec_class, kind, params):
+        fields = dict(FAMILIES)[spec_class][kind].fields
+        with pytest.raises(ValidationError) as info:
+            spec_class(kind, params)
+        assert str(info.value) == f"{FAMILY_NAMES[spec_class]} kind {kind!r} takes params {fields}, got {params!r}"
+        as_list = list(LABELS[kind][0])
+        assert spec_class(kind, as_list) == getattr(spec_class, kind)(*as_list)
 
     def test_direct_empirical_spec_is_checked_and_labelled(self):
         assert TrueDistributionSpec("empirical", pool=_pool([0.2, 0.4])).label == "empirical(test-pool)"

@@ -275,6 +275,16 @@ class TestRunScenario:
         se = math.sqrt(exact * (1 - exact) / n_reps)
         assert abs(result.exceed_prob - exact) <= 4 * se
 
+    def test_estimated_exceedance_matches_oracle_for_random_truths(self):
+        # P(exceed) for q ~ Beta(2, 5) is the oracle's exact value averaged over q, estimated from 200 draws
+        n, n_reps, draws = 20, 4000, 200
+        result = run_scenario(Scenario(Dist.beta(2.0, 5.0), Transform.perfect(), n), n_reps, 59)
+        q = sample_true_probs(Dist.beta(2.0, 5.0), (draws, n), np.random.default_rng(2025))
+        exact = np.array([exact_exceedance_probability(row) for row in q])
+        estimate = result.exceed_prob
+        se = math.sqrt(estimate * (1 - estimate) / n_reps + np.var(exact, ddof=1) / draws)
+        assert abs(estimate - exact.mean()) <= 4 * se
+
     def test_validation(self):
         scenario = Scenario(Dist.constant(0.5), Transform.perfect(), 10)
         with pytest.raises(ValidationError):
@@ -349,6 +359,17 @@ class TestStudy:
         assert done.stdout == "False\n"  # nothing before the pool loads it
         reports = [path.read_text() for path in tmp_path.iterdir()]
         assert reports and set(reports) == {"True"}
+
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self):
+        # replication r of a cell draws the same numbers whatever N is, so a run can later be extended
+        config = load_study_config(CONFIGS / "every_kind.json")
+        short = run_study(dataclasses.replace(config, n_reps=100))
+        long = run_study(dataclasses.replace(config, n_reps=2 * BLOCK_REPS + 44))
+        assert len(short) == len(long) == 40
+        for a, b in zip(short, long):
+            assert a.scenario == b.scenario
+            for name in ("brier_samples", "cil_samples", "gap_samples", "exceeded", "ybar_samples"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)[:100])
 
     def test_study_reproducible(self):
         a = run_study(small_config())
@@ -686,13 +707,15 @@ class TestPersistence:
         assert len(paths) == len(results) + 1
         for result, path in zip(results, paths):
             assert path.read_bytes() == reference_scenario_text(result).encode()
-        assert engine._row_text_memo is engine._NO_TEXT  # the text is dropped
 
-    def test_changed_writable_arrays_are_formatted_again(self, tmp_path):
-        # only read-only arrays are matched by identity, so an array changed in place is not stale
+    @pytest.mark.parametrize("read_only_view", [False, True], ids=["copy", "read-only-view"])
+    def test_changed_writable_arrays_are_formatted_again(self, tmp_path, read_only_view):
+        # no text outlives a write: a read-only view changes with its writable base
         result = run_scenario(Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 20), 5, 3)
         gap = result.gap_samples.copy()
-        own = dataclasses.replace(result, gap_samples=gap)
+        held = gap.view() if read_only_view else gap
+        held.flags.writeable = not read_only_view
+        own = dataclasses.replace(result, gap_samples=held)
         first = write_scenario_csv(own, tmp_path / "a").read_bytes()
         gap[0] = 0.5
         second = write_scenario_csv(own, tmp_path / "b").read_bytes()
