@@ -21,21 +21,12 @@ from .errors import BrierLabError, ValidationError
 
 __all__ = ["main"]
 
+# figure number: (metric, default sample size, y-axis label); exceed_prob is drawn as bars
 _FIGURES = {
-    "1": {"metric": "brier", "default_n": 1000, "ylabel": "score", "kind": "violin"},
-    "2": {"metric": "cil", "default_n": 300, "ylabel": "calibration-in-the-large", "kind": "violin"},
-    "3": {
-        "metric": "gap",
-        "default_n": 300,
-        "ylabel": "(ybar - ybar^2) - score of true probabilities",
-        "kind": "violin",
-    },
-    "4": {
-        "metric": "exceed_prob",
-        "default_n": 300,
-        "ylabel": "P(score of true probabilities > ybar - ybar^2)",
-        "kind": "bar",
-    },
+    "1": ("brier", 1000, "score"),
+    "2": ("cil", 300, "calibration-in-the-large"),
+    "3": ("gap", 300, "(ybar - ybar^2) - score of true probabilities"),
+    "4": ("exceed_prob", 300, "P(score of true probabilities > ybar - ybar^2)"),
 }
 
 
@@ -123,9 +114,7 @@ def cmd_simulate(args) -> int:
 def _figure_rows(results_dir: Path, metric: str, n: int):
     summary_path = results_dir / "summary.csv"
     if not summary_path.exists():
-        raise ValidationError(
-            f"{results_dir}: missing summary.csv; run the simulate verb first"
-        )
+        raise ValidationError(f"{results_dir}: missing summary.csv; run the simulate verb first")
     rows = engine.read_summary_csv(summary_path)
     wanted = [r for r in rows if r["n"] == n and r["metric"] == ("brier" if metric == "exceed_prob" else metric)]
     if not wanted:
@@ -136,59 +125,37 @@ def _figure_rows(results_dir: Path, metric: str, n: int):
     return wanted
 
 
+def _samples(results_dir: Path, label: str, metric: str):
+    path = results_dir / engine.scenario_filename(label)
+    if not path.exists():
+        raise ValidationError(
+            f"{results_dir}: missing per-scenario file {path.name} needed for scenario {label!r}"
+        )
+    return engine.read_scenario_csv(path)[metric]
+
+
 def cmd_report(args) -> int:
-    spec = _FIGURES[args.figure]
-    n = args.n if args.n is not None else spec["default_n"]
+    metric, default_n, ylabel = _FIGURES[args.figure]
+    n = default_n if args.n is None else args.n
     results_dir = Path(args.results)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _figure_rows(results_dir, spec["metric"], n)
-
-    csv_rows: list[tuple] = []
-    if spec["kind"] == "bar":
-        items = [(r["scenario"], r["exceed_prob"]) for r in rows]
-        svg = figures.bar_svg(
-            items,
-            title=f"Exceedance probability by scenario (n={n})",
-            ylabel=spec["ylabel"],
-        )
-        csv_rows.append(("scenario", "n", "exceed_prob"))
-        csv_rows.extend((r["scenario"], str(r["n"]), repr(r["exceed_prob"])) for r in rows)
+    rows = _figure_rows(results_dir, metric, n)
+    if metric == "exceed_prob":
+        columns = ("scenario", "n", metric)
+        items = [(r["scenario"], r[metric]) for r in rows]
+        svg = figures.bar_svg(items, f"Exceedance probability by scenario (n={n})", ylabel)
     else:
-        groups = []
-        for row in rows:
-            sample_path = results_dir / engine.scenario_filename(row["scenario"])
-            if not sample_path.exists():
-                raise ValidationError(
-                    f"{results_dir}: missing per-scenario file {sample_path.name} "
-                    f"needed for scenario {row['scenario']!r}"
-                )
-            data = engine.read_scenario_csv(sample_path)
-            groups.append((row["scenario"], data[spec["metric"]]))
-        svg = figures.violin_svg(
-            groups,
-            title=f"{spec['metric']} distribution by scenario (n={n})",
-            ylabel=spec["ylabel"],
-        )
-        csv_rows.append(("scenario", "n", "metric", "median", "q05", "q95", "mean"))
-        csv_rows.extend(
-            (
-                r["scenario"],
-                str(r["n"]),
-                r["metric"],
-                repr(r["median"]),
-                repr(r["q05"]),
-                repr(r["q95"]),
-                repr(r["mean"]),
-            )
-            for r in rows
-        )
+        columns = engine.SUMMARY_CSV_COLUMNS[:-1]
+        groups = [(r["scenario"], _samples(results_dir, r["scenario"], metric)) for r in rows]
+        svg = figures.violin_svg(groups, f"{metric} distribution by scenario (n={n})", ylabel)
 
     svg_path = out_dir / f"figure{args.figure}.svg"
     csv_path = out_dir / f"figure{args.figure}.csv"
     svg_path.write_text(svg, encoding="utf-8")
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+    # the summary's floats and ints, which csv writes as their repr
+    csv.writer(buf, lineterminator="\n").writerows([columns, *([r[c] for c in columns] for r in rows)])
     csv_path.write_text(buf.getvalue(), encoding="utf-8")
     print(f"wrote {svg_path} and {csv_path}")
     return 0

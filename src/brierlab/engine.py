@@ -47,7 +47,7 @@ from .dgm import (
     sample_outcomes,
     sample_true_probs,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
 from .validation import CsvFormat, csv_rows, names_undecodable_file, read_float_csv
 
@@ -307,6 +307,17 @@ class StudyConfig:
     transforms: tuple[PredictorTransformSpec, ...]
 
 
+def _check_pools(config: StudyConfig) -> None:
+    """Reject an empirical pool smaller than the study's largest sample size, naming its dgms entry."""
+    n = max(config.sample_sizes)
+    for i, dgm in enumerate(config.dgms):
+        if dgm.pool is not None and dgm.pool.size < n:
+            raise InsufficientPoolError(
+                f"dgms[{i}]: pool {dgm.pool.label!r} has {dgm.pool.size} values, "
+                f"cannot subsample n={n} without replacement"
+            )
+
+
 def scenarios_for(config: StudyConfig) -> list[Scenario]:
     """The full cartesian grid, in deterministic order (n, then dgm, then transform)."""
     return [
@@ -331,6 +342,7 @@ def run_study(
         raise ValidationError("a study needs at least one sample size, true distribution and transform")
     scenarios = scenarios_for(config)
     _check_filenames_unique([s.label for s in scenarios])
+    _check_pools(config)
     width = len(config.transforms)  # scenarios_for lists each cell's transforms together
     cells = [(cell, tuple(scenarios[cell * width:(cell + 1) * width])) for cell in range(len(scenarios) // width)]
     results = []
@@ -433,7 +445,7 @@ def load_study_config(path) -> StudyConfig:
         )
         for i, entry in enumerate(transform_entries)
     )
-    return StudyConfig(
+    config = StudyConfig(
         name=name,
         seed=seed,
         n_reps=n_reps,
@@ -441,6 +453,8 @@ def load_study_config(path) -> StudyConfig:
         dgms=dgms,
         transforms=transforms,
     )
+    _check_pools(config)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +469,14 @@ def scenario_filename(label: str) -> str:
 
 
 def _check_filenames_unique(labels: list[str]) -> None:
-    """Reject scenario labels that would share a results file, naming them."""
+    """Reject scenario labels that would share a results file or take the summary's, naming them."""
     counts = Counter(scenario_filename(label) for label in labels)
     clashes = [label for label in labels if counts[scenario_filename(label)] > 1]
     if clashes:
         raise ConfigError(f"scenario labels collide after filename sanitization: {clashes}")
+    if counts["summary.csv"]:
+        [label] = [label for label in labels if scenario_filename(label) == "summary.csv"]
+        raise ConfigError(f"scenario label {label!r} would be written to summary.csv, the summary's own file")
 
 
 def _fmt(value: float) -> str:

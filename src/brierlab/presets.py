@@ -22,8 +22,9 @@ DEFAULT_SEED = 20250810
 # Target incidences of the two synthetic empirical pools.
 FULL_GRID_INCIDENCES = (0.07, 0.263)
 
-# Two-element stream addresses for pool generation; scenario streams always
-# use three-element addresses, so these can never collide with them.
+# Two-element stream addresses (tag, pool index) for pool generation. Cell
+# streams use three elements for q and y, (cell, block, 0 or 2), and four for
+# transform noise, (cell, block, 1, t), so these can never collide with them.
 _POOL_STREAM_TAG = 1_000_003
 
 

@@ -1,6 +1,7 @@
 """Command-line verbs: outputs, exit codes, figure emission, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -345,6 +346,30 @@ class TestSimulate:
         assert "empirical(a b)" in err and "empirical(a_b)" in err
         assert not (tmp_path / "o").exists()
 
+    def test_pool_smaller_than_sample_size_exits_2_before_any_block(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "pool.txt").write_text("0.2\n0.4\n0.6\n")
+        config = tmp_path / "tiny.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "study": {"name": "x", "seed": 1, "N": 10, "sample_sizes": [5]},
+                    "dgms": [
+                        {"kind": "uniform", "a": 0, "b": 1},
+                        {"kind": "empirical", "path": "pool.txt", "label": "tiny"},
+                    ],
+                    "transforms": [{"kind": "perfect"}],
+                }
+            )
+        )
+        calls = []
+        monkeypatch.setattr(engine, "_run_block", lambda *task: calls.append(task))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no cell ran, so none was reported
+        assert "dgms[1]: pool 'tiny' has 3 values, cannot subsample n=5 without replacement" in captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_failed_rewrite_removes_stale_summary(self, results_dir, study_config, tmp_path, monkeypatch):
         writes = []
         original = engine._atomic_write
@@ -373,7 +398,23 @@ class TestReport:
         svg = (out / f"figure{figure}.svg").read_text()
         assert svg.startswith("<?xml")
         assert "<svg" in svg and "</svg>" in svg
-        assert (out / f"figure{figure}.csv").exists()
+        # the figure CSV holds the summary text of the rows it shows: violins their metric's
+        # statistics, the bars each scenario's exceed_prob (on its brier row; every metric has it)
+        metric, columns = {
+            "1": ("brier", ("scenario", "n", "metric", "median", "q05", "q95", "mean")),
+            "2": ("cil", ("scenario", "n", "metric", "median", "q05", "q95", "mean")),
+            "3": ("gap", ("scenario", "n", "metric", "median", "q05", "q95", "mean")),
+            "4": ("brier", ("scenario", "n", "exceed_prob")),
+        }[figure]
+        with open(results_dir / "summary.csv", newline="") as fh:
+            header, *summary = list(csv.reader(fh))
+        shown = [dict(zip(header, row)) for row in summary if row[1] == "30" and row[2] == metric]
+        assert len(shown) == 4
+        with open(out / f"figure{figure}.csv", newline="") as fh:
+            written = list(csv.reader(fh))
+        assert written == [list(columns), *([row[c] for c in columns] for row in shown)]
+        floats = [cell for row in written[1:] for name, cell in zip(columns, row) if name not in ("scenario", "n", "metric")]
+        assert floats and all(cell == repr(float(cell)) for cell in floats)  # each float as its repr
 
     def test_regeneration_is_byte_identical(self, results_dir, tmp_path):
         out_a = tmp_path / "a"

@@ -53,7 +53,7 @@ from brierlab.engine import (
     write_study_results,
     write_summary_csv,
 )
-from brierlab.errors import ConfigError, ValidationError
+from brierlab.errors import ConfigError, InsufficientPoolError, ValidationError
 from brierlab.oracle import exact_exceedance_probability
 from brierlab.presets import DEFAULT_SEED, synthetic_pools
 
@@ -396,6 +396,15 @@ class TestStudy:
         for label in labels:
             assert f"empirical({label})" in str(info.value)
 
+    def test_pool_smaller_than_a_sample_size_fails_before_any_block(self, monkeypatch):
+        # a directly built config is checked too, not only a config document
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        tiny = Dist.empirical(make_synthetic_pool(0.3, size=3, seed=1, label="tiny"))
+        config = small_config(dgms=(Dist.uniform(0.0, 1.0), tiny), sample_sizes=(2, 5))
+        with pytest.raises(InsufficientPoolError) as info:
+            run_study(config)
+        assert str(info.value) == "dgms[1]: pool 'tiny' has 3 values, cannot subsample n=5 without replacement"
+
     def test_parallel_study_starts_one_process_pool(self, monkeypatch):
         starts = []
 
@@ -560,6 +569,7 @@ class TestConfigDocuments:
         (tmp_path / "pools").mkdir()
         (tmp_path / "pools" / "p.txt").write_text("0.1\n0.2\n0.3\n")
         doc = self.base_doc()
+        doc["study"]["sample_sizes"] = [3]  # a 3-value pool cannot serve a larger n
         doc["dgms"].append({"kind": "empirical", "path": "pools/p.txt", "label": "p"})
         config = load_study_config(self.write(tmp_path, doc))
         assert config.dgms[1].pool.size == 3
@@ -732,6 +742,16 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="no scenario results"):
             write_study_results([], tmp_path / "old")
         assert {path: path.read_bytes() for path in (tmp_path / "old").iterdir()} == before
+
+    @pytest.mark.parametrize("label", ["summary", "summary!"])
+    def test_label_written_as_summary_csv_is_refused(self, tmp_path, label):
+        # its file would be overwritten by the summary, and report would read the summary as it
+        results = run_study(small_config())
+        results[1] = dataclasses.replace(results[1], scenario=dataclasses.replace(results[1].scenario, label=label))
+        with pytest.raises(ConfigError) as info:
+            write_study_results(results, tmp_path / "out")
+        assert str(info.value) == f"scenario label {label!r} would be written to summary.csv, the summary's own file"
+        assert not (tmp_path / "out").exists()
 
     def test_round_trip(self, tmp_path):
         results = run_study(small_config())
