@@ -30,18 +30,25 @@ _FIGURES = {
 }
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
-    try:
-        return [float(token) for token in text.split(",") if token.strip()]
-    except ValueError:
-        raise ValidationError(f"{name}: expected comma-separated decimals, got {text!r}") from None
+# mode: (flags it needs, in order; the closed form on their values, returning named values).
+# --p and --q arrive as lists of strings and are read as decimals.
+_EXPECT = {
+    "g": (("--p1", "--q1"), lambda p1, q1: {"expected_score": analytic.expected_bs_single(p1, q1)}),
+    "f": (("--q1",), lambda q1: {"expected_perfect_score": analytic.expected_bs_perfect_single(q1)}),
+    "shift": (("--q1", "--eps", "--direction"), lambda q1, eps, direction: {
+        "shift_difference": analytic.shift_difference(q1, analytic.PerturbationSpec(eps, direction))}),
+    "perturb": (("--eps",), lambda eps: {"perturb_difference": analytic.perturb_difference(eps)}),
+    "jensen": (("--q",), lambda q: analytic.jensen_bound(q)._asdict()),
+    "clt": (("--p", "--q"), lambda p, q: dataclasses.asdict(analytic.clt_normal_approx(p, q))),
+}
 
 
-def _need(args, flag: str):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if value is None:
-        raise ValidationError(f"mode {args.mode!r} requires {flag}")
-    return value
+def _print_record(record: dict) -> None:
+    """One key=value line per entry: floats as their repr, booleans as true/false, the rest as str()."""
+    for key, value in record.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
 
 
 def cmd_score(args) -> int:
@@ -50,44 +57,27 @@ def cmd_score(args) -> int:
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
-        record = report.as_dict()
-        warnings = record.pop("warnings")
-        for key, value in record.items():
-            print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
-        print(f"warnings={';'.join(warnings)}")
-        for code in warnings:
+        _print_record({**report.as_dict(), "warnings": ";".join(report.warnings)})
+        for code in report.warnings:
             print(f"# {code}: {scoring.WARNING_EXPLANATIONS[code]}")
     return 0
 
 
+def _flag_value(args, flag: str):
+    value = getattr(args, flag[2:])
+    if value is None:
+        raise ValidationError(f"mode {args.mode!r} requires {flag}")
+    if not isinstance(value, list):
+        return value
+    try:
+        return [float(token) for token in value if token.strip()]
+    except ValueError:
+        raise ValidationError(f"{flag}: expected comma-separated decimals, got {','.join(value)!r}") from None
+
+
 def cmd_expect(args) -> int:
-    mode = args.mode
-    if mode == "g":
-        value = analytic.expected_bs_single(_need(args, "--p1"), _need(args, "--q1"))
-        print(f"expected_score={value!r}")
-    elif mode == "f":
-        value = analytic.expected_bs_perfect_single(_need(args, "--q1"))
-        print(f"expected_perfect_score={value!r}")
-    elif mode == "shift":
-        spec = analytic.PerturbationSpec(_need(args, "--eps"), args.direction)
-        value = analytic.shift_difference(_need(args, "--q1"), spec)
-        print(f"shift_difference={value!r}")
-    elif mode == "perturb":
-        value = analytic.perturb_difference(_need(args, "--eps"))
-        print(f"perturb_difference={value!r}")
-    elif mode == "jensen":
-        bound = analytic.jensen_bound(_parse_float_list(_need(args, "--q"), "--q"))
-        print(f"bound={bound.bound!r}")
-        print(f"tight={'true' if bound.tight else 'false'}")
-    elif mode == "clt":
-        summary = analytic.clt_normal_approx(
-            _parse_float_list(_need(args, "--p"), "--p"),
-            _parse_float_list(_need(args, "--q"), "--q"),
-        )
-        print(f"mean={summary.mean!r}")
-        print(f"variance={summary.variance!r}")
-        print(f"n={summary.n}")
-        print(f"sd_of_mean={summary.sd_of_mean!r}")
+    flags, formula = _EXPECT[args.mode]
+    _print_record(formula(*(_flag_value(args, flag) for flag in flags)))
     return 0
 
 
@@ -182,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expect = sub.add_parser("expect", help="evaluate closed-form quantities")
     p_expect.add_argument(
-        "--mode", required=True, choices=("g", "f", "shift", "perturb", "jensen", "clt"),
+        "--mode", required=True, choices=tuple(_EXPECT),
         help="g: expected score of p1 against truth q1; f: expected score under "
         "perfect prediction; shift: truth moved toward 1/2; perturb: prediction "
         "off by eps; jensen: upper bound for a truth vector; clt: normal "
@@ -192,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_expect.add_argument("--q1", type=float, help="scalar true probability")
     p_expect.add_argument("--eps", type=float, help="perturbation size")
     p_expect.add_argument("--direction", choices=("plus", "minus"), default="plus")
-    p_expect.add_argument("--p", help="comma-separated prediction vector")
-    p_expect.add_argument("--q", help="comma-separated true-probability vector")
+    p_expect.add_argument("--p", type=lambda text: text.split(","), help="comma-separated prediction vector")
+    p_expect.add_argument("--q", type=lambda text: text.split(","), help="comma-separated true-probability vector")
     p_expect.set_defaults(func=cmd_expect)
 
     p_sim = sub.add_parser("simulate", help="run a study configuration")

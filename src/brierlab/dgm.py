@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
-from .validation import as_probability_vector, names_undecodable_file
+from .validation import as_probability_vector, is_integer, names_undecodable_file
 
 __all__ = [
     "EmpiricalProbabilityPool",
@@ -80,6 +80,8 @@ class TrueDistributionSpec:
     def __post_init__(self):
         if self.kind != "empirical":
             _check_kind(self, TRUE_DISTRIBUTIONS, "true-distribution")
+            if self.pool is not None:
+                raise ValidationError(f"true-distribution kind {self.kind!r} draws its own values and takes no pool")
         elif self.pool is None or self.params:
             raise ValidationError("an empirical true distribution takes a pool and no params")
         elif self.pool.size < 1:
@@ -175,8 +177,8 @@ PREDICTOR_TRANSFORMS: dict[str, Kind] = {
 
 
 def _is_real(value) -> bool:
-    """A real number that float() takes: NaN and +-inf are, 10**400 is not (it overflows)."""
-    if not isinstance(value, numbers.Real):
+    """A real number that float() takes, and not a bool: NaN and +-inf are, 10**400 is not (it overflows)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
         float(value)
@@ -213,9 +215,9 @@ def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator
     the one stream, mirroring the iid treatment of the parametric kinds.
     """
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    if not (shape and all(map(is_integer, shape)) and min(shape) >= 0 and shape[-1] >= 1):
+        raise ValidationError(f"size must be an integer n >= 1 or a tuple of integers >= 0 ending in n, got {size!r}")
     n = shape[-1]
-    if n < 1:
-        raise ValidationError(f"sample size must be >= 1, got {n}")
     if spec.kind != "empirical":
         return TRUE_DISTRIBUTIONS[spec.kind].draw(*spec.params, shape, rng)
     pool = spec.pool
@@ -315,10 +317,12 @@ def make_synthetic_pool(
     ``target_incidence`` to ~1e-12. A synthetic stand-in for pools of fitted
     per-subject risks; clearly labeled as such.
     """
-    if not (0.0 < target_incidence < 1.0):
+    if not (_is_real(target_incidence) and 0.0 < target_incidence < 1.0):
         raise ValidationError(f"target incidence must lie in (0, 1), got {target_incidence}")
-    if size < 1:
-        raise ValidationError(f"pool size must be >= 1, got {size}")
+    if not is_integer(size) or size < 1:
+        raise ValidationError(f"pool size must be an integer >= 1, got {size!r}")
+    if not (_is_real(spread) and 0.0 <= spread < math.inf):
+        raise ValidationError(f"spread must be finite and nonnegative, got {spread}")
     if rng is None:
         rng = np.random.default_rng(seed)
     z = rng.normal(0.0, spread, size)

@@ -49,7 +49,7 @@ from .dgm import (
 )
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
-from .validation import CsvFormat, csv_rows, names_undecodable_file, read_float_csv
+from .validation import CsvFormat, csv_rows, is_integer, names_undecodable_file, read_float_csv
 
 __all__ = [
     "Scenario",
@@ -102,10 +102,6 @@ _SUMMARY_CSV = CsvFormat(
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One study cell: true distribution x predictor transform x sample size."""
@@ -116,7 +112,7 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 1:
+        if not is_integer(self.n) or self.n < 1:
             raise ValidationError(f"scenario sample size must be an integer >= 1, got {self.n!r}")
         if not self.label:
             auto = f"{self.true_dist.label}+{self.transform.label}+n{self.n}"
@@ -233,17 +229,17 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
     One worker maps them in process; more submit them all to a single pool,
     so a study starts one pool however many cells it has.
     """
-    if not _is_integer(n_reps) or n_reps < 1:
+    if not is_integer(n_reps) or n_reps < 1:
         raise ValidationError(f"replication count must be an integer >= 1, got {n_reps!r}")
     for name, value in (("worker count", workers), ("seed", root_seed)):
-        if not _is_integer(value):
+        if not is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
     if root_seed < 0:
         raise ValidationError(f"seed must be >= 0, got {root_seed}")
     for cell, _ in cells:
-        if not _is_integer(cell) or cell < 0:
+        if not is_integer(cell) or cell < 0:
             raise ValidationError(f"cell index must be an integer >= 0, got {cell!r}")
     n_blocks = -(-n_reps // BLOCK_REPS)
     tasks = [
@@ -421,12 +417,12 @@ def load_study_config(path) -> StudyConfig:
     seed = _require(study, "seed", "study")
     n_reps = _require(study, "N", "study")
     sample_sizes = _require(study, "sample_sizes", "study")
-    if not _is_integer(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError(f"study.seed: must be a nonnegative integer, got {seed!r}")
-    if not _is_integer(n_reps) or n_reps < 1:
+    if not is_integer(n_reps) or n_reps < 1:
         raise ConfigError(f"study.N: must be a positive integer, got {n_reps!r}")
     if not isinstance(sample_sizes, list) or not sample_sizes or not all(
-        _is_integer(n) and n >= 1 for n in sample_sizes
+        is_integer(n) and n >= 1 for n in sample_sizes
     ):
         raise ConfigError("study.sample_sizes: must be a nonempty list of positive integers")
 

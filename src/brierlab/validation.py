@@ -69,6 +69,11 @@ def check_same_length(a: np.ndarray, b: np.ndarray, what: str = "vectors") -> No
         raise DimensionError(f"{what} have mismatched lengths: {a.shape[0]} vs {b.shape[0]}")
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_unit_scalar(value, name: str) -> float:
     """Validate a scalar probability in [0, 1] (with DOMAIN_TOL slack)."""
     x = float(value)

@@ -161,43 +161,73 @@ class TestScore:
 
 
 class TestExpect:
+    """Whole stdout and stderr, so that "expected_score=0.1" cannot pass for "expected_score=0.1125"."""
+
     def test_model_comparison_values(self, capsys):
         assert main(["expect", "--mode", "g", "--p1", "0", "--q1", "0.1"]) == 0
-        assert "expected_score=0.1" in capsys.readouterr().out
+        assert capsys.readouterr() == ("expected_score=0.1\n", "")
         assert main(["expect", "--mode", "g", "--p1", "0.25", "--q1", "0.1"]) == 0
-        assert "expected_score=0.1125" in capsys.readouterr().out
+        assert capsys.readouterr() == ("expected_score=0.1125\n", "")
 
     def test_perfect_half(self, capsys):
         assert main(["expect", "--mode", "f", "--q1", "0.5"]) == 0
-        assert "expected_perfect_score=0.25" in capsys.readouterr().out
+        assert capsys.readouterr() == ("expected_perfect_score=0.25\n", "")
 
     def test_perturb(self, capsys):
         assert main(["expect", "--mode", "perturb", "--eps", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("perturb_difference=0.01")
+        assert capsys.readouterr() == ("perturb_difference=0.010000000000000002\n", "")
 
     def test_shift_with_direction(self, capsys):
         assert main(["expect", "--mode", "shift", "--q1", "0.9", "--eps", "0.1",
                      "--direction", "minus"]) == 0
-        assert "shift_difference=0.07" in capsys.readouterr().out
+        assert capsys.readouterr() == ("shift_difference=0.07\n", "")
+        assert main(["expect", "--mode", "shift", "--q1", "0.2", "--eps", "0.1"]) == 0
+        assert capsys.readouterr() == ("shift_difference=0.05\n", "")
 
     def test_jensen_vector(self, capsys):
         assert main(["expect", "--mode", "jensen", "--q", "0.2,0.4"]) == 0
-        out = capsys.readouterr().out
-        assert "bound=0.21" in out
-        assert "tight=false" in out
+        assert capsys.readouterr() == ("bound=0.21000000000000002\ntight=false\n", "")
+        assert main(["expect", "--mode", "jensen", "--q", "0.3,0.3"]) == 0
+        assert capsys.readouterr() == ("bound=0.21\ntight=true\n", "")
 
     def test_clt_vectors(self, capsys):
         assert main(["expect", "--mode", "clt", "--p", "0.1,0.1", "--q", "0.1,0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "mean=0.09" in out
-        assert "sd_of_mean=" in out
+        assert capsys.readouterr() == (
+            "mean=0.09\nvariance=0.05760000000000002\nn=2\nsd_of_mean=0.16970562748477144\n", ""
+        )
 
-    def test_missing_argument_exits_2(self, capsys):
-        assert main(["expect", "--mode", "g", "--p1", "0.5"]) == 2
+    @pytest.mark.parametrize("argv, flag", [
+        ("--mode g --q1 0.5", "--p1"),
+        ("--mode g --p1 0.5", "--q1"),
+        ("--mode f", "--q1"),
+        ("--mode shift --eps 0.1", "--q1"),
+        ("--mode shift --q1 0.5", "--eps"),
+        ("--mode perturb", "--eps"),
+        ("--mode jensen", "--q"),
+        ("--mode clt --q 0.1", "--p"),
+        ("--mode clt --p 0.1", "--q"),
+    ])
+    def test_missing_argument_exits_2(self, capsys, argv, flag):
+        assert main(["expect", *argv.split()]) == 2
+        mode = argv.split()[1]
+        assert capsys.readouterr() == ("", f"error: mode {mode!r} requires {flag}\n")
 
-    def test_domain_error_exits_2(self, capsys):
-        assert main(["expect", "--mode", "f", "--q1", "1.5"]) == 2
+    @pytest.mark.parametrize("argv, message", [
+        ("--mode f --q1 1.5", "q1 = 1.5 lies outside [0, 1]"),
+        ("--mode g --p1 1.5 --q1 0.1", "p1 = 1.5 lies outside [0, 1]"),
+        ("--mode g --p1 0.1 --q1 -0.5", "q1 = -0.5 lies outside [0, 1]"),
+        ("--mode shift --q1 0.2 --eps -1", "epsilon must be a nonnegative real, got -1.0"),
+        ("--mode shift --q1 0.2 --eps 0.5", "upward shift requires q1 + eps <= 1/2, got 0.2 + 0.5"),
+        ("--mode perturb --eps -1", "epsilon must be a nonnegative real, got -1.0"),
+        ("--mode jensen --q a,b", "--q: expected comma-separated decimals, got 'a,b'"),
+        ("--mode jensen --q ,", "true probabilities must contain at least one element"),
+        ("--mode clt --p x --q 0.1", "--p: expected comma-separated decimals, got 'x'"),
+        ("--mode clt --p 0.1 --q y", "--q: expected comma-separated decimals, got 'y'"),
+        ("--mode clt --p 0.1,0.2 --q 0.1", "predictions/true probabilities have mismatched lengths: 2 vs 1"),
+    ])
+    def test_domain_error_exits_2(self, capsys, argv, message):
+        assert main(["expect", *argv.split()]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_domain_error_prints_a_plain_float(self, capsys):
         assert main(["expect", "--mode", "clt", "--p", "1.5,0.2", "--q", "0.5,0.5"]) == 2

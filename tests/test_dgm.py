@@ -192,6 +192,19 @@ class TestOneCheckedPathPerKind:
         with pytest.raises(ValidationError, match=r"^predictor-transform kind 'uniform_noise' takes finite numbers"):
             PredictorTransformSpec.uniform_noise(None)
 
+    @pytest.mark.parametrize("value", [True, False], ids=str)
+    @pytest.mark.parametrize("spec_class, kind", [k for k in KINDS if k[1] != "perfect"], ids=_kind_id)
+    def test_every_param_rejects_bools(self, spec_class, kind, value):
+        # True is a numbers.Real, yet constant(True) is no constant(1): refused as the config reader refuses it
+        for i in range(len(dict(FAMILIES)[spec_class][kind].fields)):
+            params = list(LABELS[kind][0])
+            params[i] = value
+            text = f"{FAMILY_NAMES[spec_class]} kind {kind!r} takes finite numbers, got {tuple(params)!r}"
+            for build in (lambda: spec_class(kind, tuple(params)), lambda: getattr(spec_class, kind)(*params)):
+                with pytest.raises(ValidationError) as info:
+                    build()
+                assert str(info.value) == text
+
     @pytest.mark.parametrize(
         "spec_class, kind, position",
         [(TrueDistributionSpec, "beta", 0), (TrueDistributionSpec, "beta", 1), (PredictorTransformSpec, "rademacher_noise", 0)],
@@ -242,6 +255,13 @@ class TestOneCheckedPathPerKind:
         for build in (lambda: TrueDistributionSpec("empirical", pool=empty), lambda: TrueDistributionSpec.empirical(empty)):
             with pytest.raises(ValidationError, match="^empirical pool must be nonempty$"):
                 build()
+
+    @pytest.mark.parametrize("kind", TRUE_DISTRIBUTIONS)
+    def test_parametric_spec_given_a_pool_is_rejected(self, kind):
+        # it would never draw from the pool, yet the study's pool-size check would still judge it
+        with pytest.raises(ValidationError) as info:
+            TrueDistributionSpec(kind, LABELS[kind][0], pool=_pool([0.2, 0.4, 0.6]))
+        assert str(info.value) == f"true-distribution kind {kind!r} draws its own values and takes no pool"
 
 
 class TestTrueDistributions:
@@ -313,9 +333,11 @@ class TestTrueDistributions:
         with pytest.raises(ValidationError, match=rf"^bias delta must satisfy \|delta\| < 1, got {value}$"):
             PredictorTransformSpec(kind="additive_bias", params=(value,))
 
-    def test_sample_size_validated(self, rng):
-        with pytest.raises(ValidationError):
-            sample_true_probs(TrueDistributionSpec.constant(0.5), 0, rng)
+    @pytest.mark.parametrize("size", [0, -2, 2.5, True, "10", None, (), (3, 2.5), (-1, 5), (3, 0), (True, 5)], ids=repr)
+    def test_sample_size_validated(self, rng, size):
+        with pytest.raises(ValidationError) as info:
+            sample_true_probs(TrueDistributionSpec.constant(0.5), size, rng)
+        assert str(info.value).endswith(f"got {size!r}")
 
 
 class TestTransforms:
@@ -472,3 +494,21 @@ class TestSyntheticPool:
     def test_target_validated(self):
         with pytest.raises(ValidationError):
             make_synthetic_pool(0.0, size=10, seed=0)
+
+    @pytest.mark.parametrize("argument, message", [
+        ({"size": 2.5}, "pool size must be an integer >= 1, got 2.5"),
+        ({"size": True}, "pool size must be an integer >= 1, got True"),
+        ({"size": 0}, "pool size must be an integer >= 1, got 0"),
+        ({"spread": -1.0}, "spread must be finite and nonnegative, got -1.0"),
+        ({"spread": float("nan")}, "spread must be finite and nonnegative, got nan"),
+        ({"spread": float("inf")}, "spread must be finite and nonnegative, got inf"),
+        ({"spread": "1"}, "spread must be finite and nonnegative, got 1"),
+        ({"target_incidence": "0.5"}, "target incidence must lie in (0, 1), got 0.5"),
+    ], ids=repr)
+    def test_bad_argument_raises_validation_error(self, argument, message):
+        with pytest.raises(ValidationError) as info:
+            make_synthetic_pool(**{"target_incidence": 0.3, "size": 10, "seed": 0, **argument})
+        assert str(info.value) == message
+
+    def test_zero_spread_gives_a_constant_pool(self):
+        assert np.allclose(make_synthetic_pool(0.3, size=10, spread=0.0, seed=0).probabilities, 0.3)
