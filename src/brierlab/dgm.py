@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,23 +49,21 @@ def derive_stream(root_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalProbabilityPool:
-    """A fixed pool of probabilities that scenarios subsample without replacement."""
+    """A fixed pool of probabilities that scenarios subsample without replacement; checked when built."""
 
-    probabilities: np.ndarray
+    probabilities: np.ndarray  # stored read-only, as float64
     label: str
-    nominal_incidence: float
+    nominal_incidence: float = field(init=False)  # the mean of the probabilities
+
+    def __post_init__(self):
+        probs = as_probability_vector(self.probabilities, f"pool {self.label!r}")
+        probs.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "nominal_incidence", float(np.mean(probs)))
 
     @property
     def size(self) -> int:
         return int(self.probabilities.size)
-
-
-def _make_pool(values, label: str) -> EmpiricalProbabilityPool:
-    probs = as_probability_vector(values, f"pool {label!r}")
-    probs.setflags(write=False)
-    return EmpiricalProbabilityPool(
-        probabilities=probs, label=label, nominal_incidence=float(np.mean(probs))
-    )
 
 
 @dataclass(frozen=True)
@@ -82,10 +80,8 @@ class TrueDistributionSpec:
             _check_kind(self, TRUE_DISTRIBUTIONS, "true-distribution")
             if self.pool is not None:
                 raise ValidationError(f"true-distribution kind {self.kind!r} draws its own values and takes no pool")
-        elif self.pool is None or self.params:
+        elif not isinstance(self.pool, EmpiricalProbabilityPool) or self.params:
             raise ValidationError("an empirical true distribution takes a pool and no params")
-        elif self.pool.size < 1:
-            raise ValidationError("empirical pool must be nonempty")
         elif not self.label:
             object.__setattr__(self, "label", f"empirical({self.pool.label})")
 
@@ -280,9 +276,7 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
             values.append(value)
     if not values:
         raise ValidationError(f"{path}: no probabilities found")
-    if label is None:
-        label = _stem(path)
-    return _make_pool(values, label)
+    return EmpiricalProbabilityPool(values, _stem(path) if label is None else label)
 
 
 def write_pool_file(pool: EmpiricalProbabilityPool, path, comment: str | None = None) -> None:
@@ -313,8 +307,9 @@ def make_synthetic_pool(
     """Generate a logistic-style probability pool with an exact mean.
 
     Draws a linear predictor z ~ Normal(0, spread), then shifts it by a
-    constant found by bisection so that mean(sigmoid(z + shift)) equals
-    ``target_incidence`` to ~1e-12. A synthetic stand-in for pools of fitted
+    constant found by bisection in [-40, 40] so that mean(sigmoid(z + shift))
+    equals ``target_incidence`` to ~1e-12; a target no such shift meets to 1e-9
+    relative raises ValidationError. A synthetic stand-in for pools of fitted
     per-subject risks; clearly labeled as such.
     """
     if not (_is_real(target_incidence) and 0.0 < target_incidence < 1.0):
@@ -327,18 +322,22 @@ def make_synthetic_pool(
         rng = np.random.default_rng(seed)
     z = rng.normal(0.0, spread, size)
 
-    def mean_at(shift: float) -> float:
-        return float(np.mean(1.0 / (1.0 + np.exp(-(z + shift)))))
+    def sigmoid(shift: float) -> np.ndarray:
+        with np.errstate(over="ignore"):  # exp overflows to inf where the value's limit, 0, is right
+            return 1.0 / (1.0 + np.exp(-(z + shift)))
 
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mean_at(mid) < target_incidence:
+        if np.mean(sigmoid(mid)) < target_incidence:
             lo = mid
         else:
             hi = mid
-    shift = 0.5 * (lo + hi)
-    probs = 1.0 / (1.0 + np.exp(-(z + shift)))
-    if label is None:
-        label = f"synthetic-{target_incidence:g}"
-    return _make_pool(probs, label)
+    label = f"synthetic-{target_incidence:g}" if label is None else label
+    pool = EmpiricalProbabilityPool(sigmoid(0.5 * (lo + hi)), label)
+    if abs(pool.nominal_incidence - target_incidence) > 1e-9 * target_incidence:
+        raise ValidationError(
+            f"target incidence {target_incidence} is out of reach at spread {spread}: "
+            f"the pool's mean is {pool.nominal_incidence!r}"
+        )
+    return pool

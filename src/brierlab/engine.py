@@ -112,6 +112,9 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
+        for name, spec_class in (("true_dist", TrueDistributionSpec), ("transform", PredictorTransformSpec)):
+            if not isinstance(getattr(self, name), spec_class):
+                raise ValidationError(f"scenario {name} must be a {spec_class.__name__}, got {getattr(self, name)!r}")
         if not is_integer(self.n) or self.n < 1:
             raise ValidationError(f"scenario sample size must be an integer >= 1, got {self.n!r}")
         if not self.label:
@@ -134,31 +137,31 @@ def replication_streams(root_seed: int, cell: int, block: int) -> tuple:
 
 
 def _score_cell(scenarios, streams, rows: int) -> np.ndarray:
-    """Score ``rows`` replications of each of a cell's T scenarios as a (T, rows, 5) array.
+    """Score ``rows`` replications of a cell's T scenarios as a (2T + 3, rows) table.
 
-    A row is brier, cil, gap, exceeded, ybar. q and y are drawn once, and
-    transform t draws from streams[1][t]. The gap and exceedance flag are
-    scored once, against the perfect prediction q; the flag uses the
+    Its rows are T brier, T cil, then gap, exceeded and ybar. q and y are drawn
+    once, and transform t draws from streams[1][t]. The gap and exceedance flag
+    are scored once, against the perfect prediction q; the flag uses the
     oracle's tie tolerance, so exact ties never count as exceedances.
     """
     q_stream, transform_streams, outcome_stream = streams
     q = sample_true_probs(scenarios[0].true_dist, (rows, scenarios[0].n), q_stream)
     y = sample_outcomes(q, outcome_stream)
 
-    ybar = y.mean(axis=1)
+    width = len(scenarios)
+    table = np.empty((2 * width + 3, rows))
+    ybar = table[-1] = y.mean(axis=1)
     reference = ybar - ybar * ybar
     brier_perfect = np.mean((q - y) ** 2, axis=1)
-    scores = np.empty((len(scenarios), rows, 5))
-    scores[:, :, 2] = reference - brier_perfect
-    scores[:, :, 3] = brier_perfect > reference + EXCEEDANCE_TIE_TOL
-    scores[:, :, 4] = ybar
-    for scored, scenario, stream in zip(scores, scenarios, transform_streams):
+    table[-3] = reference - brier_perfect
+    table[-2] = brier_perfect > reference + EXCEEDANCE_TIE_TOL
+    for t, (scenario, stream) in enumerate(zip(scenarios, transform_streams)):
         p = apply_predictor_transform(q, scenario.transform, stream)
-        scored[:, 1] = p.mean(axis=1) - ybar
+        table[width + t] = p.mean(axis=1) - ybar
         p -= y  # squared in place: one (rows, n) matrix per transform
-        scored[:, 0] = np.square(p, out=p).mean(axis=1)
+        table[t] = np.square(p, out=p).mean(axis=1)
         del p
-    return scores
+    return table
 
 
 class SummaryStats(NamedTuple):
@@ -211,8 +214,8 @@ class ScenarioResult:
 
 
 def run_replication(scenario: Scenario, streams) -> np.ndarray:
-    """One replication on the streams of replication_streams, scored as a one-row block."""
-    return _score_cell((scenario,), streams, 1)[0, 0]
+    """One replication on the streams of replication_streams: its brier, cil, gap, exceeded and ybar."""
+    return _score_cell((scenario,), streams, 1)[:, 0]
 
 
 def _run_block(scenarios: tuple, root_seed: int, cell: int, block: int, n_reps: int) -> np.ndarray:
@@ -257,13 +260,11 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
             futures = [pool.submit(_run_block, *task) for task in tasks]
             blocks = (future.result() for future in futures)
         for cell, scenarios in cells:
-            # Blocks arrive in replication order, each (T, rows, 5).
-            scores = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
+            # Blocks arrive in replication order; rows: T brier, T cil, then gap, exceeded and ybar.
+            table = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
             width = len(scenarios)
-            # Contiguous rows: T brier, T cil, then the cell's one gap row.
-            table = np.concatenate((scores[:, :, 0], scores[:, :, 1], scores[:1, :, 2]))
-            stats = _summarize_rows(table)
-            gap, exceeded, ybar = table[-1], scores[0, :, 3].astype(bool), scores[0, :, 4].copy()
+            stats = _summarize_rows(table[:-2])
+            gap, exceeded, ybar = table[-3], table[-2].astype(bool), table[-1]
             gap.flags.writeable = exceeded.flags.writeable = ybar.flags.writeable = False
             for t, scenario in enumerate(scenarios):
                 summaries = dict(zip(_SUMMARY_METRICS, (stats[t], stats[width + t], stats[-1])))
@@ -293,7 +294,11 @@ def run_scenario(
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """A full study: DGM grid x transform grid x sample sizes, N reps each."""
+    """A full study: DGM grid x transform grid x sample sizes, N reps each.
+
+    Its grid is checked when built: nonempty, no clashing scenario files, no pool
+    smaller than the largest n. Seed, N and workers are checked when it runs.
+    """
 
     name: str
     seed: int
@@ -302,16 +307,17 @@ class StudyConfig:
     dgms: tuple[TrueDistributionSpec, ...]
     transforms: tuple[PredictorTransformSpec, ...]
 
-
-def _check_pools(config: StudyConfig) -> None:
-    """Reject an empirical pool smaller than the study's largest sample size, naming its dgms entry."""
-    n = max(config.sample_sizes)
-    for i, dgm in enumerate(config.dgms):
-        if dgm.pool is not None and dgm.pool.size < n:
-            raise InsufficientPoolError(
-                f"dgms[{i}]: pool {dgm.pool.label!r} has {dgm.pool.size} values, "
-                f"cannot subsample n={n} without replacement"
-            )
+    def __post_init__(self):
+        if not (self.sample_sizes and self.dgms and self.transforms):
+            raise ValidationError("a study needs at least one sample size, true distribution and transform")
+        _check_filenames_unique([s.label for s in scenarios_for(self)])
+        n = max(self.sample_sizes)
+        for i, dgm in enumerate(self.dgms):
+            if dgm.pool is not None and dgm.pool.size < n:
+                raise InsufficientPoolError(
+                    f"dgms[{i}]: pool {dgm.pool.label!r} has {dgm.pool.size} values, "
+                    f"cannot subsample n={n} without replacement"
+                )
 
 
 def scenarios_for(config: StudyConfig) -> list[Scenario]:
@@ -334,11 +340,7 @@ def run_study(
     With ``workers`` > 1 one process pool serves every block of every cell;
     results and ``progress`` calls still come in scenario order.
     """
-    if not (config.sample_sizes and config.dgms and config.transforms):
-        raise ValidationError("a study needs at least one sample size, true distribution and transform")
     scenarios = scenarios_for(config)
-    _check_filenames_unique([s.label for s in scenarios])
-    _check_pools(config)
     width = len(config.transforms)  # scenarios_for lists each cell's transforms together
     cells = [(cell, tuple(scenarios[cell * width:(cell + 1) * width])) for cell in range(len(scenarios) // width)]
     results = []
@@ -441,7 +443,7 @@ def load_study_config(path) -> StudyConfig:
         )
         for i, entry in enumerate(transform_entries)
     )
-    config = StudyConfig(
+    return StudyConfig(
         name=name,
         seed=seed,
         n_reps=n_reps,
@@ -449,8 +451,6 @@ def load_study_config(path) -> StudyConfig:
         dgms=dgms,
         transforms=transforms,
     )
-    _check_pools(config)
-    return config
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from brierlab.errors import InsufficientPoolError, ValidationError
 
 
 def _pool(values):
-    from brierlab.dgm import _make_pool
-
-    return _make_pool(values, "test-pool")
+    return EmpiricalProbabilityPool(values, "test-pool")
 
 
 def reference_sample_true_probs(spec, size, rng):
@@ -251,10 +249,8 @@ class TestOneCheckedPathPerKind:
 
     def test_direct_empirical_spec_is_checked_and_labelled(self):
         assert TrueDistributionSpec("empirical", pool=_pool([0.2, 0.4])).label == "empirical(test-pool)"
-        empty = EmpiricalProbabilityPool(np.array([]), "none", 0.0)
-        for build in (lambda: TrueDistributionSpec("empirical", pool=empty), lambda: TrueDistributionSpec.empirical(empty)):
-            with pytest.raises(ValidationError, match="^empirical pool must be nonempty$"):
-                build()
+        with pytest.raises(ValidationError, match="^pool 'none' must contain at least one element$"):
+            EmpiricalProbabilityPool(np.array([]), "none")
 
     @pytest.mark.parametrize("kind", TRUE_DISTRIBUTIONS)
     def test_parametric_spec_given_a_pool_is_rejected(self, kind):
@@ -479,6 +475,49 @@ class TestPoolFiles:
         assert np.array_equal(loaded.probabilities, pool.probabilities)
 
 
+class TestPoolBuiltDirectly:
+    """A pool checks its values when it is built, however it is built, naming itself."""
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.5, 0.2], "pool 'bad'[0] = 1.5 lies outside [0, 1] by more than 1e-12"),
+        ([0.2, -2.0], "pool 'bad'[1] = -2.0 lies outside [0, 1] by more than 1e-12"),
+        ([0.2, float("nan")], "pool 'bad'[1] is not finite: nan"),
+        ([], "pool 'bad' must contain at least one element"),
+        ([[0.1, 0.2]], "pool 'bad' must be one-dimensional, got shape (1, 2)"),
+    ], ids=["above-one", "negative", "nan", "empty", "2-d"])
+    def test_bad_values_are_refused_naming_the_pool(self, values, message):
+        with pytest.raises(ValidationError) as info:
+            EmpiricalProbabilityPool(values, "bad")
+        assert str(info.value) == message
+
+    def test_a_list_is_stored_read_only_with_its_mean(self):
+        values = [0.1, 0.2, 0.6]
+        pool = EmpiricalProbabilityPool(values, "listed")
+        assert pool.probabilities.dtype == np.float64
+        assert pool.probabilities.tolist() == values
+        assert not pool.probabilities.flags.writeable
+        assert pool.nominal_incidence == np.mean(values)
+        assert pool.size == 3
+        assert TrueDistributionSpec.empirical(pool).label == "empirical(listed)"
+
+    def test_the_callers_array_is_copied_not_frozen(self):
+        values = np.array([0.1, 0.2])
+        pool = EmpiricalProbabilityPool(values, "copied")
+        values[0] = 0.9
+        assert pool.probabilities.tolist() == [0.1, 0.2]
+        assert pool.nominal_incidence == np.mean([0.1, 0.2])
+
+    def test_nominal_incidence_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            EmpiricalProbabilityPool([0.1, 0.2], "given", 0.5)
+
+    @pytest.mark.parametrize("pool", [[0.1, 0.2], np.array([0.1, 0.2]), None], ids=["list", "array", "none"])
+    def test_empirical_spec_refuses_what_is_not_a_pool(self, pool):
+        for build in (lambda: TrueDistributionSpec("empirical", pool=pool), lambda: TrueDistributionSpec.empirical(pool)):
+            with pytest.raises(ValidationError, match="^an empirical true distribution takes a pool and no params$"):
+                build()
+
+
 class TestSyntheticPool:
     @pytest.mark.parametrize("incidence", [0.07, 0.263])
     def test_mean_matches_target(self, incidence):
@@ -509,6 +548,16 @@ class TestSyntheticPool:
         with pytest.raises(ValidationError) as info:
             make_synthetic_pool(**{"target_incidence": 0.3, "size": 10, "seed": 0, **argument})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("target, spread", [(1e-20, 1.0), (0.3, 1000.0), (0.3, 1e6)], ids=repr)
+    def test_unreachable_target_is_refused(self, target, spread):
+        # the shift is bisected in [-40, 40]; at spread 1e6, exp overflows without a warning
+        with pytest.raises(ValidationError) as info:
+            make_synthetic_pool(target, size=1000, spread=spread, seed=1)
+        prefix = f"target incidence {target} is out of reach at spread {spread}: the pool's mean is "
+        assert str(info.value).startswith(prefix)
+        reached = float(str(info.value)[len(prefix):])
+        assert abs(reached - target) > 1e-9 * target
 
     def test_zero_spread_gives_a_constant_pool(self):
         assert np.allclose(make_synthetic_pool(0.3, size=10, spread=0.0, seed=0).probabilities, 0.3)

@@ -98,15 +98,15 @@ class TestRunReplication:
     def test_constant_half_perfect_is_exact(self):
         scenario = Scenario(Dist.constant(0.5), Transform.perfect(), 300)
         for block in range(2):
-            [rows] = engine._run_block((scenario,), 5, 0, block, BLOCK_REPS + 20)
-            assert rows.shape == ((BLOCK_REPS, 20)[block], 5)
-            assert np.all(rows[:, 0] == 0.25)  # each (0.5 - y)^2 is exactly 0.25
+            table = engine._run_block((scenario,), 5, 0, block, BLOCK_REPS + 20)
+            assert table.shape == (5, (BLOCK_REPS, 20)[block])
+            assert np.all(table[0] == 0.25)  # each (0.5 - y)^2 is exactly 0.25
 
     def test_two_point_degenerate_is_zero(self):
         scenario = Scenario(Dist.two_point(0.0, 1.0, 0.5), Transform.perfect(), 300)
-        [rows] = engine._run_block((scenario,), 5, 0, 0, 20)
-        assert rows.shape == (20, 5)
-        assert np.all(rows[:, 0] == 0.0)
+        table = engine._run_block((scenario,), 5, 0, 0, 20)
+        assert table.shape == (5, 20)
+        assert np.all(table[0] == 0.0)
 
     def test_deterministic_per_stream(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.uniform_noise(0.1), 100)
@@ -118,7 +118,7 @@ class TestRunReplication:
 
     def test_gap_and_exceedance_are_consistent(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 50)
-        brier, _, gap, exceeded, ybar = engine._run_block((scenario,), 11, 0, 0, 50)[0].T
+        brier, _, gap, exceeded, ybar = engine._run_block((scenario,), 11, 0, 0, 50)
         reference = ybar - ybar**2
         brier_perfect = reference - gap
         assert np.array_equal(exceeded == 1.0, brier_perfect > reference + 1e-12)
@@ -139,11 +139,11 @@ class TestRunReplication:
         for transform in transforms:
             scenario = Scenario(dist, transform, 60)
             row = run_replication(scenario, replication_streams(13, 4, 2))
-            assert np.array_equal(row, engine._run_block((scenario,), 13, 4, 2, 3 * BLOCK_REPS)[0, 0])
+            assert np.array_equal(row, engine._run_block((scenario,), 13, 4, 2, 3 * BLOCK_REPS)[:, 0])
 
     def test_empirical_rows_hold_distinct_pool_entries(self):
         values = np.linspace(0.001, 0.999, 500)  # every pool entry distinct
-        spec = Dist.empirical(EmpiricalProbabilityPool(values, "distinct", float(np.mean(values))))
+        spec = Dist.empirical(EmpiricalProbabilityPool(values, "distinct"))
         q = sample_true_probs(spec, (BLOCK_REPS, 300), derive_stream(17, 0, 0, 0))
         assert q.shape == (BLOCK_REPS, 300)
         assert np.all(np.isin(q, values))
@@ -400,9 +400,8 @@ class TestStudy:
         # a directly built config is checked too, not only a config document
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
         tiny = Dist.empirical(make_synthetic_pool(0.3, size=3, seed=1, label="tiny"))
-        config = small_config(dgms=(Dist.uniform(0.0, 1.0), tiny), sample_sizes=(2, 5))
         with pytest.raises(InsufficientPoolError) as info:
-            run_study(config)
+            run_study(small_config(dgms=(Dist.uniform(0.0, 1.0), tiny), sample_sizes=(2, 5)))
         assert str(info.value) == "dgms[1]: pool 'tiny' has 3 values, cannot subsample n=5 without replacement"
 
     def test_parallel_study_starts_one_process_pool(self, monkeypatch):
@@ -476,10 +475,57 @@ class TestDirectInputChecks:
         for got, want in zip(results, expected, strict=True):
             assert np.array_equal(got.brier_samples, want.brier_samples)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Scenario("uniform", Transform.perfect(), 5), "scenario true_dist must be a TrueDistributionSpec, got 'uniform'"),
+        (lambda: Scenario(Dist.uniform(0.0, 1.0), "perfect", 5),
+         "scenario transform must be a PredictorTransformSpec, got 'perfect'"),
+        (lambda: Scenario(Transform.perfect(), Transform.perfect(), 5),
+         "scenario true_dist must be a TrueDistributionSpec, got PredictorTransformSpec(kind='perfect', params=(), "
+         "label='perfect')"),
+        (lambda: small_config(dgms=(Dist.uniform(0.0, 1.0), "uniform")),
+         "scenario true_dist must be a TrueDistributionSpec, got 'uniform'"),
+        (lambda: small_config(transforms=(Transform.perfect(), None)),
+         "scenario transform must be a PredictorTransformSpec, got None"),
+    ], ids=["scenario-dist", "scenario-transform", "swapped", "config-dgm", "config-transform"])
+    def test_a_spec_field_that_is_not_a_spec_is_refused(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_numpy_integer_sample_size_accepted(self):
         scenario = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), np.int64(10))
         assert scenario.label.endswith("+n10")
         assert run_scenario(scenario, 3, 1).brier_samples.shape == (3,)
+
+
+class TestStudyConfigChecks:
+    """A StudyConfig checks its grid when it is built, directly or through dataclasses.replace."""
+
+    TINY = Dist.empirical(make_synthetic_pool(0.3, size=3, seed=1, label="tiny"))
+
+    @pytest.mark.parametrize("overrides, error, message", [
+        ({"sample_sizes": ()}, ValidationError, "a study needs at least one sample size, true distribution and transform"),
+        ({"dgms": (Dist.constant(0.5), Dist.constant(0.5))}, ConfigError,
+         "scenario labels collide after filename sanitization: ['constant(0.5)+perfect+n50', "
+         "'constant(0.5)+bias(+0.1)+n50', 'constant(0.5)+perfect+n50', 'constant(0.5)+bias(+0.1)+n50']"),
+        ({"dgms": (Dist.uniform(0.0, 1.0), TINY), "sample_sizes": (2, 5)}, InsufficientPoolError,
+         "dgms[1]: pool 'tiny' has 3 values, cannot subsample n=5 without replacement"),
+    ], ids=["empty-grid", "label-clash", "small-pool"])
+    def test_refused_when_built_before_any_block(self, monkeypatch, overrides, error, message):
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        with pytest.raises(error) as info:
+            small_config(**overrides)
+        assert str(info.value) == message
+        valid = small_config()
+        with pytest.raises(error) as info:
+            dataclasses.replace(valid, **overrides)
+        assert str(info.value) == message
+
+    def test_checks_run_in_order_empty_grid_then_clash_then_pool(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            small_config(dgms=(self.TINY, self.TINY), transforms=())
+        with pytest.raises(ConfigError, match="collide"):
+            small_config(dgms=(self.TINY, self.TINY), sample_sizes=(2, 5))
 
 
 class TestCommonRandomNumbers:
@@ -681,6 +727,13 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError) as info:
             load_study_config(self.write(tmp_path, doc))
         assert str(info.value) == message
+
+    def test_label_clash_is_named_before_a_too_small_pool(self, tmp_path):
+        (tmp_path / "p.txt").write_text("0.1\n0.2\n")
+        doc = self.base_doc()
+        doc["dgms"] = [{"kind": "empirical", "path": "p.txt"}] * 2  # both labelled p, both smaller than n = 20
+        with pytest.raises(ConfigError, match="^scenario labels collide after filename sanitization"):
+            load_study_config(self.write(tmp_path, doc))
 
     def test_missing_pool_file(self, tmp_path):
         doc = self.base_doc()
