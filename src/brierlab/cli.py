@@ -28,6 +28,8 @@ _FIGURES = {
     "3": ("gap", 300, "(ybar - ybar^2) - score of true probabilities"),
     "4": ("exceed_prob", 300, "P(score of true probabilities > ybar - ybar^2)"),
 }
+# the summary columns a violin figure's CSV shows
+_VIOLIN_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean")
 
 
 # mode: (flags it needs, in order; the closed form on their values, returning named values).
@@ -97,7 +99,7 @@ def cmd_simulate(args) -> int:
 
     results = engine.run_study(config, workers=args.workers, progress=progress)
     paths = engine.write_study_results(results, out_dir)
-    print(f"wrote {len(paths) - 1} scenario files and {paths[-1]}")
+    print(f"wrote {len(paths) - 1 - len(results)} cell files, {len(results)} scenario files and {paths[-1]}")
     return 0
 
 
@@ -115,13 +117,20 @@ def _figure_rows(results_dir: Path, metric: str, n: int):
     return wanted
 
 
-def _samples(results_dir: Path, label: str, metric: str):
-    path = results_dir / engine.scenario_filename(label)
-    if not path.exists():
-        raise ValidationError(
-            f"{results_dir}: missing per-scenario file {path.name} needed for scenario {label!r}"
-        )
-    return engine.read_scenario_csv(path)[metric]
+def _violin_groups(results_dir: Path, rows: list[dict], metric: str) -> list[tuple]:
+    """Each row's scenario label and samples of metric: gap from the row's cell file, read once per cell."""
+    kind, read = ("cell", engine.read_cell_csv) if metric == "gap" else ("per-scenario", engine.read_scenario_csv)
+    names = [r["cell"] if metric == "gap" else engine.scenario_filename(r["scenario"]) for r in rows]
+    samples = {}
+    for name, r in zip(names, rows):
+        if name not in samples:
+            path = results_dir / name
+            if not path.exists():
+                raise ValidationError(
+                    f"{results_dir}: missing {kind} file {name} needed for scenario {r['scenario']!r}"
+                )
+            samples[name] = read(path)[metric]
+    return [(r["scenario"], samples[name]) for name, r in zip(names, rows)]
 
 
 def cmd_report(args) -> int:
@@ -136,9 +145,10 @@ def cmd_report(args) -> int:
         items = [(r["scenario"], r[metric]) for r in rows]
         svg = figures.bar_svg(items, f"Exceedance probability by scenario (n={n})", ylabel)
     else:
-        columns = engine.SUMMARY_CSV_COLUMNS[:-1]
-        groups = [(r["scenario"], _samples(results_dir, r["scenario"], metric)) for r in rows]
-        svg = figures.violin_svg(groups, f"{metric} distribution by scenario (n={n})", ylabel)
+        columns = _VIOLIN_COLUMNS
+        svg = figures.violin_svg(
+            _violin_groups(results_dir, rows, metric), f"{metric} distribution by scenario (n={n})", ylabel
+        )
 
     svg_path = out_dir / f"figure{args.figure}.svg"
     csv_path = out_dir / f"figure{args.figure}.csv"

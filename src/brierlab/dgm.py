@@ -56,6 +56,8 @@ class EmpiricalProbabilityPool:
     nominal_incidence: float = field(init=False)  # the mean of the probabilities
 
     def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ValidationError(f"a pool label must be a non-empty string, got {self.label!r}")
         probs = as_probability_vector(self.probabilities, f"pool {self.label!r}")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)

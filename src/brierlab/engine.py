@@ -8,7 +8,7 @@ the perfect prediction q: the gap (ybar - ybar^2) - BS(q, y) and the
 indicator that BS(q, y) strictly exceeds ybar - ybar^2. Every transform of a
 cell is applied to the same q and y (common random numbers), so comparisons
 between transforms are paired, and a cell's scenarios share gap, exceedance
-and ybar.
+and ybar, which are written once per cell, to the cell's own results file.
 
 Replications run in blocks of BLOCK_REPS, each drawn as (rows, n) matrices.
 Block b of cell c draws q from the stream addressed by (root seed, c, b, 0),
@@ -30,6 +30,7 @@ import os
 import re
 import tempfile
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -69,8 +70,10 @@ __all__ = [
     "write_summary_csv",
     "write_study_results",
     "read_scenario_csv",
+    "read_cell_csv",
     "read_summary_csv",
     "SCENARIO_CSV_COLUMNS",
+    "CELL_CSV_COLUMNS",
     "SUMMARY_CSV_COLUMNS",
 ]
 
@@ -78,33 +81,47 @@ __all__ = [
 # changes the random numbers.
 BLOCK_REPS = 128
 
-SCENARIO_CSV_COLUMNS = ("rep", "brier", "cil", "gap", "exceeded", "ybar")
-SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean", "exceed_prob")
+SCENARIO_CSV_COLUMNS = ("rep", "brier", "cil")
+CELL_CSV_COLUMNS = ("rep", "gap", "exceeded", "ybar")
+SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean", "exceed_prob", "cell")
 
 # Replications are numbered from 1; float64 holds every count up to 2**53 exactly.
 _MAX_REP = 2**53
 
-_SCENARIO_CSV = CsvFormat(
-    SCENARIO_CSV_COLUMNS,
-    (float,) * len(SCENARIO_CSV_COLUMNS),
-    (
-        *((column, np.isfinite, "non-finite value {!r}") for column in range(len(SCENARIO_CSV_COLUMNS))),
-        (0, lambda rep: rep == np.trunc(rep), "rep {!r} is not an integer"),
-        (0, lambda rep: (rep >= 1.0) & (rep <= _MAX_REP), "rep {!r} is outside 1..2**53"),
-        (4, lambda exceeded: (exceeded == 0.0) | (exceeded == 1.0), "exceeded {!r} is not 0 or 1"),
-    ),
+
+def _replication_csv(columns: tuple[str, ...], *rules) -> CsvFormat:
+    """A table of one row per replication: every cell finite, rep an integer in 1..2**53, then rules."""
+    return CsvFormat(
+        columns,
+        (float,) * len(columns),
+        (
+            *((column, np.isfinite, "non-finite value {!r}") for column in range(len(columns))),
+            (0, lambda rep: rep == np.trunc(rep), "rep {!r} is not an integer"),
+            (0, lambda rep: (rep >= 1.0) & (rep <= _MAX_REP), "rep {!r} is outside 1..2**53"),
+            *rules,
+        ),
+    )
+
+
+_SCENARIO_CSV = _replication_csv(SCENARIO_CSV_COLUMNS)
+_CELL_CSV = _replication_csv(
+    CELL_CSV_COLUMNS, (2, lambda exceeded: (exceeded == 0.0) | (exceeded == 1.0), "exceeded {!r} is not 0 or 1")
 )
 _SUMMARY_CSV = CsvFormat(
     SUMMARY_CSV_COLUMNS,
-    (str, int, str) + (float,) * 5,
-    tuple((column, math.isfinite, "non-finite value {!r}") for column in range(3, 8)),
+    (str, int, str) + (float,) * 5 + (str,),
+    (
+        *((column, math.isfinite, "non-finite value {!r}") for column in range(3, 8)),
+        # report opens the cell file by this name inside the results directory, so it is never a path
+        (8, lambda name: re.fullmatch(r"[A-Za-z0-9._\-]+\.csv", name) is not None, "cell {!r} is not a file name"),
+    ),
 )
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One study cell: true distribution x predictor transform x sample size."""
+    """One study scenario: true distribution x predictor transform x sample size."""
 
     true_dist: TrueDistributionSpec
     transform: PredictorTransformSpec
@@ -296,8 +313,9 @@ def run_scenario(
 class StudyConfig:
     """A full study: DGM grid x transform grid x sample sizes, N reps each.
 
-    Its grid is checked when built: nonempty, no clashing scenario files, no pool
-    smaller than the largest n. Seed, N and workers are checked when it runs.
+    Its grid is checked when built: a sequence of sample sizes, nonempty, no
+    clashing cell or scenario files, no pool smaller than the largest n. Seed,
+    N and workers are checked when it runs.
     """
 
     name: str
@@ -308,9 +326,14 @@ class StudyConfig:
     transforms: tuple[PredictorTransformSpec, ...]
 
     def __post_init__(self):
-        if not (self.sample_sizes and self.dgms and self.transforms):
+        sizes = self.sample_sizes
+        if not isinstance(sizes, Sequence) or isinstance(sizes, str) or not all(
+            is_integer(n) and n >= 1 for n in sizes
+        ):
+            raise ValidationError(f"study sample sizes must be a sequence of integers >= 1, got {sizes!r}")
+        if not (sizes and self.dgms and self.transforms):
             raise ValidationError("a study needs at least one sample size, true distribution and transform")
-        _check_filenames_unique([s.label for s in scenarios_for(self)])
+        _check_filenames_unique(_grid_cells(self))
         n = max(self.sample_sizes)
         for i, dgm in enumerate(self.dgms):
             if dgm.pool is not None and dgm.pool.size < n:
@@ -330,6 +353,13 @@ def scenarios_for(config: StudyConfig) -> list[Scenario]:
     ]
 
 
+def _grid_cells(config: StudyConfig) -> list[tuple[Scenario, ...]]:
+    """The scenarios of each (n, dgm) cell, in cell-index order."""
+    scenarios = scenarios_for(config)
+    width = len(config.transforms)  # scenarios_for lists each cell's transforms together
+    return [tuple(scenarios[start:start + width]) for start in range(0, len(scenarios), width)]
+
+
 def run_study(
     config: StudyConfig,
     workers: int = 1,
@@ -340,14 +370,13 @@ def run_study(
     With ``workers`` > 1 one process pool serves every block of every cell;
     results and ``progress`` calls still come in scenario order.
     """
-    scenarios = scenarios_for(config)
-    width = len(config.transforms)  # scenarios_for lists each cell's transforms together
-    cells = [(cell, tuple(scenarios[cell * width:(cell + 1) * width])) for cell in range(len(scenarios) // width)]
+    cells = _grid_cells(config)
+    total = sum(map(len, cells))
     results = []
-    for result in _run_cells(cells, config.n_reps, config.seed, workers):
+    for result in _run_cells(list(enumerate(cells)), config.n_reps, config.seed, workers):
         results.append(result)
         if progress is not None:
-            progress(len(results), len(scenarios), result)
+            progress(len(results), total, result)
     return results
 
 
@@ -464,12 +493,18 @@ def scenario_filename(label: str) -> str:
     return f"{safe}.csv"
 
 
-def _check_filenames_unique(labels: list[str]) -> None:
-    """Reject scenario labels that would share a results file or take the summary's, naming them."""
-    counts = Counter(scenario_filename(label) for label in labels)
+def _cell_label(scenario: Scenario) -> str:
+    """The label of a scenario's (true distribution, n) cell, which names the cell's file."""
+    return f"{scenario.true_dist.label}+n{scenario.n}"
+
+
+def _check_filenames_unique(cells: list[tuple[Scenario, ...]]) -> None:
+    """Reject cell and scenario labels that would share a results file or take the summary's, naming them."""
+    labels = [label for cell in cells for label in (_cell_label(cell[0]), *(s.label for s in cell))]
+    counts = Counter(map(scenario_filename, labels))
     clashes = [label for label in labels if counts[scenario_filename(label)] > 1]
     if clashes:
-        raise ConfigError(f"scenario labels collide after filename sanitization: {clashes}")
+        raise ConfigError(f"scenario and cell labels collide after filename sanitization: {clashes}")
     if counts["summary.csv"]:
         [label] = [label for label in labels if scenario_filename(label) == "summary.csv"]
         raise ConfigError(f"scenario label {label!r} would be written to summary.csv, the summary's own file")
@@ -479,7 +514,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text: str) -> Path:
     """Write through a unique temp file in path's directory, removed if the write fails."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -492,83 +527,110 @@ def _atomic_write(path: Path, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _shared_text(result: ScenarioResult) -> tuple[list[str], list[str]]:
-    """The rep text and "gap,exceeded,ybar" text of each row: the columns a cell's scenarios share."""
-    reps = list(map(str, range(1, len(result.exceeded) + 1)))
-    exceeded = ("1" if flag else "0" for flag in result.exceeded.tolist())
-    gap, ybar = map(repr, result.gap_samples.tolist()), map(repr, result.ybar_samples.tolist())
-    return reps, list(map(",".join, zip(gap, exceeded, ybar)))
-
-
-def _write_scenario_text(result: ScenarioResult, directory: Path, reps: list[str], shared: list[str]) -> Path:
-    path = directory / scenario_filename(result.scenario.label)
-    cells = zip(reps, map(repr, result.brier_samples.tolist()), map(repr, result.cil_samples.tolist()), shared)
-    lines = [",".join(SCENARIO_CSV_COLUMNS), *map(",".join, cells)]
-    _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
 
+def _write_rows(path: Path, columns: tuple[str, ...], *texts) -> Path:
+    """A header, then one line per replication: the texts of each column, joined by commas."""
+    return _atomic_write(path, "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n")
+
+
+def _rep_text(result: ScenarioResult) -> list[str]:
+    return list(map(str, range(1, len(result.exceeded) + 1)))
+
+
+def _write_scenario_text(result: ScenarioResult, directory: Path, reps: list[str]) -> Path:
+    path = directory / scenario_filename(result.scenario.label)
+    brier, cil = map(repr, result.brier_samples.tolist()), map(repr, result.cil_samples.tolist())
+    return _write_rows(path, SCENARIO_CSV_COLUMNS, reps, brier, cil)
+
+
 def write_scenario_csv(result: ScenarioResult, directory) -> Path:
-    """One row per replication: rep, brier, cil, gap, exceeded, ybar; floats as their repr."""
+    """One row per replication: rep, brier, cil; floats as their repr. write_study_results adds the cell file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    return _write_scenario_text(result, directory, *_shared_text(result))
+    return _write_scenario_text(result, directory, _rep_text(result))
 
 
 def write_summary_csv(results: list[ScenarioResult], directory) -> Path:
-    """Long-format summary: one row per scenario and metric."""
+    """Long-format summary: one row per scenario and metric, naming the scenario's cell file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "summary.csv"
     rows = [SUMMARY_CSV_COLUMNS]
     for result in results:
+        cell = scenario_filename(_cell_label(result.scenario))
         for metric in _SUMMARY_METRICS:
             # median, q05, q95 and mean, in SummaryStats order, then exceed_prob
             values = (*result.summaries[metric], result.exceed_prob)
-            rows.append((result.scenario.label, str(result.scenario.n), metric, *map(_fmt, values)))
+            rows.append((result.scenario.label, str(result.scenario.n), metric, *map(_fmt, values), cell))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    _atomic_write(path, buf.getvalue())
-    return path
+    return _atomic_write(path, buf.getvalue())
 
 
 def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
-    """Persist every scenario file plus the summary; summary is written last.
+    """Persist each cell file and then its scenario files, with the summary last.
 
-    An earlier run's summary is removed first, so a failed write cannot leave
-    it beside new scenario files. Consecutive results that hold the same gap,
-    exceeded and ybar arrays (a cell's scenarios) have that text formatted
-    once. An empty list is refused untouched: a lone summary would look like a
-    complete run.
+    A cell is a run of consecutive results that hold the same gap, exceeded
+    and ybar arrays and name the same (true distribution, n) pair: its cell
+    file holds rep, gap, exceeded and ybar, and each scenario file rep, brier
+    and cil. Two cells or scenarios whose files would coincide are refused
+    untouched, as is an empty list: a lone summary would look like a complete
+    run. An earlier run's summary is removed first, so a failed write cannot
+    leave it beside new files.
     """
     if not results:
         raise ValidationError("no scenario results to write")
-    _check_filenames_unique([r.scenario.label for r in results])
+    # results holds every array for the whole call, so no id is reused while it runs
+    cells = [
+        tuple(cell)
+        for _, cell in itertools.groupby(
+            results, lambda r: (id(r.gap_samples), id(r.exceeded), id(r.ybar_samples), _cell_label(r.scenario))
+        )
+    ]
+    _check_filenames_unique([tuple(r.scenario for r in cell) for cell in cells])
     directory = Path(directory)
     (directory / "summary.csv").unlink(missing_ok=True)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    # results holds every array for the whole call, so no id is reused while it runs
-    for _, cell in itertools.groupby(results, lambda r: (id(r.gap_samples), id(r.exceeded), id(r.ybar_samples))):
-        cell = list(cell)
-        text = _shared_text(cell[0])
-        paths += [_write_scenario_text(result, directory, *text) for result in cell]
+    for cell in cells:
+        first = cell[0]
+        reps = _rep_text(first)
+        gap, ybar = map(repr, first.gap_samples.tolist()), map(repr, first.ybar_samples.tolist())
+        exceeded = ("1" if flag else "0" for flag in first.exceeded.tolist())
+        path = directory / scenario_filename(_cell_label(first.scenario))
+        paths.append(_write_rows(path, CELL_CSV_COLUMNS, reps, gap, exceeded, ybar))
+        paths += [_write_scenario_text(result, directory, reps) for result in cell]
     paths.append(write_summary_csv(results, directory))
     return paths
 
 
+def _read_replication_csv(path, fmt: CsvFormat) -> dict[str, np.ndarray]:
+    """The columns of a per-replication file, rep as integers; see validation.read_float_csv."""
+    columns = dict(zip(fmt.header, read_float_csv(path, fmt).T))
+    columns["rep"] = columns["rep"].astype(int)
+    return columns
+
+
 @names_undecodable_file
 def read_scenario_csv(path) -> dict[str, np.ndarray]:
-    """Read a per-scenario file back, validating the column schema and every cell.
+    """Read a scenario file (rep, brier, cil) back, validating the column schema and every cell.
+
+    Every cell must be finite and ``rep`` an integer in 1..2**53. A bad file
+    raises a ValidationError naming the first bad line.
+    """
+    return _read_replication_csv(path, _SCENARIO_CSV)
+
+
+@names_undecodable_file
+def read_cell_csv(path) -> dict[str, np.ndarray]:
+    """Read a cell file (rep, gap, exceeded, ybar) back, validating the column schema and every cell.
 
     Every cell must be finite, ``rep`` an integer in 1..2**53 and ``exceeded``
-    0 or 1. A bad file raises a ValidationError naming the first bad line
-    (see validation.read_float_csv).
+    0 or 1. A bad file raises a ValidationError naming the first bad line.
     """
-    columns = dict(zip(SCENARIO_CSV_COLUMNS, read_float_csv(path, _SCENARIO_CSV).T))
-    columns["rep"] = columns["rep"].astype(int)
+    columns = _read_replication_csv(path, _CELL_CSV)
     columns["exceeded"] = columns["exceeded"].astype(bool)
     return columns
 

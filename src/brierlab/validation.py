@@ -1,6 +1,6 @@
 """Input validation shared by the scoring, analytic, oracle, and engine modules.
 
-Each CSV table (pair, scenario, summary file) is described by one CsvFormat and read here.
+Each CSV table (pair, scenario, cell, summary file) is described by one CsvFormat and read here.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ from .errors import DimensionError, ValidationError
 DOMAIN_TOL = 1e-12
 
 
+def _as_float_array(values, name: str) -> np.ndarray:
+    """values as a float64 array; a value numpy cannot read as a number raises a ValidationError naming name."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold numbers only: {exc}") from None
+
+
 def as_probability_vector(values, name: str = "probabilities") -> np.ndarray:
     """Validate a 1-d sequence of probabilities and return it as float64.
 
@@ -30,7 +38,7 @@ def as_probability_vector(values, name: str = "probabilities") -> np.ndarray:
     boundary; values further out raise ValidationError. Clamping of genuinely
     out-of-range predictions is a data-generation concern, never a scoring one.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = _as_float_array(values, name)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -52,7 +60,7 @@ def as_outcome_vector(values, name: str = "outcomes") -> np.ndarray:
 
     Every element must equal 0 or 1 exactly.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = _as_float_array(values, name)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:

@@ -240,7 +240,9 @@ class TestSimulate:
     def test_writes_expected_files(self, results_dir):
         files = sorted(p.name for p in results_dir.iterdir())
         assert "summary.csv" in files
-        assert len(files) == 5  # 4 scenarios + summary
+        assert len(files) == 7  # 2 cells + 4 scenarios + summary
+        for row in engine.read_summary_csv(results_dir / "summary.csv"):
+            assert row["cell"] in files and engine.scenario_filename(row["scenario"]) in files
 
     def test_seed_override_changes_results(self, tmp_path, study_config):
         out_a = tmp_path / "a"
@@ -302,7 +304,7 @@ class TestSimulate:
         assert done.returncode == 0, done.stderr
         assert "empirical(ost\\xe9o)" in done.stdout
         assert sorted(path.name for path in results.iterdir()) == [
-            "empirical_ost_o_perfect_n2.csv", "summary.csv"
+            "empirical_ost_o_n2.csv", "empirical_ost_o_perfect_n2.csv", "summary.csv"
         ]
 
     def test_invalid_beta_exits_2_naming_field(self, tmp_path, capsys):
@@ -412,7 +414,7 @@ class TestSimulate:
 
         monkeypatch.setattr(engine, "_atomic_write", failing_second_write)
         assert main(["simulate", "--config", str(study_config), "--out", str(results_dir)]) == 3
-        assert len(writes) == 2 and "summary.csv" not in writes  # the second scenario file failed
+        assert len(writes) == 2 and "summary.csv" not in writes  # the first cell's first scenario file failed
         assert not (results_dir / "summary.csv").exists()
         assert main(["report", "--results", str(results_dir), "--figure", "4",
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
@@ -468,12 +470,46 @@ class TestReport:
         err = capsys.readouterr().err
         assert "available sample sizes" in err and "30" in err
 
-    def test_missing_scenario_file_exits_2(self, results_dir, tmp_path, capsys):
-        victim = next(p for p in results_dir.iterdir() if p.name != "summary.csv")
+    @pytest.mark.parametrize("kind, figure", [("per-scenario", "1"), ("cell", "3")])
+    def test_missing_scenario_file_exits_2(self, results_dir, tmp_path, capsys, kind, figure):
+        row = engine.read_summary_csv(results_dir / "summary.csv")[0]  # the first scenario that needs either file
+        victim = results_dir / (row["cell"] if kind == "cell" else engine.scenario_filename(row["scenario"]))
         victim.unlink()
-        assert main(["report", "--results", str(results_dir), "--figure", "1",
+        assert main(["report", "--results", str(results_dir), "--figure", figure,
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
-        assert victim.name in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {results_dir}: missing {kind} file {victim.name} needed for scenario {row['scenario']!r}\n"
+        )
+
+    def test_figure_3_reads_each_cell_file_once(self, results_dir, tmp_path, monkeypatch):
+        # a cell's scenarios share its gap column, so each violin of a cell draws the one array read
+        reads = []
+        read_cell_csv = engine.read_cell_csv
+        monkeypatch.setattr(engine, "read_cell_csv", lambda path: reads.append(path.name) or read_cell_csv(path))
+        monkeypatch.setattr(engine, "read_scenario_csv", lambda path: pytest.fail(f"figure 3 read {path}"))
+        assert main(["report", "--results", str(results_dir), "--figure", "3",
+                     "--out", str(tmp_path / "f"), "--n", "30"]) == 0
+        assert reads == ["uniform_0_1_n30.csv", "constant_0.5_n30.csv"]
+
+    def test_results_without_cell_files_exit_2_naming_the_summary_header(self, tmp_path, capsys):
+        # a directory written before cell files: six-column scenario files and no cell column
+        results = tmp_path / "old"
+        results.mkdir()
+        (results / "summary.csv").write_text(
+            "scenario,n,metric,median,q05,q95,mean,exceed_prob\n"
+            "uniform(0,1)+perfect+n30,30,gap,0.08,0.06,0.1,0.08,0.0\n"
+        )
+        (results / "uniform_0_1_perfect_n30.csv").write_text(
+            "rep,brier,cil,gap,exceeded,ybar\n1,0.16,0.01,0.08,0,0.5\n"
+        )
+        for figure in ("1", "2", "3", "4"):
+            assert main(["report", "--results", str(results), "--figure", figure,
+                         "--out", str(tmp_path / "f"), "--n", "30"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {results / 'summary.csv'}: line 1: expected header "
+                "'scenario,n,metric,median,q05,q95,mean,exceed_prob,cell', "
+                "got 'scenario,n,metric,median,q05,q95,mean,exceed_prob'\n"
+            )
 
     @pytest.mark.parametrize("victim", ["summary", "scenario"])
     def test_undecodable_file_exits_2_naming_it(self, results_dir, tmp_path, capsys, victim):

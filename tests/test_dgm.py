@@ -484,7 +484,8 @@ class TestPoolBuiltDirectly:
         ([0.2, float("nan")], "pool 'bad'[1] is not finite: nan"),
         ([], "pool 'bad' must contain at least one element"),
         ([[0.1, 0.2]], "pool 'bad' must be one-dimensional, got shape (1, 2)"),
-    ], ids=["above-one", "negative", "nan", "empty", "2-d"])
+        (["a"], "pool 'bad' must hold numbers only: could not convert string to float: 'a'"),
+    ], ids=["above-one", "negative", "nan", "empty", "2-d", "not-a-number"])
     def test_bad_values_are_refused_naming_the_pool(self, values, message):
         with pytest.raises(ValidationError) as info:
             EmpiricalProbabilityPool(values, "bad")
@@ -506,6 +507,13 @@ class TestPoolBuiltDirectly:
         values[0] = 0.9
         assert pool.probabilities.tolist() == [0.1, 0.2]
         assert pool.nominal_incidence == np.mean([0.1, 0.2])
+
+    @pytest.mark.parametrize("label", [5, "", None, b"bytes"])
+    def test_a_label_that_is_not_a_nonempty_string_is_refused(self, label):
+        # it would name the pool's scenarios and results files
+        with pytest.raises(ValidationError) as info:
+            EmpiricalProbabilityPool([0.1, 0.2], label)
+        assert str(info.value) == f"a pool label must be a non-empty string, got {label!r}"
 
     def test_nominal_incidence_is_derived_not_passed(self):
         with pytest.raises(TypeError):

@@ -36,10 +36,12 @@ from brierlab.dgm import (
 )
 from brierlab.engine import (
     BLOCK_REPS,
+    CELL_CSV_COLUMNS,
     SCENARIO_CSV_COLUMNS,
     SUMMARY_CSV_COLUMNS,
     Scenario,
     load_study_config,
+    read_cell_csv,
     read_scenario_csv,
     read_summary_csv,
     replication_streams,
@@ -506,11 +508,21 @@ class TestStudyConfigChecks:
     @pytest.mark.parametrize("overrides, error, message", [
         ({"sample_sizes": ()}, ValidationError, "a study needs at least one sample size, true distribution and transform"),
         ({"dgms": (Dist.constant(0.5), Dist.constant(0.5))}, ConfigError,
-         "scenario labels collide after filename sanitization: ['constant(0.5)+perfect+n50', "
-         "'constant(0.5)+bias(+0.1)+n50', 'constant(0.5)+perfect+n50', 'constant(0.5)+bias(+0.1)+n50']"),
+         "scenario and cell labels collide after filename sanitization: ['constant(0.5)+n50', "
+         "'constant(0.5)+perfect+n50', 'constant(0.5)+bias(+0.1)+n50', 'constant(0.5)+n50', "
+         "'constant(0.5)+perfect+n50', 'constant(0.5)+bias(+0.1)+n50']"),
+        # the cell file of empirical(a+perfect) at n = 50 is the perfect scenario file of empirical(a)
+        ({"dgms": tuple(Dist.empirical(make_synthetic_pool(0.3, size=60, seed=1, label=label))
+                        for label in ("a", "a+perfect"))}, ConfigError,
+         "scenario and cell labels collide after filename sanitization: "
+         "['empirical(a)+perfect+n50', 'empirical(a+perfect)+n50']"),
         ({"dgms": (Dist.uniform(0.0, 1.0), TINY), "sample_sizes": (2, 5)}, InsufficientPoolError,
          "dgms[1]: pool 'tiny' has 3 values, cannot subsample n=5 without replacement"),
-    ], ids=["empty-grid", "label-clash", "small-pool"])
+        ({"sample_sizes": 50}, ValidationError, "study sample sizes must be a sequence of integers >= 1, got 50"),
+        ({"sample_sizes": "50"}, ValidationError, "study sample sizes must be a sequence of integers >= 1, got '50'"),
+        ({"sample_sizes": (50, 2.5)}, ValidationError,
+         "study sample sizes must be a sequence of integers >= 1, got (50, 2.5)"),
+    ], ids=["empty-grid", "label-clash", "cell-file-clash", "small-pool", "sizes-int", "sizes-str", "sizes-float"])
     def test_refused_when_built_before_any_block(self, monkeypatch, overrides, error, message):
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
         with pytest.raises(error) as info:
@@ -732,7 +744,7 @@ class TestConfigDocuments:
         (tmp_path / "p.txt").write_text("0.1\n0.2\n")
         doc = self.base_doc()
         doc["dgms"] = [{"kind": "empirical", "path": "p.txt"}] * 2  # both labelled p, both smaller than n = 20
-        with pytest.raises(ConfigError, match="^scenario labels collide after filename sanitization"):
+        with pytest.raises(ConfigError, match="^scenario and cell labels collide after filename sanitization"):
             load_study_config(self.write(tmp_path, doc))
 
     def test_missing_pool_file(self, tmp_path):
@@ -748,8 +760,12 @@ class TestConfigDocuments:
             load_study_config(path)
 
 
+# The one file per scenario that came before cell files: a scenario file joined with its cell file.
+JOINED_COLUMNS = ("rep", "brier", "cil", "gap", "exceeded", "ybar")
+
+
 def reference_scenario_text(result):
-    """A scenario file as the per-scenario writer formatted it, every column of every file on its own."""
+    """The six-column file of one scenario as the per-scenario writer formatted it, every column on its own."""
     cells = zip(
         map(str, range(1, len(result.exceeded) + 1)),
         map(repr, result.brier_samples.tolist()),
@@ -758,8 +774,20 @@ def reference_scenario_text(result):
         ("1" if exceeded else "0" for exceeded in result.exceeded.tolist()),
         map(repr, result.ybar_samples.tolist()),
     )
-    lines = [",".join(SCENARIO_CSV_COLUMNS), *map(",".join, cells)]
+    lines = [",".join(JOINED_COLUMNS), *map(",".join, cells)]
     return "\n".join(lines) + "\n"
+
+
+def joined_text(scenario_path, cell_path):
+    """A scenario file joined with its cell file on rep, as the six-column file's text."""
+    (scenario_header, *scenario_rows), (cell_header, *cell_rows) = (
+        [line.split(",") for line in path.read_text().splitlines()] for path in (scenario_path, cell_path)
+    )
+    assert (scenario_header, cell_header) == (list(SCENARIO_CSV_COLUMNS), list(CELL_CSV_COLUMNS))
+    by_rep = {row[0]: row[1:] for row in cell_rows}
+    assert len(by_rep) == len(cell_rows) == len(scenario_rows)
+    rows = [row + by_rep[row[0]] for row in scenario_rows]
+    return "\n".join(",".join(row) for row in [JOINED_COLUMNS, *rows]) + "\n"
 
 
 class TestPersistence:
@@ -767,9 +795,16 @@ class TestPersistence:
         # two cells, N = 165: a full block and a partial one
         results = run_study(small_config(n_reps=BLOCK_REPS + 37))
         paths = write_study_results(results, tmp_path)
-        assert len(paths) == len(results) + 1
-        for result, path in zip(results, paths):
-            assert path.read_bytes() == reference_scenario_text(result).encode()
+        # each cell file, then the cell's two scenario files, then the summary
+        assert [path.name for path in paths] == [
+            "uniform_0_1_n50.csv", "uniform_0_1_perfect_n50.csv", "uniform_0_1_bias_0.1_n50.csv",
+            "constant_0.5_n50.csv", "constant_0.5_perfect_n50.csv", "constant_0.5_bias_0.1_n50.csv",
+            "summary.csv",
+        ]
+        cells = {path.name: path for path in paths[0::3]}
+        for result, path in zip(results, paths[1:3] + paths[4:6]):
+            [row] = [row for row in read_summary_csv(paths[-1]) if row["scenario"] == result.scenario.label][:1]
+            assert joined_text(path, cells[row["cell"]]) == reference_scenario_text(result)
 
     @pytest.mark.parametrize("read_only_view", [False, True], ids=["copy", "read-only-view"])
     def test_changed_writable_arrays_are_formatted_again(self, tmp_path, read_only_view):
@@ -779,11 +814,13 @@ class TestPersistence:
         held = gap.view() if read_only_view else gap
         held.flags.writeable = not read_only_view
         own = dataclasses.replace(result, gap_samples=held)
-        first = write_scenario_csv(own, tmp_path / "a").read_bytes()
+        cell, scenario, _ = write_study_results([own], tmp_path / "a")
+        first = joined_text(scenario, cell)
         gap[0] = 0.5
-        second = write_scenario_csv(own, tmp_path / "b").read_bytes()
+        cell, scenario, _ = write_study_results([own], tmp_path / "b")
+        second = joined_text(scenario, cell)
         assert first != second
-        assert second == reference_scenario_text(own).encode()
+        assert second == reference_scenario_text(own)
 
     def test_empty_result_list_writes_nothing(self, tmp_path):
         # a summary with no scenario files beside it would look like a complete run
@@ -806,31 +843,51 @@ class TestPersistence:
         assert str(info.value) == f"scenario label {label!r} would be written to summary.csv, the summary's own file"
         assert not (tmp_path / "out").exists()
 
+    def test_two_runs_of_one_cell_are_refused(self, tmp_path):
+        # each would write the cell file from arrays of its own, so neither cell file could be trusted
+        dist = Dist.uniform(0.0, 1.0)
+        transforms = (Transform.perfect(), Transform.additive_bias(0.1))
+        results = [run_scenario(Scenario(dist, transform, 20), 5, 3) for transform in transforms]
+        with pytest.raises(ConfigError) as info:
+            write_study_results(results, tmp_path / "out")
+        assert str(info.value) == (
+            "scenario and cell labels collide after filename sanitization: ['uniform(0,1)+n20', 'uniform(0,1)+n20']"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_round_trip(self, tmp_path):
         results = run_study(small_config())
         paths = write_study_results(results, tmp_path)
         assert paths[-1].name == "summary.csv"
-        assert len(paths) == 5
+        assert len(paths) == 2 + 4 + 1  # cells, scenarios, summary
 
-        data = read_scenario_csv(paths[0])
+        data = read_scenario_csv(paths[1])
         assert list(data) == list(SCENARIO_CSV_COLUMNS)
         assert np.array_equal(data["brier"], results[0].brier_samples)
-        assert np.array_equal(data["exceeded"], results[0].exceeded)
+        assert np.array_equal(data["cil"], results[0].cil_samples)
         assert data["rep"].tolist() == list(range(1, 41))
+
+        cell = read_cell_csv(paths[0])
+        assert list(cell) == list(CELL_CSV_COLUMNS)
+        assert np.array_equal(cell["gap"], results[0].gap_samples)
+        assert cell["exceeded"].dtype == bool and np.array_equal(cell["exceeded"], results[0].exceeded)
+        assert np.array_equal(cell["ybar"], results[0].ybar_samples)
+        assert cell["rep"].tolist() == list(range(1, 41))
 
         rows = read_summary_csv(paths[-1])
         assert len(rows) == 4 * 3  # scenarios x metrics
         first = rows[0]
         assert first["scenario"] == results[0].scenario.label
         assert first["median"] == results[0].summaries["brier"].median
+        assert [row["cell"] for row in rows] == [paths[0].name] * 6 + [paths[3].name] * 6
 
     def test_schema_self_check(self, tmp_path):
         results = run_study(small_config())
         paths = write_study_results(results, tmp_path)
-        mangled = paths[0].read_text().replace("rep,brier", "rep,score")
-        paths[0].write_text(mangled)
-        with pytest.raises(ValidationError, match="header"):
-            read_scenario_csv(paths[0])
+        for path, read, old in ((paths[1], read_scenario_csv, "rep,brier"), (paths[0], read_cell_csv, "rep,gap")):
+            path.write_text(path.read_text().replace(old, "rep,score"))
+            with pytest.raises(ValidationError, match="header"):
+                read(path)
         summary = paths[-1].read_text().replace("exceed_prob", "exceedance")
         paths[-1].write_text(summary)
         with pytest.raises(ValidationError, match="header"):
@@ -853,62 +910,71 @@ class TestPersistence:
     @pytest.mark.parametrize("cell", ["abc", "", "nan?", "nan", "inf", "-inf"])
     def test_bad_scenario_cell_names_file_and_line(self, tmp_path, cell):
         paths = write_study_results(run_study(small_config()), tmp_path)
-        replace_cell(paths[0], 5, 2, cell)  # cil of replication 5
+        replace_cell(paths[1], 5, 2, cell)  # cil of replication 5
+        with pytest.raises(ValidationError, match=rf"{paths[1].name}: line 6: "):
+            read_scenario_csv(paths[1])
+        replace_cell(paths[0], 5, 3, cell)  # ybar of replication 5
         with pytest.raises(ValidationError, match=rf"{paths[0].name}: line 6: "):
-            read_scenario_csv(paths[0])
+            read_cell_csv(paths[0])
 
+    # the paths of write_study_results: 0 is the first cell file, 1 its first scenario file
     @pytest.mark.parametrize(
-        "column, cell, message",
+        "index, read, column, cell, message",
         [
-            (0, "1.5", "rep '1.5' is not an integer"),
-            (4, "0.5", "exceeded '0.5' is not 0 or 1"),
-            (4, "2", "exceeded '2' is not 0 or 1"),
-            (4, "-1", "exceeded '-1' is not 0 or 1"),
+            (1, read_scenario_csv, 0, "1.5", "rep '1.5' is not an integer"),
+            (0, read_cell_csv, 0, "1.5", "rep '1.5' is not an integer"),
+            (0, read_cell_csv, 2, "0.5", "exceeded '0.5' is not 0 or 1"),
+            (0, read_cell_csv, 2, "2", "exceeded '2' is not 0 or 1"),
+            (0, read_cell_csv, 2, "-1", "exceeded '-1' is not 0 or 1"),
         ],
+        ids=["scenario-rep", "cell-rep", "exceeded-0.5", "exceeded-2", "exceeded--1"],
     )
-    def test_impossible_scenario_cell_names_file_and_line(self, tmp_path, column, cell, message):
+    def test_impossible_scenario_cell_names_file_and_line(self, tmp_path, index, read, column, cell, message):
         paths = write_study_results(run_study(small_config()), tmp_path)
-        replace_cell(paths[0], 5, column, cell)
-        with pytest.raises(ValidationError, match=rf"{paths[0].name}: line 6: {message}$"):
-            read_scenario_csv(paths[0])
+        replace_cell(paths[index], 5, column, cell)
+        with pytest.raises(ValidationError, match=rf"{paths[index].name}: line 6: {message}$"):
+            read(paths[index])
 
     def test_impossible_scenario_cell_exits_2_in_report(self, tmp_path, capsys):
         results = run_study(small_config(sample_sizes=(300,)))
         paths = write_study_results(results, tmp_path / "res")
-        replace_cell(paths[0], 5, 4, "0.5")
-        args = ["report", "--results", str(tmp_path / "res"), "--figure", "2", "--out", str(tmp_path / "fig")]
+        replace_cell(paths[0], 5, 2, "0.5")  # exceeded, in the first cell file, which figure 3 reads
+        args = ["report", "--results", str(tmp_path / "res"), "--figure", "3", "--out", str(tmp_path / "fig")]
         assert main(args) == 2
         assert f"{paths[0].name}: line 6: exceeded '0.5' is not 0 or 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["0", "-3", "1e300", "9007199254740994"])
     def test_out_of_range_rep_names_file_and_line(self, tmp_path, cell):
         paths = write_study_results(run_study(small_config()), tmp_path)
-        replace_cell(paths[0], 5, 0, cell)
-        message = rf"{paths[0].name}: line 6: rep '{cell}' is outside 1\.\.2\*\*53$"
-        for read in (read_scenario_csv, per_line_scenario_rows):
-            with pytest.raises(ValidationError, match=message):
-                read(paths[0])
+        per_line_cell_rows = lambda path: validation.csv_rows(path, engine._CELL_CSV)  # noqa: E731
+        for path, reads in ((paths[1], (read_scenario_csv, per_line_scenario_rows)),
+                            (paths[0], (read_cell_csv, per_line_cell_rows))):
+            replace_cell(path, 5, 0, cell)
+            message = rf"{path.name}: line 6: rep '{cell}' is outside 1\.\.2\*\*53$"
+            for read in reads:
+                with pytest.raises(ValidationError, match=message):
+                    read(path)
 
     def test_vectorised_path_bounds_rep(self, tmp_path, monkeypatch):
         paths = write_study_results(run_study(small_config()), tmp_path)
         per_line = validation.csv_rows
         calls = []
         monkeypatch.setattr(validation, "csv_rows", lambda path, fmt: calls.append(path) or per_line(path, fmt))
-        replace_cell(paths[0], 5, 0, str(2**53))
-        assert read_scenario_csv(paths[0])["rep"][4] == 2**53
+        replace_cell(paths[1], 5, 0, str(2**53))
+        assert read_scenario_csv(paths[1])["rep"][4] == 2**53
         assert calls == []
-        replace_cell(paths[0], 5, 0, "1e300")
+        replace_cell(paths[1], 5, 0, "1e300")
         with pytest.raises(ValidationError, match="line 6: rep '1e300'"):
-            read_scenario_csv(paths[0])
-        assert calls == [paths[0]]
+            read_scenario_csv(paths[1])
+        assert calls == [paths[1]]
 
     def test_out_of_range_rep_exits_2_in_report(self, tmp_path, capsys):
         results = run_study(small_config(sample_sizes=(300,)))
         paths = write_study_results(results, tmp_path / "res")
-        replace_cell(paths[0], 5, 0, "1e300")
+        replace_cell(paths[1], 5, 0, "1e300")  # in the first scenario file, which figure 2 reads
         args = ["report", "--results", str(tmp_path / "res"), "--figure", "2", "--out", str(tmp_path / "fig")]
         assert main(args) == 2
-        assert f"{paths[0].name}: line 6: rep '1e300' is outside 1..2**53" in capsys.readouterr().err
+        assert f"{paths[1].name}: line 6: rep '1e300' is outside 1..2**53" in capsys.readouterr().err
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -942,14 +1008,13 @@ class TestPersistence:
     def test_scenario_csv_text(self, tmp_path):
         result = run_study(small_config())[0]
         path = write_scenario_csv(result, tmp_path)
-        samples = zip(result.brier_samples, result.cil_samples, result.gap_samples,
-                      result.exceeded, result.ybar_samples)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no cell file
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [SCENARIO_CSV_COLUMNS]
             + [
-                (rep, repr(float(b)), repr(float(c)), repr(float(g)), int(e), repr(float(ybar)))
-                for rep, (b, c, g, e, ybar) in enumerate(samples, start=1)
+                (rep, repr(float(b)), repr(float(c)))
+                for rep, (b, c) in enumerate(zip(result.brier_samples, result.cil_samples), start=1)
             ]
         )
         assert path.read_text() == buf.getvalue()
@@ -973,8 +1038,11 @@ class TestPersistence:
 
     def test_wrong_field_count_names_line(self, tmp_path):
         paths = write_study_results(run_study(small_config()), tmp_path)
-        for path, width in ((paths[0], len(SCENARIO_CSV_COLUMNS)), (paths[-1], len(SUMMARY_CSV_COLUMNS))):
+        for path, width, reader in (
+            (paths[1], len(SCENARIO_CSV_COLUMNS), read_scenario_csv),
+            (paths[0], len(CELL_CSV_COLUMNS), read_cell_csv),
+            (paths[-1], len(SUMMARY_CSV_COLUMNS), read_summary_csv),
+        ):
             path.write_text(path.read_text() + "\n1,2\n")
-            reader = read_scenario_csv if path is paths[0] else read_summary_csv
             with pytest.raises(ValidationError, match=rf"line \d+: expected {width} fields"):
                 reader(path)

@@ -95,6 +95,15 @@ class TestBrierScore:
         with pytest.raises(ValidationError):
             brier_score([float("nan")], [1])
 
+    @pytest.mark.parametrize("p, y, message", [
+        (["a", 0.2], [1, 0], "predictions must hold numbers only: could not convert string to float: 'a'"),
+        ([0.1, 0.2], [1, "b"], "outcomes must hold numbers only: could not convert string to float: 'b'"),
+    ], ids=["prediction", "outcome"])
+    def test_non_number_rejected_naming_the_input(self, p, y, message):
+        with pytest.raises(ValidationError) as info:
+            brier_score(p, y)
+        assert str(info.value) == message
+
     def test_tiny_overshoot_snapped_not_rejected(self):
         # within 1e-12 of the boundary: accepted and snapped
         assert brier_score([1.0 + 5e-13], [1]) == 0.0

@@ -19,11 +19,12 @@ from brierlab.errors import ValidationError
 # Each format with its public reader and one valid data row.
 FORMATS = {
     "pair": (scoring._PAIR_CSV, scoring.read_pair_file, ["0.25", "1"]),
-    "scenario": (engine._SCENARIO_CSV, engine.read_scenario_csv, ["3", "0.1", "0.0", "0.01", "1", "0.5"]),
+    "scenario": (engine._SCENARIO_CSV, engine.read_scenario_csv, ["3", "0.1", "0.0"]),
+    "cell": (engine._CELL_CSV, engine.read_cell_csv, ["3", "0.01", "1", "0.5"]),
     "summary": (
         engine._SUMMARY_CSV,
         engine.read_summary_csv,
-        ["lbl", "30", "brier", "0.1", "0.05", "0.2", "0.1", "0.5"],
+        ["lbl", "30", "brier", "0.1", "0.05", "0.2", "0.1", "0.5", "u_n30.csv"],
     ),
 }
 
@@ -35,6 +36,7 @@ BREAKING_CELLS = {
     "rep {!r} is not an integer": "1.5",
     "rep {!r} is outside 1..2**53": "0",
     "exceeded {!r} is not 0 or 1": "2",
+    "cell {!r} is not a file name": "../u_n30.csv",
 }
 
 RULE_CASES = [
