@@ -87,19 +87,19 @@ def cmd_simulate(args) -> int:
     config = engine.load_study_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    out_dir = Path(args.out)
+    total = len(engine.scenarios_for(config))
 
-    def progress(done: int, total: int, result: engine.ScenarioResult) -> None:
-        stats = result.summaries["brier"]
-        print(
-            f"[{done}/{total}] {result.scenario.label}: "
-            f"median={stats.median:.5f} mean={stats.mean:.5f}",
-            flush=True,
-        )
+    def printed(cells):
+        """Print a progress line per scenario of each cell, then pass the cell on to be written."""
+        for cell in cells:
+            for result in cell:  # a study numbers its scenarios from 0, in grid order
+                stats = result.summaries["brier"]
+                print(f"[{result.scenario_index + 1}/{total}] {result.scenario.label}: "
+                      f"median={stats.median:.5f} mean={stats.mean:.5f}", flush=True)
+            yield cell
 
-    results = engine.run_study(config, workers=args.workers, progress=progress)
-    paths = engine.write_study_results(results, out_dir)
-    print(f"wrote {len(paths) - 1 - len(results)} cell files, {len(results)} scenario files and {paths[-1]}")
+    paths = engine.write_study_results(printed(engine.run_study(config, args.workers)), Path(args.out))
+    print(f"wrote {len(paths) - 1 - total} cell files, {total} scenario files and {paths[-1]}")
     return 0
 
 

@@ -23,17 +23,16 @@ import concurrent.futures
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
 import re
 import tempfile
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,25 +241,24 @@ def _run_block(scenarios: tuple, root_seed: int, cell: int, block: int, n_reps: 
 
 
 def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_seed: int, workers: int):
-    """Yield one ScenarioResult per scenario of the (cell index, scenarios) pairs, in order.
+    """Check the arguments, then return an iterator of each (cell index, scenarios) pair's results, in order.
 
     A cell's T scenarios share one true distribution and n; scenario t of
     cell c has index c * T + t. Every (cell, block) task is known up front.
-    One worker maps them in process; more submit them all to a single pool,
-    so a study starts one pool however many cells it has.
+    One worker maps them in process; more submit them all to one pool, so a
+    study starts one pool however many cells it has; closing the iterator stops it.
     """
-    if not is_integer(n_reps) or n_reps < 1:
-        raise ValidationError(f"replication count must be an integer >= 1, got {n_reps!r}")
-    for name, value in (("worker count", workers), ("seed", root_seed)):
+    checks = (("replication count", n_reps, 1), ("worker count", workers, 1), ("seed", root_seed, 0))
+    for name, value, least in (*checks, *(("cell index", cell, 0) for cell, _ in cells)):
         if not is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
-    if root_seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {root_seed}")
-    for cell, _ in cells:
-        if not is_integer(cell) or cell < 0:
-            raise ValidationError(f"cell index must be an integer >= 0, got {cell!r}")
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return _cell_results(cells, n_reps, root_seed, workers)
+
+
+def _cell_results(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_seed: int, workers: int):
+    """The generator _run_cells returns once its arguments are checked."""
     n_blocks = -(-n_reps // BLOCK_REPS)
     tasks = [
         (scenarios, root_seed, cell, block, n_reps) for cell, scenarios in cells for block in range(n_blocks)
@@ -272,7 +270,7 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
             import numpy.random  # numpy loads it lazily: once here, not again in every forked worker
 
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-            # On an error, drop the queued tasks instead of running them out.
+            # On an error or an early close, drop the queued tasks instead of running them out.
             stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(_run_block, *task) for task in tasks]
             blocks = (future.result() for future in futures)
@@ -283,12 +281,13 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
             stats = _summarize_rows(table[:-2])
             gap, exceeded, ybar = table[-3], table[-2].astype(bool), table[-1]
             gap.flags.writeable = exceeded.flags.writeable = ybar.flags.writeable = False
-            for t, scenario in enumerate(scenarios):
-                summaries = dict(zip(_SUMMARY_METRICS, (stats[t], stats[width + t], stats[-1])))
-                yield ScenarioResult(
-                    scenario, n_reps, root_seed, cell * width + t,
-                    table[t], table[width + t], gap, ybar, exceeded, summaries,
+            yield tuple(
+                ScenarioResult(
+                    scenario, n_reps, root_seed, cell * width + t, table[t], table[width + t], gap, ybar, exceeded,
+                    dict(zip(_SUMMARY_METRICS, (stats[t], stats[width + t], stats[-1]))),
                 )
+                for t, scenario in enumerate(scenarios)
+            )
 
 
 def run_scenario(
@@ -305,7 +304,7 @@ def run_scenario(
     docstring), so the result is identical for any ``workers`` value;
     workers only controls which process runs each block.
     """
-    [result] = _run_cells([(scenario_index, (scenario,))], n_reps, root_seed, workers)
+    [(result,)] = _run_cells([(scenario_index, (scenario,))], n_reps, root_seed, workers)
     return result
 
 
@@ -313,9 +312,9 @@ def run_scenario(
 class StudyConfig:
     """A full study: DGM grid x transform grid x sample sizes, N reps each.
 
-    Its grid is checked when built: a sequence of sample sizes, nonempty, no
-    clashing cell or scenario files, no pool smaller than the largest n. Seed,
-    N and workers are checked when it runs.
+    Its grid is checked when built: sequences of sample sizes and specs,
+    nonempty, no clashing cell or scenario files, no pool smaller than the
+    largest n. Seed, N and workers are checked when run_study is called.
     """
 
     name: str
@@ -331,6 +330,9 @@ class StudyConfig:
             is_integer(n) and n >= 1 for n in sizes
         ):
             raise ValidationError(f"study sample sizes must be a sequence of integers >= 1, got {sizes!r}")
+        for field in ("dgms", "transforms"):
+            if not isinstance(getattr(self, field), Sequence):
+                raise ValidationError(f"study {field} must be a sequence of specs, got {getattr(self, field)!r}")
         if not (sizes and self.dgms and self.transforms):
             raise ValidationError("a study needs at least one sample size, true distribution and transform")
         _check_filenames_unique(_grid_cells(self))
@@ -360,24 +362,14 @@ def _grid_cells(config: StudyConfig) -> list[tuple[Scenario, ...]]:
     return [tuple(scenarios[start:start + width]) for start in range(0, len(scenarios), width)]
 
 
-def run_study(
-    config: StudyConfig,
-    workers: int = 1,
-    progress: Callable[[int, int, ScenarioResult], None] | None = None,
-) -> list[ScenarioResult]:
-    """Run every scenario in the grid; the (n, dgm) cell index keys the random streams.
+def run_study(config: StudyConfig, workers: int = 1) -> Iterator[tuple[ScenarioResult, ...]]:
+    """Run every (n, dgm) cell of the grid, whose index keys its random streams.
 
-    With ``workers`` > 1 one process pool serves every block of every cell;
-    results and ``progress`` calls still come in scenario order.
+    Yields each cell's ScenarioResults, one per transform, as a tuple, in
+    cell-index order; seed, N and workers are checked when it is called. With
+    ``workers`` > 1 one process pool, stopped by closing the iterator, serves every block.
     """
-    cells = _grid_cells(config)
-    total = sum(map(len, cells))
-    results = []
-    for result in _run_cells(list(enumerate(cells)), config.n_reps, config.seed, workers):
-        results.append(result)
-        if progress is not None:
-            progress(len(results), total, result)
-    return results
+    return _run_cells(list(enumerate(_grid_cells(config))), config.n_reps, config.seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -569,39 +561,44 @@ def write_summary_csv(results: list[ScenarioResult], directory) -> Path:
     return _atomic_write(path, buf.getvalue())
 
 
-def write_study_results(results: list[ScenarioResult], directory) -> list[Path]:
-    """Persist each cell file and then its scenario files, with the summary last.
+def write_study_results(cells: Iterable[tuple[ScenarioResult, ...]], directory) -> list[Path]:
+    """Write each cell as run_study yields it: its cell file, then its scenario files; the summary last.
 
-    A cell is a run of consecutive results that hold the same gap, exceeded
-    and ybar arrays and name the same (true distribution, n) pair: its cell
-    file holds rep, gap, exceeded and ybar, and each scenario file rep, brier
-    and cil. Two cells or scenarios whose files would coincide are refused
-    untouched, as is an empty list: a lone summary would look like a complete
-    run. An earlier run's summary is removed first, so a failed write cannot
-    leave it beside new files.
+    A cell is a tuple of results that hold one run's gap, exceeded and ybar
+    arrays and name one (true distribution, n) pair; its file holds rep, gap,
+    exceeded and ybar, and each scenario file rep, brier and cil. A cell that
+    is not, or whose files would be the summary's or an earlier one's, is
+    refused before any of its files is written; an empty input is refused
+    untouched, as a lone summary would look like a complete run. An earlier
+    run's summary is removed first. Stopping early closes cells, and with it
+    run_study's pool.
     """
+    directory = Path(directory)
+    paths, results, written = [], [], []
+    with contextlib.ExitStack() as stack:
+        stack.callback(getattr(cells, "close", lambda: None))
+        for i, cell in enumerate(cells):
+            first = cell[0] if isinstance(cell, tuple) and cell else None
+            if first is None or not all(
+                _cell_label(r.scenario) == _cell_label(first.scenario) and r.gap_samples is first.gap_samples
+                and r.exceeded is first.exceeded and r.ybar_samples is first.ybar_samples
+                for r in cell
+            ):
+                raise ValidationError(f"cell {i} is not a nonempty tuple of one run's results for one cell")
+            written.append(tuple(r.scenario for r in cell))
+            _check_filenames_unique(written)
+            if not results:
+                (directory / "summary.csv").unlink(missing_ok=True)
+                directory.mkdir(parents=True, exist_ok=True)
+            results += cell
+            reps = _rep_text(first)
+            gap, ybar = map(repr, first.gap_samples.tolist()), map(repr, first.ybar_samples.tolist())
+            exceeded = ("1" if flag else "0" for flag in first.exceeded.tolist())
+            path = directory / scenario_filename(_cell_label(first.scenario))
+            paths.append(_write_rows(path, CELL_CSV_COLUMNS, reps, gap, exceeded, ybar))
+            paths += [_write_scenario_text(result, directory, reps) for result in cell]
     if not results:
         raise ValidationError("no scenario results to write")
-    # results holds every array for the whole call, so no id is reused while it runs
-    cells = [
-        tuple(cell)
-        for _, cell in itertools.groupby(
-            results, lambda r: (id(r.gap_samples), id(r.exceeded), id(r.ybar_samples), _cell_label(r.scenario))
-        )
-    ]
-    _check_filenames_unique([tuple(r.scenario for r in cell) for cell in cells])
-    directory = Path(directory)
-    (directory / "summary.csv").unlink(missing_ok=True)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for cell in cells:
-        first = cell[0]
-        reps = _rep_text(first)
-        gap, ybar = map(repr, first.gap_samples.tolist()), map(repr, first.ybar_samples.tolist())
-        exceeded = ("1" if flag else "0" for flag in first.exceeded.tolist())
-        path = directory / scenario_filename(_cell_label(first.scenario))
-        paths.append(_write_rows(path, CELL_CSV_COLUMNS, reps, gap, exceeded, ybar))
-        paths += [_write_scenario_text(result, directory, reps) for result in cell]
     paths.append(write_summary_csv(results, directory))
     return paths
 

@@ -84,7 +84,10 @@ def is_integer(value) -> bool:
 
 def as_unit_scalar(value, name: str) -> float:
     """Validate a scalar probability in [0, 1] (with DOMAIN_TOL slack)."""
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a number: {exc}") from None
     if not np.isfinite(x):
         raise ValidationError(f"{name} is not finite: {x!r}")
     if x < -DOMAIN_TOL or x > 1.0 + DOMAIN_TOL:

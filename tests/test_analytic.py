@@ -53,6 +53,12 @@ class TestExpectedSingle:
         with pytest.raises(ValidationError):
             expected_bs_single(0.5, -0.2)
 
+    @pytest.mark.parametrize("args, name", [(("a", 0.1), "p1"), ((0.5, None), "q1"), (([0.5], 0.1), "p1")])
+    def test_non_number_rejected_naming_the_argument(self, args, name):
+        # float()'s own wording follows, and differs between Python versions
+        with pytest.raises(ValidationError, match=rf"^{name} must be a number: "):
+            expected_bs_single(*args)
+
     @given(unit_floats, unit_floats)
     def test_decomposition_identity(self, p1, q1):
         # expected score = closeness + irreducible part

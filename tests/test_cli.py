@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -243,6 +244,20 @@ class TestSimulate:
         assert len(files) == 7  # 2 cells + 4 scenarios + summary
         for row in engine.read_summary_csv(results_dir / "summary.csv"):
             assert row["cell"] in files and engine.scenario_filename(row["scenario"]) in files
+
+    def test_failed_cell_write_exits_3_keeping_the_cells_before_it(self, tmp_path, study_config, capsys):
+        out = tmp_path / "o"
+        (out / "constant_0.5_n30.csv").mkdir(parents=True)  # the second cell's file cannot replace a directory
+        assert main(["simulate", "--config", str(study_config), "--out", str(out), "--workers", "2"]) == 3
+        assert multiprocessing.active_children() == []
+        captured = capsys.readouterr()
+        assert captured.err.startswith("i/o error: ") and "constant_0.5_n30.csv" in captured.err
+        assert captured.out.count("\n") == 4  # the progress lines of both cells, and no "wrote" line
+        assert sorted(path.name for path in out.iterdir()) == [
+            "constant_0.5_n30.csv", "uniform_0_1_n30.csv", "uniform_0_1_perfect_n30.csv",
+            "uniform_0_1_unif_noise_0.1_n30.csv",
+        ]
+        assert main(["report", "--results", str(out), "--figure", "1", "--n", "30", "--out", str(tmp_path / "f")]) == 2
 
     def test_seed_override_changes_results(self, tmp_path, study_config):
         out_a = tmp_path / "a"

@@ -3,6 +3,8 @@
 import concurrent.futures
 import csv
 import dataclasses
+import errno
+import functools
 import inspect
 import io
 import json
@@ -78,6 +80,11 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return StudyConfig(**defaults)
+
+
+def flatten(cells):
+    """run_study's cells as one list of results, in scenario order."""
+    return [result for cell in cells for result in cell]
 
 
 def per_line_scenario_rows(path):
@@ -307,7 +314,7 @@ class TestRunScenario:
 
 class TestStudy:
     def test_cartesian_count(self):
-        results = run_study(small_config())
+        results = flatten(run_study(small_config()))
         assert len(results) == 4
         labels = [r.scenario.label for r in results]
         assert len(set(labels)) == 4
@@ -351,7 +358,7 @@ class TestStudy:
             dgms = tuple(D.constant(c) for c in (0.1, 0.3, 0.5, 0.7))
             config = engine.StudyConfig("fresh", 5, 300, (20,), dgms, (T.perfect(),))
             print("numpy.random" in sys.modules)
-            engine.run_study(config, workers=2)
+            list(engine.run_study(config, workers=2))
         """
         src = str(Path(engine.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -365,8 +372,8 @@ class TestStudy:
     def test_shorter_run_is_a_prefix_of_a_longer_one(self):
         # replication r of a cell draws the same numbers whatever N is, so a run can later be extended
         config = load_study_config(CONFIGS / "every_kind.json")
-        short = run_study(dataclasses.replace(config, n_reps=100))
-        long = run_study(dataclasses.replace(config, n_reps=2 * BLOCK_REPS + 44))
+        short = flatten(run_study(dataclasses.replace(config, n_reps=100)))
+        long = flatten(run_study(dataclasses.replace(config, n_reps=2 * BLOCK_REPS + 44)))
         assert len(short) == len(long) == 40
         for a, b in zip(short, long):
             assert a.scenario == b.scenario
@@ -374,8 +381,8 @@ class TestStudy:
                 assert np.array_equal(getattr(a, name), getattr(b, name)[:100])
 
     def test_study_reproducible(self):
-        a = run_study(small_config())
-        b = run_study(small_config())
+        a = flatten(run_study(small_config()))
+        b = flatten(run_study(small_config()))
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.brier_samples, rb.brier_samples)
 
@@ -416,9 +423,9 @@ class TestStudy:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         config = small_config(n_reps=BLOCK_REPS + 37)
-        parallel = run_study(config, workers=2)
+        parallel = flatten(run_study(config, workers=2))
         assert len(starts) == 1
-        for a, b in zip(run_study(config), parallel):
+        for a, b in zip(flatten(run_study(config)), parallel, strict=True):
             assert np.array_equal(a.brier_samples, b.brier_samples)
             assert np.array_equal(a.exceeded, b.exceeded)
 
@@ -472,8 +479,8 @@ class TestDirectInputChecks:
             run_study(small_config(), workers=workers)
 
     def test_numpy_integer_seed_and_worker_count_accepted(self):
-        expected = run_study(small_config())
-        results = run_study(small_config(seed=np.int64(321)), workers=np.int32(1))
+        expected = flatten(run_study(small_config()))
+        results = flatten(run_study(small_config(seed=np.int64(321)), workers=np.int32(1)))
         for got, want in zip(results, expected, strict=True):
             assert np.array_equal(got.brier_samples, want.brier_samples)
 
@@ -522,7 +529,12 @@ class TestStudyConfigChecks:
         ({"sample_sizes": "50"}, ValidationError, "study sample sizes must be a sequence of integers >= 1, got '50'"),
         ({"sample_sizes": (50, 2.5)}, ValidationError,
          "study sample sizes must be a sequence of integers >= 1, got (50, 2.5)"),
-    ], ids=["empty-grid", "label-clash", "cell-file-clash", "small-pool", "sizes-int", "sizes-str", "sizes-float"])
+        ({"dgms": Dist.uniform(0.0, 1.0)}, ValidationError,
+         f"study dgms must be a sequence of specs, got {Dist.uniform(0.0, 1.0)!r}"),
+        ({"transforms": Transform.perfect()}, ValidationError,
+         f"study transforms must be a sequence of specs, got {Transform.perfect()!r}"),
+    ], ids=["empty-grid", "label-clash", "cell-file-clash", "small-pool", "sizes-int", "sizes-str", "sizes-float",
+            "bare-dgm", "bare-transform"])
     def test_refused_when_built_before_any_block(self, monkeypatch, overrides, error, message):
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
         with pytest.raises(error) as info:
@@ -540,6 +552,81 @@ class TestStudyConfigChecks:
             small_config(dgms=(self.TINY, self.TINY), sample_sizes=(2, 5))
 
 
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="only forked workers inherit a replaced _run_block"
+)
+
+
+class TestStreamedWrites:
+    """Each cell is committed as it arrives: a failure at the second cell keeps the first and writes no summary."""
+
+    CONFIG = small_config(n_reps=BLOCK_REPS + 37)  # two cells of two blocks each
+    FIRST_CELL = ["uniform_0_1_bias_0.1_n50.csv", "uniform_0_1_n50.csv", "uniform_0_1_perfect_n50.csv"]
+
+    def check_first_cell_kept(self, tmp_path, out):
+        whole = tmp_path / "whole"
+        write_study_results(run_study(self.CONFIG), whole)
+        assert sorted(path.name for path in out.iterdir()) == self.FIRST_CELL  # no summary.csv, no .tmp file
+        for name in self.FIRST_CELL:
+            assert (out / name).read_bytes() == (whole / name).read_bytes()
+        args = ["report", "--results", str(out), "--figure", "1", "--n", "50", "--out", str(tmp_path / "fig")]
+        assert main(args) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cell_file_write_keeps_the_cells_before_it(self, tmp_path, monkeypatch, workers):
+        out = tmp_path / "out"
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) == out / "constant_0.5_n50.csv":
+                raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="No space left on device") as info:
+            write_study_results(run_study(self.CONFIG, workers), out)
+        # info holds the traceback, and with it the writer's frame and the stream it was given
+        assert info.value.errno == errno.ENOSPC and multiprocessing.active_children() == []
+        self.check_first_cell_kept(tmp_path, out)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+    def test_failed_block_keeps_the_cells_before_it(self, tmp_path, monkeypatch, workers):
+        @functools.wraps(engine._run_block)  # pickled by its name, so a forked worker runs it too
+        def failing_block(scenarios, root_seed, cell, block, n_reps, run_block=engine._run_block):
+            if cell == 1:
+                raise RuntimeError(f"block {block} of cell {cell} failed")
+            return run_block(scenarios, root_seed, cell, block, n_reps)
+
+        monkeypatch.setattr(engine, "_run_block", failing_block)
+        with pytest.raises(RuntimeError) as info:
+            write_study_results(run_study(self.CONFIG, workers), tmp_path / "out")
+        assert multiprocessing.active_children() == []
+        assert str(info.value) == "block 0 of cell 1 failed"
+        monkeypatch.undo()
+        self.check_first_cell_kept(tmp_path, tmp_path / "out")
+
+    def test_a_parallel_study_starts_its_pool_when_first_iterated(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+        run_study(self.CONFIG, workers=2).close()
+
+    # a: a run of the study, b: another run of it
+    @pytest.mark.parametrize("make, index", [
+        (lambda a, b: [a[0], ()], 1),
+        (lambda a, b: [a[0][0], a[1]], 0),
+        (lambda a, b: [(a[0][0], b[0][1])], 0),
+        (lambda a, b: [(a[0][0], dataclasses.replace(a[0][1], scenario=a[1][1].scenario))], 0),
+    ], ids=["empty", "not-a-tuple", "two-runs", "two-cells"])
+    def test_a_cell_that_is_not_one_run_of_one_cell_is_refused_before_its_files(self, tmp_path, make, index):
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as info:
+            write_study_results(make(list(run_study(self.CONFIG)), list(run_study(self.CONFIG))), out)
+        assert str(info.value) == f"cell {index} is not a nonempty tuple of one run's results for one cell"
+        if index == 0:
+            assert not out.exists()
+        else:
+            assert sorted(path.name for path in out.iterdir()) == self.FIRST_CELL
+
+
 class TestCommonRandomNumbers:
     """The transforms of one (DGM, n) cell are scored on the same q and y."""
 
@@ -551,7 +638,7 @@ class TestCommonRandomNumbers:
             dgms=(Dist.uniform(0.0, 1.0), Dist.beta(2.0, 5.0)),
             transforms=transforms,
         )
-        results = run_study(config)
+        results = flatten(run_study(config))
         assert [r.scenario_index for r in results] == list(range(12))
         cells = [results[start:start + 3] for start in range(0, 12, 3)]
         for cell, (first, *others) in enumerate(cells):
@@ -572,8 +659,8 @@ class TestCommonRandomNumbers:
             n_reps=BLOCK_REPS + 37,
             transforms=(Transform.perfect(), Transform.additive_bias(0.1), Transform.uniform_noise(0.1)),
         )
-        results = run_study(config)
-        cells = [results[:3], results[3:]]
+        cells = list(run_study(config))
+        assert [len(cell) for cell in cells] == [3, 3]
         for first, *others in cells:
             for other in others:
                 assert other.gap_samples is first.gap_samples
@@ -594,7 +681,7 @@ class TestCommonRandomNumbers:
             dgms=(Dist.uniform(0.0, 0.2),),
             transforms=(Transform.perfect(), Transform.additive_bias(delta)),
         )
-        perfect, bias = run_study(config)
+        [(perfect, bias)] = run_study(config)
         difference = bias.brier_samples - perfect.brier_samples
         assert np.allclose(difference, delta**2 + 2 * delta * perfect.cil_samples, rtol=0, atol=1e-15)
         se = np.std(difference, ddof=1) / math.sqrt(n_reps)
@@ -793,8 +880,8 @@ def joined_text(scenario_path, cell_path):
 class TestPersistence:
     def test_study_files_match_per_scenario_writer(self, tmp_path):
         # two cells, N = 165: a full block and a partial one
-        results = run_study(small_config(n_reps=BLOCK_REPS + 37))
-        paths = write_study_results(results, tmp_path)
+        study = list(run_study(small_config(n_reps=BLOCK_REPS + 37)))
+        paths = write_study_results(study, tmp_path)
         # each cell file, then the cell's two scenario files, then the summary
         assert [path.name for path in paths] == [
             "uniform_0_1_n50.csv", "uniform_0_1_perfect_n50.csv", "uniform_0_1_bias_0.1_n50.csv",
@@ -802,7 +889,7 @@ class TestPersistence:
             "summary.csv",
         ]
         cells = {path.name: path for path in paths[0::3]}
-        for result, path in zip(results, paths[1:3] + paths[4:6]):
+        for result, path in zip(flatten(study), paths[1:3] + paths[4:6], strict=True):
             [row] = [row for row in read_summary_csv(paths[-1]) if row["scenario"] == result.scenario.label][:1]
             assert joined_text(path, cells[row["cell"]]) == reference_scenario_text(result)
 
@@ -814,10 +901,10 @@ class TestPersistence:
         held = gap.view() if read_only_view else gap
         held.flags.writeable = not read_only_view
         own = dataclasses.replace(result, gap_samples=held)
-        cell, scenario, _ = write_study_results([own], tmp_path / "a")
+        cell, scenario, _ = write_study_results([(own,)], tmp_path / "a")
         first = joined_text(scenario, cell)
         gap[0] = 0.5
-        cell, scenario, _ = write_study_results([own], tmp_path / "b")
+        cell, scenario, _ = write_study_results([(own,)], tmp_path / "b")
         second = joined_text(scenario, cell)
         assert first != second
         assert second == reference_scenario_text(own)
@@ -836,10 +923,11 @@ class TestPersistence:
     @pytest.mark.parametrize("label", ["summary", "summary!"])
     def test_label_written_as_summary_csv_is_refused(self, tmp_path, label):
         # its file would be overwritten by the summary, and report would read the summary as it
-        results = run_study(small_config())
-        results[1] = dataclasses.replace(results[1], scenario=dataclasses.replace(results[1].scenario, label=label))
+        cells = list(run_study(small_config()))
+        first, second = cells[0]
+        cells[0] = (first, dataclasses.replace(second, scenario=dataclasses.replace(second.scenario, label=label)))
         with pytest.raises(ConfigError) as info:
-            write_study_results(results, tmp_path / "out")
+            write_study_results(cells, tmp_path / "out")
         assert str(info.value) == f"scenario label {label!r} would be written to summary.csv, the summary's own file"
         assert not (tmp_path / "out").exists()
 
@@ -847,17 +935,21 @@ class TestPersistence:
         # each would write the cell file from arrays of its own, so neither cell file could be trusted
         dist = Dist.uniform(0.0, 1.0)
         transforms = (Transform.perfect(), Transform.additive_bias(0.1))
-        results = [run_scenario(Scenario(dist, transform, 20), 5, 3) for transform in transforms]
+        cells = [(run_scenario(Scenario(dist, transform, 20), 5, 3),) for transform in transforms]
         with pytest.raises(ConfigError) as info:
-            write_study_results(results, tmp_path / "out")
+            write_study_results(cells, tmp_path / "out")
         assert str(info.value) == (
             "scenario and cell labels collide after filename sanitization: ['uniform(0,1)+n20', 'uniform(0,1)+n20']"
         )
-        assert not (tmp_path / "out").exists()
+        # the first run's files are written as it arrives; the second is refused before any of its own
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+            "uniform_0_1_n20.csv", "uniform_0_1_perfect_n20.csv"
+        ]
 
     def test_round_trip(self, tmp_path):
-        results = run_study(small_config())
-        paths = write_study_results(results, tmp_path)
+        cells = list(run_study(small_config()))
+        results = flatten(cells)
+        paths = write_study_results(cells, tmp_path)
         assert paths[-1].name == "summary.csv"
         assert len(paths) == 2 + 4 + 1  # cells, scenarios, summary
 
@@ -1006,7 +1098,7 @@ class TestPersistence:
         assert outcome(public) == outcome(per_line_scenario_rows)
 
     def test_scenario_csv_text(self, tmp_path):
-        result = run_study(small_config())[0]
+        result = flatten(run_study(small_config()))[0]
         path = write_scenario_csv(result, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no cell file
         buf = io.StringIO()
@@ -1020,7 +1112,7 @@ class TestPersistence:
         assert path.read_text() == buf.getvalue()
 
     def test_failed_write_leaves_no_stray_file(self, tmp_path):
-        results = run_study(small_config())
+        results = flatten(run_study(small_config()))
         write_summary_csv(results, tmp_path)
         before = (tmp_path / "summary.csv").read_bytes()
         scenario = dataclasses.replace(results[0].scenario, label="unencodable\udc80")
