@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .validation import as_probability_vector, as_unit_scalar, check_same_length
+from .validation import as_float, as_probability_vector, as_unit_scalar, check_same_length
 
 __all__ = [
     "PerturbationSpec",
@@ -47,16 +47,18 @@ CONSTANT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """A nonnegative shift of size epsilon applied upward (plus) or downward."""
+    """A nonnegative shift of size epsilon applied upward (plus) or downward; epsilon is stored as a float."""
 
     epsilon: float
     direction: str = "plus"
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+        epsilon = as_float(self.epsilon, "epsilon")
+        if not math.isfinite(epsilon) or epsilon < 0:
             raise ValidationError(f"epsilon must be a nonnegative real, got {self.epsilon!r}")
         if self.direction not in ("plus", "minus"):
             raise ValidationError(f"direction must be 'plus' or 'minus', got {self.direction!r}")
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def shift_difference(q1, eps) -> float:
     ``eps`` may be a float (treated as an upward shift) or a PerturbationSpec.
     """
     q1 = as_unit_scalar(q1, "q1")
-    spec = eps if isinstance(eps, PerturbationSpec) else PerturbationSpec(float(eps))
+    spec = eps if isinstance(eps, PerturbationSpec) else PerturbationSpec(eps)
     e = spec.epsilon
     if spec.direction == "plus":
         if q1 + e > 0.5 + CONSTANT_TOL:
@@ -146,7 +148,7 @@ def perturb_difference(eps) -> float:
     Independent of q1 and of the direction of the error. ``eps`` may be a
     float or a PerturbationSpec.
     """
-    spec = eps if isinstance(eps, PerturbationSpec) else PerturbationSpec(float(eps))
+    spec = eps if isinstance(eps, PerturbationSpec) else PerturbationSpec(eps)
     return spec.epsilon * spec.epsilon
 
 

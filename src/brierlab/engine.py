@@ -49,7 +49,7 @@ from .dgm import (
 )
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
-from .validation import CsvFormat, csv_rows, is_integer, names_undecodable_file, read_float_csv
+from .validation import CsvFormat, _as_float_vector, csv_rows, is_integer, names_undecodable_file, read_float_csv
 
 __all__ = [
     "Scenario",
@@ -118,6 +118,15 @@ _SUMMARY_CSV = CsvFormat(
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
+def _check_integers(*checks: tuple[str, object, int]) -> None:
+    """Refuse, naming it, the first (name, value, least) whose value is not an integer >= least."""
+    for name, value, least in checks:
+        if not is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One study scenario: true distribution x predictor transform x sample size."""
@@ -131,8 +140,9 @@ class Scenario:
         for name, spec_class in (("true_dist", TrueDistributionSpec), ("transform", PredictorTransformSpec)):
             if not isinstance(getattr(self, name), spec_class):
                 raise ValidationError(f"scenario {name} must be a {spec_class.__name__}, got {getattr(self, name)!r}")
-        if not is_integer(self.n) or self.n < 1:
-            raise ValidationError(f"scenario sample size must be an integer >= 1, got {self.n!r}")
+        _check_integers(("scenario sample size", self.n, 1))
+        if not isinstance(self.label, str):
+            raise ValidationError(f"scenario label must be a string, got {self.label!r}")
         if not self.label:
             auto = f"{self.true_dist.label}+{self.transform.label}+n{self.n}"
             object.__setattr__(self, "label", auto)
@@ -199,10 +209,7 @@ def summarize(samples) -> SummaryStats:
     Quantiles interpolate linearly between adjacent order statistics at
     position h = (N - 1) * p, the common default in statistical software.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("summarize needs a nonempty one-dimensional sample set")
-    return _summarize_rows(arr[np.newaxis])[0]
+    return _summarize_rows(_as_float_vector(samples, "samples")[np.newaxis])[0]
 
 
 @dataclass(frozen=True)
@@ -241,24 +248,13 @@ def _run_block(scenarios: tuple, root_seed: int, cell: int, block: int, n_reps: 
 
 
 def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_seed: int, workers: int):
-    """Check the arguments, then return an iterator of each (cell index, scenarios) pair's results, in order.
+    """Each (cell index, scenarios) pair's results, in order; the caller has checked the arguments.
 
     A cell's T scenarios share one true distribution and n; scenario t of
     cell c has index c * T + t. Every (cell, block) task is known up front.
     One worker maps them in process; more submit them all to one pool, so a
     study starts one pool however many cells it has; closing the iterator stops it.
     """
-    checks = (("replication count", n_reps, 1), ("worker count", workers, 1), ("seed", root_seed, 0))
-    for name, value, least in (*checks, *(("cell index", cell, 0) for cell, _ in cells)):
-        if not is_integer(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValidationError(f"{name} must be >= {least}, got {value}")
-    return _cell_results(cells, n_reps, root_seed, workers)
-
-
-def _cell_results(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_seed: int, workers: int):
-    """The generator _run_cells returns once its arguments are checked."""
     n_blocks = -(-n_reps // BLOCK_REPS)
     tasks = [
         (scenarios, root_seed, cell, block, n_reps) for cell, scenarios in cells for block in range(n_blocks)
@@ -304,6 +300,8 @@ def run_scenario(
     docstring), so the result is identical for any ``workers`` value;
     workers only controls which process runs each block.
     """
+    _check_integers(("replication count", n_reps, 1), ("worker count", workers, 1), ("seed", root_seed, 0),
+                    ("cell index", scenario_index, 0))
     [(result,)] = _run_cells([(scenario_index, (scenario,))], n_reps, root_seed, workers)
     return result
 
@@ -312,9 +310,10 @@ def run_scenario(
 class StudyConfig:
     """A full study: DGM grid x transform grid x sample sizes, N reps each.
 
-    Its grid is checked when built: sequences of sample sizes and specs,
-    nonempty, no clashing cell or scenario files, no pool smaller than the
-    largest n. Seed, N and workers are checked when run_study is called.
+    Every field is checked when it is built, directly or through
+    dataclasses.replace: a string name, integer seed >= 0 and N >= 1,
+    sequences of sample sizes and specs, nonempty, no clashing cell or
+    scenario files, no pool smaller than the largest n.
     """
 
     name: str
@@ -325,6 +324,9 @@ class StudyConfig:
     transforms: tuple[PredictorTransformSpec, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValidationError(f"study name must be a string, got {self.name!r}")
+        _check_integers(("seed", self.seed, 0), ("replication count", self.n_reps, 1))
         sizes = self.sample_sizes
         if not isinstance(sizes, Sequence) or isinstance(sizes, str) or not all(
             is_integer(n) and n >= 1 for n in sizes
@@ -345,30 +347,29 @@ class StudyConfig:
                 )
 
 
-def scenarios_for(config: StudyConfig) -> list[Scenario]:
-    """The full cartesian grid, in deterministic order (n, then dgm, then transform)."""
+def _grid_cells(config: StudyConfig) -> list[tuple[Scenario, ...]]:
+    """The scenarios of each (n, dgm) cell, in cell-index order: n, then dgm; a cell's transforms in order."""
     return [
-        Scenario(true_dist=dgm, transform=transform, n=n)
+        tuple(Scenario(true_dist=dgm, transform=transform, n=n) for transform in config.transforms)
         for n in config.sample_sizes
         for dgm in config.dgms
-        for transform in config.transforms
     ]
 
 
-def _grid_cells(config: StudyConfig) -> list[tuple[Scenario, ...]]:
-    """The scenarios of each (n, dgm) cell, in cell-index order."""
-    scenarios = scenarios_for(config)
-    width = len(config.transforms)  # scenarios_for lists each cell's transforms together
-    return [tuple(scenarios[start:start + width]) for start in range(0, len(scenarios), width)]
+def scenarios_for(config: StudyConfig) -> list[Scenario]:
+    """The full cartesian grid, in deterministic order (n, then dgm, then transform)."""
+    return [scenario for cell in _grid_cells(config) for scenario in cell]
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> Iterator[tuple[ScenarioResult, ...]]:
     """Run every (n, dgm) cell of the grid, whose index keys its random streams.
 
     Yields each cell's ScenarioResults, one per transform, as a tuple, in
-    cell-index order; seed, N and workers are checked when it is called. With
-    ``workers`` > 1 one process pool, stopped by closing the iterator, serves every block.
+    cell-index order. The config checked itself when built, so only the
+    worker count is checked, when it is called. With ``workers`` > 1 one
+    process pool, stopped by closing the iterator, serves every block.
     """
+    _check_integers(("worker count", workers, 1))
     return _run_cells(list(enumerate(_grid_cells(config))), config.n_reps, config.seed, workers)
 
 
@@ -377,54 +378,52 @@ def run_study(config: StudyConfig, workers: int = 1) -> Iterator[tuple[ScenarioR
 # ---------------------------------------------------------------------------
 
 
-def _require(mapping: dict, field: str, context: str):
+def _require(mapping: dict, field: str, context: str, expected: type = object):
+    """mapping[field], refused naming the field if mapping is not an object, lacks it or holds another type."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context}: must be an object")
     if field not in mapping:
         raise ConfigError(f"{context}.{field}: missing required field")
+    if not isinstance(mapping[field], expected):
+        raise ConfigError(f"{context}.{field}: must be a {expected.__name__}, got {mapping[field]!r}")
     return mapping[field]
 
 
-def _parse_spec(entry: dict, context: str, spec_class, registry: dict, family: str):
-    """Build a spec of the entry's kind from the fields registry gives it; the spec checks its own domain."""
+def _parse_spec(entry: dict, context: str, spec_class, registry: dict):
+    """The spec of the entry's kind, given the fields that kind takes; the spec checks kind and values."""
     kind = _require(entry, "kind", context)
-    if not isinstance(kind, str) or kind not in registry:
-        raise ConfigError(f"{context}.kind: unknown {family} kind {kind!r}")
-    args = {field: _require(entry, field, context) for field in registry[kind].fields}
-    for field, value in args.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{context}.{field}: must be a number, got {value!r}")
+    fields = registry[kind].fields if isinstance(kind, str) and kind in registry else ()
     try:
-        return spec_class(kind, tuple(args.values()))
+        return spec_class(kind, tuple(_require(entry, field, context) for field in fields))
     except ValidationError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
 def _parse_dgm(entry: dict, context: str, base_dir: Path) -> TrueDistributionSpec:
     if _require(entry, "kind", context) != "empirical":
-        return _parse_spec(entry, context, TrueDistributionSpec, TRUE_DISTRIBUTIONS, "true-distribution")
+        return _parse_spec(entry, context, TrueDistributionSpec, TRUE_DISTRIBUTIONS)
     _require(entry, "path", context)
-    strings = {field: entry[field] for field in ("path", "label") if field in entry}
-    for field, value in strings.items():
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{context}.{field}: must be a non-empty string, got {value!r}")
-    raw_path = Path(strings["path"])
-    pool_path = raw_path if raw_path.is_absolute() else base_dir / raw_path
+    # A path joins base_dir, which it replaces if absolute; load_empirical_pool takes a None label for the stem.
+    for field in ("path", "label"):
+        if field in entry and not (isinstance(entry[field], str) and entry[field]):
+            raise ConfigError(f"{context}.{field}: must be a non-empty string, got {entry[field]!r}")
     try:
-        return TrueDistributionSpec.empirical(load_empirical_pool(pool_path, label=strings.get("label")))
+        return TrueDistributionSpec.empirical(load_empirical_pool(base_dir / entry["path"], label=entry.get("label")))
     except ValidationError as exc:
         raise ConfigError(f"{context}: {exc}") from None
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # open() raises ValueError for a path holding a NUL character
         raise ConfigError(f"{context}.path: cannot read pool file: {exc}") from None
 
 
 @names_undecodable_file
 def load_study_config(path) -> StudyConfig:
-    """Parse and validate a JSON study document.
+    """Read a JSON study document into a StudyConfig, which checks every value.
 
     Expected shape: a top-level ``study`` object with name, seed, N, and
     sample_sizes, plus ``dgms`` and ``transforms`` arrays of kind+parameter
     objects. Empirical pool paths are resolved relative to the document.
+    A document of the wrong shape raises ConfigError naming the field; a
+    spec's own error is prefixed with its entry (``dgms[0]: ...``).
     """
     path = Path(path)
     try:
@@ -436,41 +435,19 @@ def load_study_config(path) -> StudyConfig:
         raise ConfigError(f"{path}: top level must be an object")
 
     study = _require(doc, "study", "document")
-    name = str(_require(study, "name", "study"))
-    seed = _require(study, "seed", "study")
-    n_reps = _require(study, "N", "study")
-    sample_sizes = _require(study, "sample_sizes", "study")
-    if not is_integer(seed) or seed < 0:
-        raise ConfigError(f"study.seed: must be a nonnegative integer, got {seed!r}")
-    if not is_integer(n_reps) or n_reps < 1:
-        raise ConfigError(f"study.N: must be a positive integer, got {n_reps!r}")
-    if not isinstance(sample_sizes, list) or not sample_sizes or not all(
-        is_integer(n) and n >= 1 for n in sample_sizes
-    ):
-        raise ConfigError("study.sample_sizes: must be a nonempty list of positive integers")
-
-    dgm_entries = _require(doc, "dgms", "document")
-    if not isinstance(dgm_entries, list) or not dgm_entries:
-        raise ConfigError("dgms: must be a nonempty list")
-    transform_entries = _require(doc, "transforms", "document")
-    if not isinstance(transform_entries, list) or not transform_entries:
-        raise ConfigError("transforms: must be a nonempty list")
-
-    base_dir = path.parent
-    dgms = tuple(_parse_dgm(entry, f"dgms[{i}]", base_dir) for i, entry in enumerate(dgm_entries))
-    transforms = tuple(
-        _parse_spec(
-            entry, f"transforms[{i}]", PredictorTransformSpec, PREDICTOR_TRANSFORMS, "predictor-transform"
-        )
-        for i, entry in enumerate(transform_entries)
-    )
     return StudyConfig(
-        name=name,
-        seed=seed,
-        n_reps=n_reps,
-        sample_sizes=tuple(sample_sizes),
-        dgms=dgms,
-        transforms=transforms,
+        name=_require(study, "name", "study"),
+        seed=_require(study, "seed", "study"),
+        n_reps=_require(study, "N", "study"),
+        sample_sizes=tuple(_require(study, "sample_sizes", "study", list)),
+        dgms=tuple(
+            _parse_dgm(entry, f"dgms[{i}]", path.parent)
+            for i, entry in enumerate(_require(doc, "dgms", "document", list))
+        ),
+        transforms=tuple(
+            _parse_spec(entry, f"transforms[{i}]", PredictorTransformSpec, PREDICTOR_TRANSFORMS)
+            for i, entry in enumerate(_require(doc, "transforms", "document", list))
+        ),
     )
 
 

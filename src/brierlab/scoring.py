@@ -21,6 +21,7 @@ from .errors import ValidationError
 from .validation import (
     DOMAIN_TOL,
     CsvFormat,
+    as_float,
     as_outcome_vector,
     as_probability_vector,
     check_same_length,
@@ -146,7 +147,8 @@ class ScoreReport:
 
 def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
     """Every metric, the reference scores and the diagnostics (see diagnose), validating p and y once."""
-    if not (math.isfinite(near_reference_delta) and near_reference_delta > 0):
+    delta = as_float(near_reference_delta, "near_reference_delta")
+    if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("near_reference_delta must be finite and positive")
     p, y = _paired(p, y)
     bs = float(np.mean((p - y) ** 2))
@@ -157,7 +159,7 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
         warnings.append(ZERO_SCORE_SUSPECT)
     if np.all((p == 0.0) | (p == 1.0)):
         warnings.append(ALL_EXTREME_PREDICTIONS)
-    if abs(bs - ref_incidence) < near_reference_delta:
+    if abs(bs - ref_incidence) < delta:
         warnings.append(NEAR_REFERENCE)
     return ScoreReport(
         n=int(p.size),

@@ -23,12 +23,17 @@ from .errors import DimensionError, ValidationError
 DOMAIN_TOL = 1e-12
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    """values as a float64 array; a value numpy cannot read as a number raises a ValidationError naming name."""
+def _as_float_vector(values, name: str) -> np.ndarray:
+    """values as a nonempty one-dimensional float64 array; anything else raises a ValidationError naming name."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must hold numbers only: {exc}") from None
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValidationError(f"{name} must contain at least one element")
+    return arr
 
 
 def as_probability_vector(values, name: str = "probabilities") -> np.ndarray:
@@ -38,11 +43,7 @@ def as_probability_vector(values, name: str = "probabilities") -> np.ndarray:
     boundary; values further out raise ValidationError. Clamping of genuinely
     out-of-range predictions is a data-generation concern, never a scoring one.
     """
-    arr = _as_float_array(values, name)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError(f"{name} must contain at least one element")
+    arr = _as_float_vector(values, name)
     if not np.all(np.isfinite(arr)):
         idx = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise ValidationError(f"{name}[{idx}] is not finite: {float(arr[idx])!r}")
@@ -60,11 +61,7 @@ def as_outcome_vector(values, name: str = "outcomes") -> np.ndarray:
 
     Every element must equal 0 or 1 exactly.
     """
-    arr = _as_float_array(values, name)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValidationError(f"{name} must contain at least one element")
+    arr = _as_float_vector(values, name)
     bad = ~((arr == 0.0) | (arr == 1.0))
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
@@ -82,12 +79,19 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def as_float(value, name: str) -> float:
+    """value as a float; a string, or a value float() refuses, raises a ValidationError naming name."""
+    if isinstance(value, (str, bytes)):
+        raise ValidationError(f"{name} must be a number: got the string {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
+        raise ValidationError(f"{name} must be a number: {exc}") from None
+
+
 def as_unit_scalar(value, name: str) -> float:
     """Validate a scalar probability in [0, 1] (with DOMAIN_TOL slack)."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a number: {exc}") from None
+    x = as_float(value, name)
     if not np.isfinite(x):
         raise ValidationError(f"{name} is not finite: {x!r}")
     if x < -DOMAIN_TOL or x > 1.0 + DOMAIN_TOL:

@@ -53,7 +53,10 @@ class TestExpectedSingle:
         with pytest.raises(ValidationError):
             expected_bs_single(0.5, -0.2)
 
-    @pytest.mark.parametrize("args, name", [(("a", 0.1), "p1"), ((0.5, None), "q1"), (([0.5], 0.1), "p1")])
+    @pytest.mark.parametrize(
+        "args, name",
+        [(("a", 0.1), "p1"), ((0.5, None), "q1"), (([0.5], 0.1), "p1"), ((0.5, "0.1"), "q1"), ((10**400, 0.1), "p1")],
+    )
     def test_non_number_rejected_naming_the_argument(self, args, name):
         # float()'s own wording follows, and differs between Python versions
         with pytest.raises(ValidationError, match=rf"^{name} must be a number: "):
@@ -142,6 +145,23 @@ class TestShiftDifference:
         with pytest.raises(ValidationError):
             shift_difference(0.1, -0.1)
 
+    def test_non_number_epsilon_rejected_naming_it(self):
+        with pytest.raises(ValidationError, match="^epsilon must be a number: got the string 'a'$"):
+            shift_difference(0.1, "a")
+
+
+class TestPerturbationSpec:
+    @pytest.mark.parametrize("epsilon", [None, "0.1", [0.1], 10**400])
+    def test_non_number_epsilon_rejected_naming_it(self, epsilon):
+        # float()'s own wording follows, and differs between Python versions
+        with pytest.raises(ValidationError, match="^epsilon must be a number: "):
+            PerturbationSpec(epsilon)
+
+    def test_epsilon_is_stored_as_a_float(self):
+        spec = PerturbationSpec(np.int64(1), "minus")
+        assert type(spec.epsilon) is float and spec.epsilon == 1.0
+        assert spec == PerturbationSpec(1.0, "minus")
+
 
 class TestPerturbDifference:
     def test_tenth_perturbation(self):
@@ -154,6 +174,10 @@ class TestPerturbDifference:
         assert perturb_difference(PerturbationSpec(0.2, "minus")) == pytest.approx(
             0.04, abs=1e-15
         )
+
+    def test_non_number_epsilon_rejected_naming_it(self):
+        with pytest.raises(ValidationError, match="^epsilon must be a number: got the string 'a'$"):
+            perturb_difference("a")
 
     def test_sweep_against_expected_single(self):
         # g(q + eps, q) - g(q, q) == eps^2 for every interior q

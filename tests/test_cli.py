@@ -339,15 +339,19 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "dgm, transform, message",
         [
-            ({"kind": "uniform", "a": "0", "b": 1}, {"kind": "perfect"}, "dgms[0].a: must be a number, got '0'"),
+            ({"kind": "uniform", "a": "0", "b": 1}, {"kind": "perfect"},
+             "dgms[0]: true-distribution kind 'uniform' takes finite numbers, got ('0', 1)"),
             ({"kind": "uniform", "a": 0, "b": 1}, {"kind": "additive_bias", "delta": None},
-             "transforms[0].delta: must be a number, got None"),
+             "transforms[0]: predictor-transform kind 'additive_bias' takes finite numbers, got (None,)"),
             (3, {"kind": "perfect"}, "dgms[0]: must be an object"),
             ({"kind": "uniform", "a": 0, "b": 1}, ["perfect"], "transforms[0]: must be an object"),
             ({"kind": "empirical", "path": None}, {"kind": "perfect"},
              "dgms[0].path: must be a non-empty string, got None"),
+            ({"kind": "empirical", "path": "a\u0000b"}, {"kind": "perfect"},
+             "dgms[0].path: cannot read pool file: embedded null byte"),
         ],
-        ids=["string-parameter", "null-parameter", "dgm-not-object", "transform-not-object", "null-pool-path"],
+        ids=["string-parameter", "null-parameter", "dgm-not-object", "transform-not-object", "null-pool-path",
+             "nul-pool-path"],
     )
     def test_mistyped_entry_exits_2_naming_field(self, tmp_path, capsys, dgm, transform, message):
         config = tmp_path / "bad.json"
@@ -361,7 +365,26 @@ class TestSimulate:
             )
         )
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("N", 0, "replication count must be >= 1, got 0"),
+            ("sample_sizes", [0], "study sample sizes must be a sequence of integers >= 1, got (0,)"),
+            ("sample_sizes", 5, "study.sample_sizes: must be a list, got 5"),
+        ],
+        ids=["negative-seed", "zero-N", "zero-size", "size-not-list"],
+    )
+    def test_bad_study_value_exits_2_naming_it(self, tmp_path, capsys, field, value, message):
+        study = {"name": "x", "seed": 1, "N": 2, "sample_sizes": [5], field: value}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"study": study, "dgms": [{"kind": "constant", "c": 0.5}],
+                                      "transforms": [{"kind": "perfect"}]}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_label_collision_exits_2_before_any_replication(self, tmp_path, monkeypatch, capsys):

@@ -182,6 +182,11 @@ class TestSummarize:
         with pytest.raises(ValidationError):
             summarize([])
 
+    def test_non_number_rejected_naming_the_argument(self):
+        # numpy's own wording follows
+        with pytest.raises(ValidationError, match="^samples must hold numbers only: "):
+            summarize(["a"])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 100, 129, 1000])
     def test_batched_rows_equal_summarize_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
@@ -495,7 +500,9 @@ class TestDirectInputChecks:
          "scenario true_dist must be a TrueDistributionSpec, got 'uniform'"),
         (lambda: small_config(transforms=(Transform.perfect(), None)),
          "scenario transform must be a PredictorTransformSpec, got None"),
-    ], ids=["scenario-dist", "scenario-transform", "swapped", "config-dgm", "config-transform"])
+        (lambda: Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 5, label=5),
+         "scenario label must be a string, got 5"),
+    ], ids=["scenario-dist", "scenario-transform", "swapped", "config-dgm", "config-transform", "scenario-label"])
     def test_a_spec_field_that_is_not_a_spec_is_refused(self, build, message):
         with pytest.raises(ValidationError) as info:
             build()
@@ -533,8 +540,13 @@ class TestStudyConfigChecks:
          f"study dgms must be a sequence of specs, got {Dist.uniform(0.0, 1.0)!r}"),
         ({"transforms": Transform.perfect()}, ValidationError,
          f"study transforms must be a sequence of specs, got {Transform.perfect()!r}"),
+        ({"seed": -1}, ValidationError, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, ValidationError, "seed must be an integer, got 1.5"),
+        ({"n_reps": 0}, ValidationError, "replication count must be >= 1, got 0"),
+        ({"n_reps": True}, ValidationError, "replication count must be an integer, got True"),
+        ({"name": 3}, ValidationError, "study name must be a string, got 3"),
     ], ids=["empty-grid", "label-clash", "cell-file-clash", "small-pool", "sizes-int", "sizes-str", "sizes-float",
-            "bare-dgm", "bare-transform"])
+            "bare-dgm", "bare-transform", "negative-seed", "float-seed", "zero-reps", "bool-reps", "int-name"])
     def test_refused_when_built_before_any_block(self, monkeypatch, overrides, error, message):
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
         with pytest.raises(error) as info:
@@ -737,8 +749,9 @@ class TestConfigDocuments:
     def test_empty_transforms_rejected(self, tmp_path):
         doc = self.base_doc()
         doc["transforms"] = []
-        with pytest.raises(ConfigError, match="transforms"):
+        with pytest.raises(ValidationError) as info:
             load_study_config(self.write(tmp_path, doc))
+        assert str(info.value) == "a study needs at least one sample size, true distribution and transform"
 
     def test_missing_study_field(self, tmp_path):
         doc = self.base_doc()
@@ -756,8 +769,9 @@ class TestConfigDocuments:
         for kind in ("empirical", ["perfect"]):
             doc = self.base_doc()
             doc["transforms"] = [{"kind": "perfect"}, {"kind": kind}]
-            with pytest.raises(ConfigError, match=r"transforms\[1\]\.kind: unknown predictor-transform kind"):
+            with pytest.raises(ConfigError) as info:
                 load_study_config(self.write(tmp_path, doc))
+            assert str(info.value) == f"transforms[1]: unknown predictor-transform kind {kind!r}"
 
     def test_missing_parameter_names_field(self, tmp_path):
         doc = self.base_doc()
@@ -784,10 +798,14 @@ class TestConfigDocuments:
     @pytest.mark.parametrize(
         "family, entry, message",
         [
-            ("dgms", {"kind": "uniform", "a": "0", "b": 1}, "dgms[0].a: must be a number, got '0'"),
-            ("dgms", {"kind": "beta", "alpha": True, "beta": 5}, "dgms[0].alpha: must be a number, got True"),
-            ("transforms", {"kind": "additive_bias", "delta": None}, "transforms[0].delta: must be a number, got None"),
-            ("transforms", {"kind": "uniform_noise", "half_width": [0.1]}, "transforms[0].half_width: must be a number"),
+            ("dgms", {"kind": "uniform", "a": "0", "b": 1},
+             "dgms[0]: true-distribution kind 'uniform' takes finite numbers, got ('0', 1)"),
+            ("dgms", {"kind": "beta", "alpha": True, "beta": 5},
+             "dgms[0]: true-distribution kind 'beta' takes finite numbers, got (True, 5)"),
+            ("transforms", {"kind": "additive_bias", "delta": None},
+             "transforms[0]: predictor-transform kind 'additive_bias' takes finite numbers, got (None,)"),
+            ("transforms", {"kind": "uniform_noise", "half_width": [0.1]},
+             "transforms[0]: predictor-transform kind 'uniform_noise' takes finite numbers, got ([0.1],)"),
         ],
         ids=["string", "bool", "null", "list"],
     )
@@ -796,7 +814,7 @@ class TestConfigDocuments:
         doc[family] = [entry]
         with pytest.raises(ConfigError) as info:
             load_study_config(self.write(tmp_path, doc))
-        assert str(info.value).startswith(message)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("family", ["dgms", "transforms"])
     def test_non_object_entry_rejected(self, tmp_path, family):
@@ -833,6 +851,38 @@ class TestConfigDocuments:
         doc["dgms"] = [{"kind": "empirical", "path": "p.txt"}] * 2  # both labelled p, both smaller than n = 20
         with pytest.raises(ConfigError, match="^scenario and cell labels collide after filename sanitization"):
             load_study_config(self.write(tmp_path, doc))
+
+    def test_nul_in_pool_path_names_field(self, tmp_path):
+        doc = self.base_doc()
+        doc["dgms"] = [{"kind": "uniform", "a": 0, "b": 1}, {"kind": "empirical", "path": "a\u0000b"}]
+        with pytest.raises(ConfigError) as info:
+            load_study_config(self.write(tmp_path, doc))
+        assert str(info.value) == "dgms[1].path: cannot read pool file: embedded null byte"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("N", 0, "replication count must be >= 1, got 0"),
+        ("sample_sizes", [0], "study sample sizes must be a sequence of integers >= 1, got (0,)"),
+        ("name", 3, "study name must be a string, got 3"),
+    ], ids=["negative-seed", "zero-N", "zero-size", "int-name"])
+    def test_study_values_are_checked_by_the_study_config(self, tmp_path, field, value, message):
+        doc = self.base_doc()
+        doc["study"][field] = value
+        with pytest.raises(ValidationError) as info:
+            load_study_config(self.write(tmp_path, doc))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("top_level, field, value, message", [
+        (True, "dgms", {"kind": "perfect"}, "document.dgms: must be a list, got {'kind': 'perfect'}"),
+        (True, "transforms", "perfect", "document.transforms: must be a list, got 'perfect'"),
+        (False, "sample_sizes", "20", "study.sample_sizes: must be a list, got '20'"),
+    ], ids=["dgms", "transforms", "sample_sizes"])
+    def test_a_field_that_is_not_a_list_names_it(self, tmp_path, top_level, field, value, message):
+        doc = self.base_doc()
+        (doc if top_level else doc["study"])[field] = value
+        with pytest.raises(ConfigError) as info:
+            load_study_config(self.write(tmp_path, doc))
+        assert str(info.value) == message
 
     def test_missing_pool_file(self, tmp_path):
         doc = self.base_doc()

@@ -205,6 +205,11 @@ class TestDiagnose:
             with pytest.raises(ValidationError, match="finite and positive"):
                 diagnose([0.5], [1], near_reference_delta=delta)
 
+    def test_non_number_delta_rejected_naming_it(self):
+        # float()'s own wording follows, and differs between Python versions
+        with pytest.raises(ValidationError, match="^near_reference_delta must be a number: "):
+            diagnose([0.5], [1], None)
+
     def test_inputs_not_mutated(self):
         p = np.array([0.2, 0.7])
         y = np.array([0.0, 1.0])
@@ -242,6 +247,10 @@ class TestScoreReport:
     def test_delta_checked_before_vectors(self):
         with pytest.raises(ValidationError, match="near_reference_delta"):
             score_report([1.5], [2], near_reference_delta=0.0)
+
+    def test_non_number_delta_rejected_naming_it(self):
+        with pytest.raises(ValidationError, match="^near_reference_delta must be a number: got the string 'a'$"):
+            score_report([0.5], [1], near_reference_delta="a")
 
     def test_as_dict_round_trips_warnings(self):
         report = score_report([0.5, 0.5], [1, 0])
