@@ -11,14 +11,13 @@ that any parallel schedule reproduces bit-identical draws.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
-from .validation import as_probability_vector, is_integer, names_undecodable_file
+from .validation import as_probability_vector, is_integer, is_real, names_undecodable_file
 
 __all__ = [
     "EmpiricalProbabilityPool",
@@ -174,17 +173,6 @@ PREDICTOR_TRANSFORMS: dict[str, Kind] = {
 }
 
 
-def _is_real(value) -> bool:
-    """A real number that float() takes, and not a bool: NaN and +-inf are, 10**400 is not (it overflows)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
 def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
     """Check spec's kind, arity, real params and then domain (no NaN or +-inf); store float params and label."""
     kind = registry.get(spec.kind) if isinstance(spec.kind, str) else None
@@ -196,7 +184,7 @@ def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
         arity = None
     if arity != len(kind.fields):
         raise ValidationError(f"{family} kind {spec.kind!r} takes params {kind.fields}, got {spec.params!r}")
-    if not all(map(_is_real, spec.params)):
+    if not all(map(is_real, spec.params)):
         raise ValidationError(f"{family} kind {spec.kind!r} takes finite numbers, got {spec.params!r}")
     if (message := kind.check(*spec.params)) is not None:
         raise ValidationError(message)
@@ -314,11 +302,11 @@ def make_synthetic_pool(
     relative raises ValidationError. A synthetic stand-in for pools of fitted
     per-subject risks; clearly labeled as such.
     """
-    if not (_is_real(target_incidence) and 0.0 < target_incidence < 1.0):
+    if not (is_real(target_incidence) and 0.0 < target_incidence < 1.0):
         raise ValidationError(f"target incidence must lie in (0, 1), got {target_incidence}")
     if not is_integer(size) or size < 1:
         raise ValidationError(f"pool size must be an integer >= 1, got {size!r}")
-    if not (_is_real(spread) and 0.0 <= spread < math.inf):
+    if not (is_real(spread) and 0.0 <= spread < math.inf):
         raise ValidationError(f"spread must be finite and nonnegative, got {spread}")
     if rng is None:
         rng = np.random.default_rng(seed)

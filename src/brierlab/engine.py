@@ -27,7 +27,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -484,12 +483,12 @@ def _fmt(value: float) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> Path:
-    """Write through a unique temp file in path's directory, removed if the write fails."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write through a new temp file in path's directory, removed if the write fails."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL: the file is ours alone. The kernel applies the umask, which is process-wide:
+    # reading it (by setting it) would change the mode of a file another thread creates meanwhile.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode of a new file, not mkstemp's 0600
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

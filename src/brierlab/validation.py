@@ -9,6 +9,7 @@ import contextlib
 import csv
 import functools
 import io
+import numbers
 import os
 import stat
 import warnings
@@ -79,14 +80,25 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number that float() takes, and not a bool: NaN and +-inf are, 10**400 is not (it overflows)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def as_float(value, name: str) -> float:
-    """value as a float; a string, or a value float() refuses, raises a ValidationError naming name."""
+    """value as a float if is_real takes it; anything else raises a ValidationError naming name."""
     if isinstance(value, (str, bytes)):
         raise ValidationError(f"{name} must be a number: got the string {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
-        raise ValidationError(f"{name} must be a number: {exc}") from None
+    if not is_real(value):  # the repr of an integer too large for a float may exceed int's digit limit
+        got = "an integer too large for a float" if is_integer(value) else repr(value)
+        raise ValidationError(f"{name} must be a number: got {got}")
+    return float(value)
 
 
 def as_unit_scalar(value, name: str) -> float:

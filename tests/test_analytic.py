@@ -1,6 +1,7 @@
 """Closed-form expectations, differences, variance, bounds, and orderings."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,27 @@ from brierlab.errors import DimensionError, ValidationError
 from brierlab.oracle import exact_expected_bs
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+# Each scalar argument of the closed forms, with the name its message gives.
+SCALAR_ARGUMENTS = {
+    "expected_bs_single-p1": (lambda x: expected_bs_single(x, 0.5), "p1"),
+    "expected_bs_single-q1": (lambda x: expected_bs_single(0.5, x), "q1"),
+    "expected_bs_perfect_single-q1": (lambda x: expected_bs_perfect_single(x), "q1"),
+    "variance_single-p1": (lambda x: variance_single(x, 0.5), "p1"),
+    "variance_single-q1": (lambda x: variance_single(0.5, x), "q1"),
+    "shift_difference-q1": (lambda x: shift_difference(x, 0.1), "q1"),
+    "shift_difference-eps": (lambda x: shift_difference(0.1, x), "epsilon"),
+    "perturb_difference-eps": (lambda x: perturb_difference(x), "epsilon"),
+    "PerturbationSpec-epsilon": (lambda x: PerturbationSpec(x), "epsilon"),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["True", "np.True_"])
+@pytest.mark.parametrize("call, name", list(SCALAR_ARGUMENTS.values()), ids=list(SCALAR_ARGUMENTS))
+def test_every_scalar_argument_refuses_bools(call, name, flag):
+    # True is no 1, as TrueDistributionSpec.constant(True) is no constant(1)
+    with pytest.raises(ValidationError, match=rf"^{name} must be a number: got {re.escape(repr(flag))}$"):
+        call(flag)
 
 
 class TestExpectedSingle:

@@ -1178,6 +1178,35 @@ class TestPersistence:
         for path in write_study_results(run_study(small_config()), tmp_path):
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
+    def test_written_files_take_the_umask_without_reading_it(self, tmp_path, monkeypatch):
+        # the umask is process-wide: a writer that sets it to read it changes the mode of
+        # a file another thread creates meanwhile, so the kernel must apply it instead
+        results = run_study(small_config())
+        previous = os.umask(0o027)
+        try:
+            def no_umask(mask):
+                raise AssertionError("os.umask called")
+
+            monkeypatch.setattr(os, "umask", no_umask)
+            paths = write_study_results(results, tmp_path)
+            monkeypatch.undo()
+        finally:
+            os.umask(previous)
+        assert len(paths) == len(list(tmp_path.iterdir()))
+        for path in paths:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_failed_write_removes_only_its_own_temp_file(self, tmp_path, monkeypatch):
+        # a temp file of the same name that another writer made is not ours to remove
+        results = flatten(run_study(small_config()))
+        monkeypatch.setattr(os, "urandom", lambda size: b"\0" * size)
+        other = tmp_path / f".summary.csv.{bytes(8).hex()}.tmp"
+        other.write_text("another writer's")
+        with pytest.raises(FileExistsError):
+            write_summary_csv(results, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [other.name]
+        assert other.read_text() == "another writer's"
+
     def test_wrong_field_count_names_line(self, tmp_path):
         paths = write_study_results(run_study(small_config()), tmp_path)
         for path, width, reader in (

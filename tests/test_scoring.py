@@ -1,5 +1,6 @@
 """Scoring metrics, reference scores, diagnostics, and pair-file parsing."""
 
+import re
 import warnings
 
 import numpy as np
@@ -251,6 +252,14 @@ class TestScoreReport:
     def test_non_number_delta_rejected_naming_it(self):
         with pytest.raises(ValidationError, match="^near_reference_delta must be a number: got the string 'a'$"):
             score_report([0.5], [1], near_reference_delta="a")
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["True", "np.True_"])
+    @pytest.mark.parametrize("entry", [score_report, diagnose], ids=["score_report", "diagnose"])
+    def test_bool_delta_refused(self, entry, flag):
+        # a delta of True is no delta of 1, as the closed forms and the specs refuse True
+        message = rf"^near_reference_delta must be a number: got {re.escape(repr(flag))}$"
+        with pytest.raises(ValidationError, match=message):
+            entry([0.5], [1], near_reference_delta=flag)
 
     def test_as_dict_round_trips_warnings(self):
         report = score_report([0.5, 0.5], [1, 0])

@@ -1,11 +1,14 @@
-"""The shared CSV table reader: one rule table per format, one per-line reader."""
+"""The shared CSV table reader (one rule table per format, one per-line reader) and the real-number rule."""
 
 import io
+import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -320,3 +323,43 @@ def test_body_parsed_from_memory_peaks_under_three_times_its_size(tmp_path, pipe
             writer.join()
     assert table.shape == (90_000, 2)
     assert peak < 3 * len(data)
+
+
+# Every scalar argument, a spec param or a closed form's, follows one rule: a real
+# number that a float holds, and not a bool. Each value: accepted, and the message
+# after "x must be a number: " if refused.
+REAL_TABLE = {
+    "int": (3, None),
+    "negative-int": (-2, None),
+    "float": (0.25, None),
+    "np.float64": (np.float64(0.25), None),
+    "np.float32": (np.float32(0.5), None),
+    "np.int64": (np.int64(2), None),
+    "np.uint8": (np.uint8(1), None),
+    "Fraction": (Fraction(1, 3), None),
+    "nan": (math.nan, None),
+    "inf": (math.inf, None),
+    "-inf": (-math.inf, None),
+    "True": (True, "got True"),
+    "False": (False, "got False"),
+    "np.True_": (np.True_, f"got {np.True_!r}"),
+    "Decimal": (Decimal("0.5"), "got Decimal('0.5')"),
+    "0-d array": (np.array(0.5), f"got {np.array(0.5)!r}"),
+    "str": ("0.5", "got the string '0.5'"),
+    "bytes": (b"0.5", "got the string b'0.5'"),
+    "None": (None, "got None"),
+    "list": ([0.5], "got [0.5]"),
+    "10**400": (10**400, "got an integer too large for a float"),
+}
+
+
+@pytest.mark.parametrize("value, refusal", list(REAL_TABLE.values()), ids=list(REAL_TABLE))
+def test_is_real_and_as_float_take_the_same_values(value, refusal):
+    assert validation.is_real(value) is (refusal is None)
+    if refusal is None:
+        x = validation.as_float(value, "x")
+        assert type(x) is float and (x == float(value) or math.isnan(x) and math.isnan(value))
+    else:
+        with pytest.raises(ValidationError) as info:
+            validation.as_float(value, "x")
+        assert str(info.value) == f"x must be a number: {refusal}"
