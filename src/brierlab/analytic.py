@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .validation import as_float, as_probability_vector, as_unit_scalar, check_same_length
+from .validation import as_float, as_probability_vector, as_unit_scalar, check_same_length, shown
 
 __all__ = [
     "PerturbationSpec",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 # Vectors whose elements all sit within this absolute tolerance of their mean
-# count as constant (Jensen bound tightness).
+# count as constant (Jensen bound tightness); squared distances this close, as a tie.
 CONSTANT_TOL = 1e-12
 
 
@@ -55,9 +55,9 @@ class PerturbationSpec:
     def __post_init__(self):
         epsilon = as_float(self.epsilon, "epsilon")
         if not math.isfinite(epsilon) or epsilon < 0:
-            raise ValidationError(f"epsilon must be a nonnegative real, got {self.epsilon!r}")
+            raise ValidationError(f"epsilon must be a nonnegative real, got {shown(self.epsilon)}")
         if self.direction not in ("plus", "minus"):
-            raise ValidationError(f"direction must be 'plus' or 'minus', got {self.direction!r}")
+            raise ValidationError(f"direction must be 'plus' or 'minus', got {shown(self.direction)}")
         object.__setattr__(self, "epsilon", epsilon)
 
 
@@ -152,12 +152,12 @@ def perturb_difference(eps) -> float:
     return spec.epsilon * spec.epsilon
 
 
-def effectiveness_compare(p, p2, q, tol: float = 1e-12) -> Ordering:
+def effectiveness_compare(p, p2, q) -> Ordering:
     """Order two prediction vectors by Euclidean distance to the truth.
 
     The expected score preserves this order, so the returned Ordering also
     ranks expected_bs(p, q) against expected_bs(p2, q). Squared distances
-    within ``tol`` of each other count as a tie.
+    within CONSTANT_TOL of each other count as a tie.
     """
     p = as_probability_vector(p, "first predictions")
     p2 = as_probability_vector(p2, "second predictions")
@@ -166,7 +166,7 @@ def effectiveness_compare(p, p2, q, tol: float = 1e-12) -> Ordering:
     check_same_length(p2, q, "second predictions/true probabilities")
     d1 = float(np.sum((p - q) ** 2))
     d2 = float(np.sum((p2 - q) ** 2))
-    if abs(d1 - d2) <= tol:
+    if abs(d1 - d2) <= CONSTANT_TOL:
         return Ordering.TIE
     return Ordering.FIRST_BETTER if d1 < d2 else Ordering.SECOND_BETTER
 

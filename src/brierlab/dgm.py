@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
-from .validation import as_probability_vector, is_integer, is_real, names_undecodable_file
+from .validation import as_probability_vector, is_integer, is_real, names_undecodable_file, shown
 
 __all__ = [
     "EmpiricalProbabilityPool",
@@ -56,7 +56,9 @@ class EmpiricalProbabilityPool:
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
-            raise ValidationError(f"a pool label must be a non-empty string, got {self.label!r}")
+            raise ValidationError(f"a pool label must be a non-empty string, got {shown(self.label)}")
+        if any("\ud800" <= char <= "\udfff" for char in self.label):  # the code points UTF-8 cannot encode
+            raise ValidationError(f"a pool label must be text that UTF-8 can encode, got {self.label!r}")
         probs = as_probability_vector(self.probabilities, f"pool {self.label!r}")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
@@ -74,7 +76,7 @@ class TrueDistributionSpec:
     kind: str
     params: tuple[float, ...] = ()
     pool: EmpiricalProbabilityPool | None = None
-    label: str = ""
+    label: str = field(init=False)  # the kind's label format of the params, or empirical(<pool label>)
 
     def __post_init__(self):
         if self.kind != "empirical":
@@ -83,7 +85,7 @@ class TrueDistributionSpec:
                 raise ValidationError(f"true-distribution kind {self.kind!r} draws its own values and takes no pool")
         elif not isinstance(self.pool, EmpiricalProbabilityPool) or self.params:
             raise ValidationError("an empirical true distribution takes a pool and no params")
-        elif not self.label:
+        else:
             object.__setattr__(self, "label", f"empirical({self.pool.label})")
 
     @classmethod
@@ -114,7 +116,7 @@ class PredictorTransformSpec:
 
     kind: str
     params: tuple[float, ...] = ()
-    label: str = ""
+    label: str = field(init=False)  # the kind's label format of the params
 
     def __post_init__(self):
         _check_kind(self, PREDICTOR_TRANSFORMS, "predictor-transform")
@@ -177,19 +179,19 @@ def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
     """Check spec's kind, arity, real params and then domain (no NaN or +-inf); store float params and label."""
     kind = registry.get(spec.kind) if isinstance(spec.kind, str) else None
     if kind is None:
-        raise ValidationError(f"unknown {family} kind {spec.kind!r}")
+        raise ValidationError(f"unknown {family} kind {shown(spec.kind)}")
     try:
         arity = len(spec.params)
     except TypeError:  # a bare number or None, not a sequence of params
         arity = None
     if arity != len(kind.fields):
-        raise ValidationError(f"{family} kind {spec.kind!r} takes params {kind.fields}, got {spec.params!r}")
+        raise ValidationError(f"{family} kind {spec.kind!r} takes params {kind.fields}, got {shown(spec.params)}")
     if not all(map(is_real, spec.params)):
-        raise ValidationError(f"{family} kind {spec.kind!r} takes finite numbers, got {spec.params!r}")
+        raise ValidationError(f"{family} kind {spec.kind!r} takes finite numbers, got {shown(spec.params)}")
     if (message := kind.check(*spec.params)) is not None:
         raise ValidationError(message)
     object.__setattr__(spec, "params", tuple(float(value) for value in spec.params))
-    object.__setattr__(spec, "label", spec.label or kind.label.format(*spec.params))
+    object.__setattr__(spec, "label", kind.label.format(*spec.params))
 
 
 def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator) -> np.ndarray:
@@ -202,7 +204,9 @@ def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator
     """
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     if not (shape and all(map(is_integer, shape)) and min(shape) >= 0 and shape[-1] >= 1):
-        raise ValidationError(f"size must be an integer n >= 1 or a tuple of integers >= 0 ending in n, got {size!r}")
+        raise ValidationError(
+            f"size must be an integer n >= 1 or a tuple of integers >= 0 ending in n, got {shown(size)}"
+        )
     n = shape[-1]
     if spec.kind != "empirical":
         return TRUE_DISTRIBUTIONS[spec.kind].draw(*spec.params, shape, rng)
@@ -282,16 +286,14 @@ def write_pool_file(pool: EmpiricalProbabilityPool, path, comment: str | None = 
 
 
 def _stem(path) -> str:
-    name = str(path).replace("\\", "/").rsplit("/", 1)[-1]
-    return name.rsplit(".", 1)[0] if "." in name else name
+    return str(path).replace("\\", "/").rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
 
 def make_synthetic_pool(
     target_incidence: float,
     size: int = 5000,
     spread: float = 1.0,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator | int | None = None,
     label: str | None = None,
 ) -> EmpiricalProbabilityPool:
     """Generate a logistic-style probability pool with an exact mean.
@@ -303,14 +305,12 @@ def make_synthetic_pool(
     per-subject risks; clearly labeled as such.
     """
     if not (is_real(target_incidence) and 0.0 < target_incidence < 1.0):
-        raise ValidationError(f"target incidence must lie in (0, 1), got {target_incidence}")
+        raise ValidationError(f"target incidence must lie in (0, 1), got {shown(target_incidence)}")
     if not is_integer(size) or size < 1:
-        raise ValidationError(f"pool size must be an integer >= 1, got {size!r}")
+        raise ValidationError(f"pool size must be an integer >= 1, got {shown(size)}")
     if not (is_real(spread) and 0.0 <= spread < math.inf):
-        raise ValidationError(f"spread must be finite and nonnegative, got {spread}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    z = rng.normal(0.0, spread, size)
+        raise ValidationError(f"spread must be finite and nonnegative, got {shown(spread)}")
+    z = np.random.default_rng(rng).normal(0.0, spread, size)  # a Generator is drawn from as it is, else a seed
 
     def sigmoid(shift: float) -> np.ndarray:
         with np.errstate(over="ignore"):  # exp overflows to inf where the value's limit, 0, is right

@@ -29,7 +29,7 @@ import os
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +48,9 @@ from .dgm import (
 )
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
-from .validation import CsvFormat, _as_float_vector, csv_rows, is_integer, names_undecodable_file, read_float_csv
+from .validation import (
+    CsvFormat, _as_float_vector, csv_rows, is_integer, names_undecodable_file, read_float_csv, shown
+)
 
 __all__ = [
     "Scenario",
@@ -121,9 +123,9 @@ def _check_integers(*checks: tuple[str, object, int]) -> None:
     """Refuse, naming it, the first (name, value, least) whose value is not an integer >= least."""
     for name, value, least in checks:
         if not is_integer(value):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
+            raise ValidationError(f"{name} must be an integer, got {shown(value)}")
         if value < least:
-            raise ValidationError(f"{name} must be >= {least}, got {value}")
+            raise ValidationError(f"{name} must be >= {least}, got {shown(int(value))}")
 
 
 @dataclass(frozen=True)
@@ -133,18 +135,14 @@ class Scenario:
     true_dist: TrueDistributionSpec
     transform: PredictorTransformSpec
     n: int
-    label: str = ""
+    label: str = field(init=False)  # <true distribution label>+<transform label>+n<n>
 
     def __post_init__(self):
         for name, spec_class in (("true_dist", TrueDistributionSpec), ("transform", PredictorTransformSpec)):
-            if not isinstance(getattr(self, name), spec_class):
-                raise ValidationError(f"scenario {name} must be a {spec_class.__name__}, got {getattr(self, name)!r}")
+            if not isinstance(spec := getattr(self, name), spec_class):
+                raise ValidationError(f"scenario {name} must be a {spec_class.__name__}, got {shown(spec)}")
         _check_integers(("scenario sample size", self.n, 1))
-        if not isinstance(self.label, str):
-            raise ValidationError(f"scenario label must be a string, got {self.label!r}")
-        if not self.label:
-            auto = f"{self.true_dist.label}+{self.transform.label}+n{self.n}"
-            object.__setattr__(self, "label", auto)
+        object.__setattr__(self, "label", f"{self.true_dist.label}+{self.transform.label}+n{self.n}")
 
 
 def _cell_streams(root_seed: int, cell: int, block: int, width: int) -> tuple:
@@ -324,16 +322,16 @@ class StudyConfig:
 
     def __post_init__(self):
         if not isinstance(self.name, str):
-            raise ValidationError(f"study name must be a string, got {self.name!r}")
+            raise ValidationError(f"study name must be a string, got {shown(self.name)}")
         _check_integers(("seed", self.seed, 0), ("replication count", self.n_reps, 1))
         sizes = self.sample_sizes
         if not isinstance(sizes, Sequence) or isinstance(sizes, str) or not all(
             is_integer(n) and n >= 1 for n in sizes
         ):
-            raise ValidationError(f"study sample sizes must be a sequence of integers >= 1, got {sizes!r}")
+            raise ValidationError(f"study sample sizes must be a sequence of integers >= 1, got {shown(sizes)}")
         for field in ("dgms", "transforms"):
-            if not isinstance(getattr(self, field), Sequence):
-                raise ValidationError(f"study {field} must be a sequence of specs, got {getattr(self, field)!r}")
+            if not isinstance(specs := getattr(self, field), Sequence):
+                raise ValidationError(f"study {field} must be a sequence of specs, got {shown(specs)}")
         if not (sizes and self.dgms and self.transforms):
             raise ValidationError("a study needs at least one sample size, true distribution and transform")
         _check_filenames_unique(_grid_cells(self))
@@ -384,7 +382,7 @@ def _require(mapping: dict, field: str, context: str, expected: type = object):
     if field not in mapping:
         raise ConfigError(f"{context}.{field}: missing required field")
     if not isinstance(mapping[field], expected):
-        raise ConfigError(f"{context}.{field}: must be a {expected.__name__}, got {mapping[field]!r}")
+        raise ConfigError(f"{context}.{field}: must be a {expected.__name__}, got {shown(mapping[field])}")
     return mapping[field]
 
 
@@ -405,7 +403,7 @@ def _parse_dgm(entry: dict, context: str, base_dir: Path) -> TrueDistributionSpe
     # A path joins base_dir, which it replaces if absolute; load_empirical_pool takes a None label for the stem.
     for field in ("path", "label"):
         if field in entry and not (isinstance(entry[field], str) and entry[field]):
-            raise ConfigError(f"{context}.{field}: must be a non-empty string, got {entry[field]!r}")
+            raise ConfigError(f"{context}.{field}: must be a non-empty string, got {shown(entry[field])}")
     try:
         return TrueDistributionSpec.empirical(load_empirical_pool(base_dir / entry["path"], label=entry.get("label")))
     except ValidationError as exc:
@@ -425,10 +423,10 @@ def load_study_config(path) -> StudyConfig:
     spec's own error is prefixed with its entry (``dgms[0]: ...``).
     """
     path = Path(path)
+    text = path.read_text(encoding="utf-8")  # bytes that are not UTF-8 are named by names_undecodable_file
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python's int() takes
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -467,15 +465,12 @@ def _cell_label(scenario: Scenario) -> str:
 
 
 def _check_filenames_unique(cells: list[tuple[Scenario, ...]]) -> None:
-    """Reject cell and scenario labels that would share a results file or take the summary's, naming them."""
+    """Reject cell and scenario labels that would share a file, naming them; each ends in +n<n>, never 'summary'."""
     labels = [label for cell in cells for label in (_cell_label(cell[0]), *(s.label for s in cell))]
     counts = Counter(map(scenario_filename, labels))
     clashes = [label for label in labels if counts[scenario_filename(label)] > 1]
     if clashes:
         raise ConfigError(f"scenario and cell labels collide after filename sanitization: {clashes}")
-    if counts["summary.csv"]:
-        [label] = [label for label in labels if scenario_filename(label) == "summary.csv"]
-        raise ConfigError(f"scenario label {label!r} would be written to summary.csv, the summary's own file")
 
 
 def _fmt(value: float) -> str:
@@ -543,11 +538,10 @@ def write_study_results(cells: Iterable[tuple[ScenarioResult, ...]], directory) 
     A cell is a tuple of results that hold one run's gap, exceeded and ybar
     arrays and name one (true distribution, n) pair; its file holds rep, gap,
     exceeded and ybar, and each scenario file rep, brier and cil. A cell that
-    is not, or whose files would be the summary's or an earlier one's, is
-    refused before any of its files is written; an empty input is refused
-    untouched, as a lone summary would look like a complete run. An earlier
-    run's summary is removed first. Stopping early closes cells, and with it
-    run_study's pool.
+    is not, or whose files would be an earlier one's, is refused before any
+    of its files is written; an empty input is refused untouched, as a lone
+    summary would look like a complete run. An earlier run's summary is
+    removed first. Stopping early closes cells, and with it run_study's pool.
     """
     directory = Path(directory)
     paths, results, written = [], [], []

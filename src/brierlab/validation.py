@@ -28,7 +28,7 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     """values as a nonempty one-dimensional float64 array; anything else raises a ValidationError naming name."""
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must hold numbers only: {exc}") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -89,6 +89,15 @@ def is_real(value) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def shown(value) -> str:
+    """repr(value) for an error message; it never raises, though repr of an int past Python's digit limit does."""
+    try:
+        return repr(value)
+    except Exception:  # such an int, alone or in a tuple, whose items are then shown one by one
+        name = type(value).__name__
+        return f"({', '.join(map(shown, value))})" if isinstance(value, tuple) else f"an unprintable {name}"
 
 
 def as_float(value, name: str) -> float:

@@ -221,6 +221,13 @@ class TestEffectiveness:
         q = np.array([0.3, 0.4, 0.5])
         assert effectiveness_compare(q + 0.1, q - 0.1, q) is Ordering.TIE
 
+    def test_squared_distances_within_constant_tol_tie(self):
+        # the tolerance is CONSTANT_TOL (1e-12), not an argument
+        assert effectiveness_compare([0.5], [0.5 + 1e-7], [0.5]) is Ordering.TIE  # 1e-14 apart
+        assert effectiveness_compare([0.5], [0.5 + 1e-5], [0.5]) is Ordering.FIRST_BETTER  # 1e-10 apart
+        with pytest.raises(TypeError):
+            effectiveness_compare([0.5], [0.6], [0.5], tol=0.1)
+
     def test_inside_circle_beats_boundary(self):
         # truth at (1/2, 1/2): a prediction strictly inside a radius-0.2
         # circle beats one on the circle

@@ -322,6 +322,35 @@ class TestSimulate:
             "empirical_ost_o_n2.csv", "empirical_ost_o_perfect_n2.csv", "summary.csv"
         ]
 
+    @pytest.mark.parametrize("route", ["label", "file-name"])
+    def test_pool_label_utf8_cannot_encode_exits_2_before_any_block(self, tmp_path, monkeypatch, capsys, route):
+        # a lone surrogate passes every other check, and writing summary.csv would fail after the whole run
+        name = os.fsdecode(b"a\x80b.txt" if route == "file-name" else b"pool.txt")
+        try:
+            (tmp_path / name).write_text("0.1\n0.2\n0.3\n0.4\n0.5\n")
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("this file system takes UTF-8 file names only")
+        dgm = {"kind": "empirical", "path": name, **({"label": "a\udc80b"} if route == "label" else {})}
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"study": {"name": "x", "seed": 1, "N": 5, "sample_sizes": [5]},
+                                      "dgms": [dgm], "transforms": [{"kind": "perfect"}]}))
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: dgms[0]: a pool label must be text that UTF-8 can encode, got 'a\\udc80b'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_number_past_the_int_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "huge.json"
+        config.write_text('{"study": {"name": "x", "seed": 1, "N": 5, "sample_sizes": [5]}, '
+                          '"dgms": [{"kind": "beta", "alpha": 1%s, "beta": 2}], '
+                          '"transforms": [{"kind": "perfect"}]}' % ("0" * 5000))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: not valid JSON: ") and "digits" in err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_beta_exits_2_naming_field(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(

@@ -1,6 +1,8 @@
 """Sampling mechanisms: distributions, transforms, outcomes, pools, streams."""
 
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -161,7 +163,8 @@ class TestOneCheckedPathPerKind:
         assert direct.label == label
         assert direct.params == tuple(float(value) for value in params)
         assert all(type(value) is float for value in direct.params)
-        assert spec_class(kind, params, label="mine").label == "mine"
+        with pytest.raises(TypeError):  # a label is derived, never passed
+            spec_class(kind, params, label="mine")
 
     def test_scenario_of_direct_specs_gets_the_classmethod_label(self):
         from brierlab.engine import Scenario
@@ -169,6 +172,26 @@ class TestOneCheckedPathPerKind:
         direct = Scenario(TrueDistributionSpec("uniform", (0, 0.2)), PredictorTransformSpec("additive_bias", (0.1,)), 300)
         wrapped = Scenario(TrueDistributionSpec.uniform(0, 0.2), PredictorTransformSpec.additive_bias(0.1), 300)
         assert direct.label == wrapped.label == "uniform(0,0.2)+bias(+0.1)+n300"
+
+    def test_a_label_is_derived_never_passed(self):
+        from brierlab.engine import Scenario
+
+        dist, transform = TrueDistributionSpec.beta(2, 5), PredictorTransformSpec.perfect()
+        scenario = Scenario(dist, transform, 5)
+        for build in (lambda: TrueDistributionSpec("beta", (2, 5), label="x"),
+                      lambda: PredictorTransformSpec("perfect", label="x"),
+                      lambda: Scenario(dist, transform, 5, label="x")):
+            with pytest.raises(TypeError):
+                build()
+        for value in (dist, transform, scenario):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(value, label="x")
+        # so a replaced field can never leave a stale label behind
+        assert dataclasses.replace(dist, params=(3, 4)).label == "beta(3,4)"
+        assert dataclasses.replace(scenario, n=7).label == "beta(2,5)+perfect+n7"
+        assert dataclasses.replace(scenario, true_dist=TrueDistributionSpec.constant(0.5)).label == (
+            "constant(0.5)+perfect+n5"
+        )
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=str)
     @pytest.mark.parametrize("spec_class, kind", [k for k in KINDS if k[1] != "perfect"], ids=_kind_id)
@@ -468,7 +491,7 @@ class TestPoolFiles:
             load_empirical_pool(path)
 
     def test_write_load_round_trip(self, tmp_path):
-        pool = make_synthetic_pool(0.263, size=200, seed=5, label="roundtrip")
+        pool = make_synthetic_pool(0.263, size=200, rng=5, label="roundtrip")
         path = tmp_path / "roundtrip.txt"
         write_pool_file(pool, path, comment="test pool")
         loaded = load_empirical_pool(path, label="roundtrip")
@@ -515,6 +538,28 @@ class TestPoolBuiltDirectly:
             EmpiricalProbabilityPool([0.1, 0.2], label)
         assert str(info.value) == f"a pool label must be a non-empty string, got {label!r}"
 
+    @pytest.mark.parametrize("label", ["a\udc80b", "\ud800", "\udfff"])
+    def test_a_label_utf8_cannot_encode_is_refused(self, label):
+        # its summary row could not be written, which would fail a study only after every block ran
+        with pytest.raises(ValidationError) as info:
+            EmpiricalProbabilityPool([0.1, 0.2], label)
+        assert str(info.value) == f"a pool label must be text that UTF-8 can encode, got {label!r}"
+
+    @pytest.mark.parametrize("label", ["ost\u00e9o", "\ud7ff", "\ue000", "bone \U0001f9b4"])
+    def test_a_label_of_any_other_code_points_is_taken(self, label):
+        assert TrueDistributionSpec.empirical(EmpiricalProbabilityPool([0.1], label)).label == f"empirical({label})"
+
+    def test_a_pool_file_name_that_is_not_utf8_is_refused_as_a_label(self, tmp_path):
+        path = tmp_path / os.fsdecode(b"a\x80b.txt")  # read back with a lone surrogate in its stem
+        try:
+            path.write_text("0.1\n0.2\n")
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("this file system takes UTF-8 file names only")
+        with pytest.raises(ValidationError) as info:
+            load_empirical_pool(path)
+        assert str(info.value) == "a pool label must be text that UTF-8 can encode, got 'a\\udc80b'"
+        assert load_empirical_pool(path, label="given").label == "given"
+
     def test_nominal_incidence_is_derived_not_passed(self):
         with pytest.raises(TypeError):
             EmpiricalProbabilityPool([0.1, 0.2], "given", 0.5)
@@ -529,18 +574,18 @@ class TestPoolBuiltDirectly:
 class TestSyntheticPool:
     @pytest.mark.parametrize("incidence", [0.07, 0.263])
     def test_mean_matches_target(self, incidence):
-        pool = make_synthetic_pool(incidence, size=5000, seed=11)
+        pool = make_synthetic_pool(incidence, size=5000, rng=11)
         assert pool.nominal_incidence == pytest.approx(incidence, abs=1e-9)
         assert pool.probabilities.min() > 0.0
         assert pool.probabilities.max() < 1.0
 
     def test_heterogeneous_risks(self):
-        pool = make_synthetic_pool(0.263, size=5000, seed=11)
+        pool = make_synthetic_pool(0.263, size=5000, rng=11)
         assert np.std(pool.probabilities) > 0.05
 
     def test_target_validated(self):
         with pytest.raises(ValidationError):
-            make_synthetic_pool(0.0, size=10, seed=0)
+            make_synthetic_pool(0.0, size=10, rng=0)
 
     @pytest.mark.parametrize("argument, message", [
         ({"size": 2.5}, "pool size must be an integer >= 1, got 2.5"),
@@ -549,23 +594,31 @@ class TestSyntheticPool:
         ({"spread": -1.0}, "spread must be finite and nonnegative, got -1.0"),
         ({"spread": float("nan")}, "spread must be finite and nonnegative, got nan"),
         ({"spread": float("inf")}, "spread must be finite and nonnegative, got inf"),
-        ({"spread": "1"}, "spread must be finite and nonnegative, got 1"),
-        ({"target_incidence": "0.5"}, "target incidence must lie in (0, 1), got 0.5"),
+        # a string is shown as its repr, quoted, so that it cannot pass for the number it spells
+        ({"spread": "1"}, "spread must be finite and nonnegative, got '1'"),
+        ({"target_incidence": "0.5"}, "target incidence must lie in (0, 1), got '0.5'"),
     ], ids=repr)
     def test_bad_argument_raises_validation_error(self, argument, message):
         with pytest.raises(ValidationError) as info:
-            make_synthetic_pool(**{"target_incidence": 0.3, "size": 10, "seed": 0, **argument})
+            make_synthetic_pool(**{"target_incidence": 0.3, "size": 10, "rng": 0, **argument})
         assert str(info.value) == message
 
     @pytest.mark.parametrize("target, spread", [(1e-20, 1.0), (0.3, 1000.0), (0.3, 1e6)], ids=repr)
     def test_unreachable_target_is_refused(self, target, spread):
         # the shift is bisected in [-40, 40]; at spread 1e6, exp overflows without a warning
         with pytest.raises(ValidationError) as info:
-            make_synthetic_pool(target, size=1000, spread=spread, seed=1)
+            make_synthetic_pool(target, size=1000, spread=spread, rng=1)
         prefix = f"target incidence {target} is out of reach at spread {spread}: the pool's mean is "
         assert str(info.value).startswith(prefix)
         reached = float(str(info.value)[len(prefix):])
         assert abs(reached - target) > 1e-9 * target
 
+    def test_rng_takes_a_generator_or_a_seed(self):
+        from_seed = make_synthetic_pool(0.3, size=50, rng=7)
+        from_generator = make_synthetic_pool(0.3, size=50, rng=np.random.default_rng(7))
+        assert np.array_equal(from_seed.probabilities, from_generator.probabilities)
+        with pytest.raises(TypeError):  # one way to seed it, not two
+            make_synthetic_pool(0.3, size=50, seed=7)
+
     def test_zero_spread_gives_a_constant_pool(self):
-        assert np.allclose(make_synthetic_pool(0.3, size=10, spread=0.0, seed=0).probabilities, 0.3)
+        assert np.allclose(make_synthetic_pool(0.3, size=10, spread=0.0, rng=0).probabilities, 0.3)

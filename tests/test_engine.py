@@ -139,7 +139,7 @@ class TestRunReplication:
             Dist.uniform(0.0, 1.0),
             Dist.beta(2.0, 5.0),
             Dist.two_point(0.1, 0.9, 0.3),
-            Dist.empirical(make_synthetic_pool(0.3, size=400, seed=2)),
+            Dist.empirical(make_synthetic_pool(0.3, size=400, rng=2)),
         ],
         ids=lambda dist: dist.kind,
     )
@@ -402,7 +402,7 @@ class TestStudy:
 
         monkeypatch.setattr(engine, "_run_block", counting)
         dgms = tuple(
-            Dist.empirical(make_synthetic_pool(0.3, size=60, seed=1, label=label)) for label in labels
+            Dist.empirical(make_synthetic_pool(0.3, size=60, rng=1, label=label)) for label in labels
         )
         with pytest.raises(ConfigError, match="collide") as info:
             run_study(small_config(dgms=dgms))
@@ -413,7 +413,7 @@ class TestStudy:
     def test_pool_smaller_than_a_sample_size_fails_before_any_block(self, monkeypatch):
         # a directly built config is checked too, not only a config document
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
-        tiny = Dist.empirical(make_synthetic_pool(0.3, size=3, seed=1, label="tiny"))
+        tiny = Dist.empirical(make_synthetic_pool(0.3, size=3, rng=1, label="tiny"))
         with pytest.raises(InsufficientPoolError) as info:
             run_study(small_config(dgms=(Dist.uniform(0.0, 1.0), tiny), sample_sizes=(2, 5)))
         assert str(info.value) == "dgms[1]: pool 'tiny' has 3 values, cannot subsample n=5 without replacement"
@@ -500,9 +500,7 @@ class TestDirectInputChecks:
          "scenario true_dist must be a TrueDistributionSpec, got 'uniform'"),
         (lambda: small_config(transforms=(Transform.perfect(), None)),
          "scenario transform must be a PredictorTransformSpec, got None"),
-        (lambda: Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 5, label=5),
-         "scenario label must be a string, got 5"),
-    ], ids=["scenario-dist", "scenario-transform", "swapped", "config-dgm", "config-transform", "scenario-label"])
+    ], ids=["scenario-dist", "scenario-transform", "swapped", "config-dgm", "config-transform"])
     def test_a_spec_field_that_is_not_a_spec_is_refused(self, build, message):
         with pytest.raises(ValidationError) as info:
             build()
@@ -517,7 +515,7 @@ class TestDirectInputChecks:
 class TestStudyConfigChecks:
     """A StudyConfig checks its grid when it is built, directly or through dataclasses.replace."""
 
-    TINY = Dist.empirical(make_synthetic_pool(0.3, size=3, seed=1, label="tiny"))
+    TINY = Dist.empirical(make_synthetic_pool(0.3, size=3, rng=1, label="tiny"))
 
     @pytest.mark.parametrize("overrides, error, message", [
         ({"sample_sizes": ()}, ValidationError, "a study needs at least one sample size, true distribution and transform"),
@@ -526,7 +524,7 @@ class TestStudyConfigChecks:
          "'constant(0.5)+perfect+n50', 'constant(0.5)+bias(+0.1)+n50', 'constant(0.5)+n50', "
          "'constant(0.5)+perfect+n50', 'constant(0.5)+bias(+0.1)+n50']"),
         # the cell file of empirical(a+perfect) at n = 50 is the perfect scenario file of empirical(a)
-        ({"dgms": tuple(Dist.empirical(make_synthetic_pool(0.3, size=60, seed=1, label=label))
+        ({"dgms": tuple(Dist.empirical(make_synthetic_pool(0.3, size=60, rng=1, label=label))
                         for label in ("a", "a+perfect"))}, ConfigError,
          "scenario and cell labels collide after filename sanitization: "
          "['empirical(a)+perfect+n50', 'empirical(a+perfect)+n50']"),
@@ -896,6 +894,18 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError):
             load_study_config(path)
 
+    @pytest.mark.parametrize("entry, field", [("dgm", "b"), ("study", "seed")])
+    def test_a_number_past_the_int_digit_limit_is_a_config_error_naming_the_file(self, tmp_path, entry, field):
+        # Python's int() refuses more than 4300 digits, so json reads no such number
+        doc = self.base_doc()
+        (doc["dgms"][0] if entry == "dgm" else doc["study"])[field] = "HUGE"
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000))
+        with pytest.raises(ConfigError) as info:
+            load_study_config(path)
+        assert str(info.value).startswith(f"{path}: not valid JSON: ")
+        assert "digits" in str(info.value)
+
 
 # The one file per scenario that came before cell files: a scenario file joined with its cell file.
 JOINED_COLUMNS = ("rep", "brier", "cil", "gap", "exceeded", "ybar")
@@ -970,16 +980,20 @@ class TestPersistence:
             write_study_results([], tmp_path / "old")
         assert {path: path.read_bytes() for path in (tmp_path / "old").iterdir()} == before
 
-    @pytest.mark.parametrize("label", ["summary", "summary!"])
-    def test_label_written_as_summary_csv_is_refused(self, tmp_path, label):
-        # its file would be overwritten by the summary, and report would read the summary as it
-        cells = list(run_study(small_config()))
-        first, second = cells[0]
-        cells[0] = (first, dataclasses.replace(second, scenario=dataclasses.replace(second.scenario, label=label)))
-        with pytest.raises(ConfigError) as info:
-            write_study_results(cells, tmp_path / "out")
-        assert str(info.value) == f"scenario label {label!r} would be written to summary.csv, the summary's own file"
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("pool_label", ["summary", "summary.csv"])
+    def test_a_pool_labelled_summary_cannot_take_the_summarys_file(self, tmp_path, pool_label):
+        # every derived label ends in +n<n>, so its file ends in _n<n>.csv and is never summary.csv
+        pool = EmpiricalProbabilityPool(np.linspace(0.1, 0.9, 30), pool_label)
+        config = small_config(dgms=(Dist.empirical(pool),), sample_sizes=(10,))
+        paths = write_study_results(run_study(config), tmp_path)
+        stem = f"empirical_{pool_label}"
+        assert [path.name for path in paths] == [
+            f"{stem}_n10.csv", f"{stem}_perfect_n10.csv", f"{stem}_bias_0.1_n10.csv", "summary.csv"
+        ]
+        rows = read_summary_csv(tmp_path / "summary.csv")  # three metric rows per scenario
+        labels = [f"empirical({pool_label})+{transform}+n10" for transform in ("perfect", "bias(+0.1)")]
+        assert [row["scenario"] for row in rows] == [label for label in labels for _ in range(3)]
+        assert {row["cell"] for row in rows} == {f"{stem}_n10.csv"}
 
     def test_two_runs_of_one_cell_are_refused(self, tmp_path):
         # each would write the cell file from arrays of its own, so neither cell file could be trusted
@@ -1161,14 +1175,19 @@ class TestPersistence:
         )
         assert path.read_text() == buf.getvalue()
 
-    def test_failed_write_leaves_no_stray_file(self, tmp_path):
+    def test_failed_write_leaves_no_stray_file(self, tmp_path, monkeypatch):
         results = flatten(run_study(small_config()))
         write_summary_csv(results, tmp_path)
         before = (tmp_path / "summary.csv").read_bytes()
-        scenario = dataclasses.replace(results[0].scenario, label="unencodable\udc80")
-        broken = [dataclasses.replace(results[0], scenario=scenario)]
-        with pytest.raises(UnicodeEncodeError):
-            write_summary_csv(broken, tmp_path)
+
+        def failing_replace(source, target):
+            assert Path(source).exists()  # the temp file is written before it would replace the summary
+            raise OSError(errno.EIO, "replace failed")
+
+        monkeypatch.setattr(engine.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write_summary_csv(results[:1], tmp_path)
+        monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
         assert (tmp_path / "summary.csv").read_bytes() == before
 

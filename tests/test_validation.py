@@ -363,3 +363,108 @@ def test_is_real_and_as_float_take_the_same_values(value, refusal):
         with pytest.raises(ValidationError) as info:
             validation.as_float(value, "x")
         assert str(info.value) == f"x must be a number: {refusal}"
+
+
+# 10**5000 has more digits than Python's int() and repr() take by default (4300), so at least
+# repr raises ValueError; every message that shows such a value must still be a ValidationError.
+HUGE = 10**5000
+
+
+def _huge_repr_raises() -> bool:
+    try:
+        repr(HUGE)
+    except ValueError:
+        return True
+    return False
+
+
+def _huge_integer_table():
+    from brierlab.analytic import PerturbationSpec
+    from brierlab.dgm import (
+        EmpiricalProbabilityPool,
+        PredictorTransformSpec,
+        TrueDistributionSpec,
+        make_synthetic_pool,
+        sample_true_probs,
+    )
+    from brierlab.engine import Scenario, StudyConfig, run_scenario, run_study
+
+    dist, transform = TrueDistributionSpec.constant(0.5), PredictorTransformSpec.perfect()
+    scenario = Scenario(dist, transform, 5)
+
+    def study(**fields):
+        return StudyConfig(**{"name": "x", "seed": 1, "n_reps": 2, "sample_sizes": (5,), "dgms": (dist,),
+                              "transforms": (transform,), **fields})
+
+    return {
+        "beta": (lambda: TrueDistributionSpec.beta(HUGE, 2),
+                 "true-distribution kind 'beta' takes finite numbers, got (an unprintable int, 2)"),
+        "additive_bias": (lambda: PredictorTransformSpec.additive_bias(HUGE),
+                          "predictor-transform kind 'additive_bias' takes finite numbers, got (an unprintable int)"),
+        "spec-kind": (lambda: TrueDistributionSpec(HUGE), "unknown true-distribution kind an unprintable int"),
+        "spec-arity": (lambda: PredictorTransformSpec("perfect", (HUGE, 1)),
+                       "predictor-transform kind 'perfect' takes params (), got (an unprintable int, 1)"),
+        "scenario-n": (lambda: Scenario(dist, transform, -HUGE),
+                       "scenario sample size must be >= 1, got an unprintable int"),
+        "scenario-true_dist": (lambda: Scenario(HUGE, transform, 5),
+                               "scenario true_dist must be a TrueDistributionSpec, got an unprintable int"),
+        "scenario-transform": (lambda: Scenario(dist, HUGE, 5),
+                               "scenario transform must be a PredictorTransformSpec, got an unprintable int"),
+        "study-seed": (lambda: study(seed=-HUGE), "seed must be >= 0, got an unprintable int"),
+        "study-N": (lambda: study(n_reps=-HUGE), "replication count must be >= 1, got an unprintable int"),
+        "study-sample_sizes": (lambda: study(sample_sizes=(5, -HUGE)),
+                               "study sample sizes must be a sequence of integers >= 1, got (5, an unprintable int)"),
+        "study-name": (lambda: study(name=HUGE), "study name must be a string, got an unprintable int"),
+        "study-dgms": (lambda: study(dgms=HUGE), "study dgms must be a sequence of specs, got an unprintable int"),
+        "run_study-workers": (lambda: run_study(study(), workers=-HUGE),
+                              "worker count must be >= 1, got an unprintable int"),
+        "run_scenario-N": (lambda: run_scenario(scenario, -HUGE, 1),
+                           "replication count must be >= 1, got an unprintable int"),
+        "run_scenario-seed": (lambda: run_scenario(scenario, 2, -HUGE), "seed must be >= 0, got an unprintable int"),
+        "run_scenario-cell": (lambda: run_scenario(scenario, 2, 1, scenario_index=-HUGE),
+                              "cell index must be >= 0, got an unprintable int"),
+        "pool-label": (lambda: EmpiricalProbabilityPool([0.5], HUGE),
+                       "a pool label must be a non-empty string, got an unprintable int"),
+        "synthetic-target": (lambda: make_synthetic_pool(HUGE),
+                             "target incidence must lie in (0, 1), got an unprintable int"),
+        "synthetic-size": (lambda: make_synthetic_pool(0.3, size=-HUGE),
+                           "pool size must be an integer >= 1, got an unprintable int"),
+        "synthetic-spread": (lambda: make_synthetic_pool(0.3, spread=HUGE),
+                             "spread must be finite and nonnegative, got an unprintable int"),
+        "sample_true_probs-size": (lambda: sample_true_probs(dist, (2, -HUGE), np.random.default_rng(1)),
+                                   "size must be an integer n >= 1 or a tuple of integers >= 0 ending in n, "
+                                   "got (2, an unprintable int)"),
+        "perturbation-direction": (lambda: PerturbationSpec(0.1, HUGE),
+                                   "direction must be 'plus' or 'minus', got an unprintable int"),
+        # numbers too large for a float, which numpy refuses with an OverflowError
+        "brier_score": (lambda: scoring.brier_score([10**400], [1]),
+                        "predictions must hold numbers only: int too large to convert to float"),
+        "pool-values": (lambda: EmpiricalProbabilityPool([10**400], "x"),
+                        "pool 'x' must hold numbers only: int too large to convert to float"),
+        "summarize": (lambda: engine.summarize([10**400, 1]),
+                      "samples must hold numbers only: int too large to convert to float"),
+    }
+
+
+HUGE_TABLE = _huge_integer_table()
+needs_digit_limit = pytest.mark.skipif(not _huge_repr_raises(), reason="this Python prints integers of any length")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("build, message", list(HUGE_TABLE.values()), ids=list(HUGE_TABLE))
+def test_a_huge_integer_is_refused_with_a_validation_error(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.5, "0.5"),
+    ("a", "'a'"),
+    ((1, "b"), "(1, 'b')"),
+    pytest.param(HUGE, "an unprintable int", marks=needs_digit_limit),
+    pytest.param((HUGE,), "(an unprintable int)", marks=needs_digit_limit),
+    pytest.param([HUGE], "an unprintable list", marks=needs_digit_limit),
+], ids=["float", "str", "tuple", "int", "tuple-of-int", "list-of-int"])
+def test_shown_is_the_repr_or_a_text_that_never_raises(value, text):
+    assert validation.shown(value) == text
