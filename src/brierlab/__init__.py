@@ -33,6 +33,7 @@ from .dgm import (
     sample_true_probs,
 )
 from .engine import (
+    CellResult,
     Scenario,
     ScenarioResult,
     StudyConfig,

@@ -92,9 +92,8 @@ def cmd_simulate(args) -> int:
     def printed(cells):
         """Print a progress line per scenario of each cell, then pass the cell on to be written."""
         for cell in cells:
-            for result in cell:  # a study numbers its scenarios from 0, in grid order
-                stats = result.summaries["brier"]
-                print(f"[{result.scenario_index + 1}/{total}] {result.scenario.label}: "
+            for t, (scenario, stats) in enumerate(zip(cell.scenarios, cell.stats)):  # each scenario's brier row
+                print(f"[{cell.index * len(cell.scenarios) + t + 1}/{total}] {scenario.label}: "
                       f"median={stats.median:.5f} mean={stats.mean:.5f}", flush=True)
             yield cell
 

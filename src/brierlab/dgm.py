@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
-from .validation import as_probability_vector, is_integer, is_real, names_undecodable_file, shown
+from .validation import as_probability_vector, check_count, is_integer, is_real, names_undecodable_file, shown
 
 __all__ = [
     "EmpiricalProbabilityPool",
@@ -207,6 +207,7 @@ def sample_true_probs(spec: TrueDistributionSpec, size, rng: np.random.Generator
         raise ValidationError(
             f"size must be an integer n >= 1 or a tuple of integers >= 0 ending in n, got {shown(size)}"
         )
+    check_count("total size", math.prod(map(int, shape)))  # Python ints: numpy's would wrap
     n = shape[-1]
     if spec.kind != "empirical":
         return TRUE_DISTRIBUTIONS[spec.kind].draw(*spec.params, shape, rng)
@@ -308,6 +309,7 @@ def make_synthetic_pool(
         raise ValidationError(f"target incidence must lie in (0, 1), got {shown(target_incidence)}")
     if not is_integer(size) or size < 1:
         raise ValidationError(f"pool size must be an integer >= 1, got {shown(size)}")
+    check_count("pool size", size)
     if not (is_real(spread) and 0.0 <= spread < math.inf):
         raise ValidationError(f"spread must be finite and nonnegative, got {shown(spread)}")
     z = np.random.default_rng(rng).normal(0.0, spread, size)  # a Generator is drawn from as it is, else a seed

@@ -49,11 +49,13 @@ from .dgm import (
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
 from .validation import (
-    CsvFormat, _as_float_vector, csv_rows, is_integer, names_undecodable_file, read_float_csv, shown
+    MAX_COUNT, CsvFormat, _as_float_vector, check_count, csv_rows, is_integer, names_undecodable_file, read_float_csv,
+    shown,
 )
 
 __all__ = [
     "Scenario",
+    "CellResult",
     "ScenarioResult",
     "StudyConfig",
     "SummaryStats",
@@ -85,10 +87,6 @@ SCENARIO_CSV_COLUMNS = ("rep", "brier", "cil")
 CELL_CSV_COLUMNS = ("rep", "gap", "exceeded", "ybar")
 SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean", "exceed_prob", "cell")
 
-# Replications are numbered from 1; float64 holds every count up to 2**53 exactly.
-_MAX_REP = 2**53
-
-
 def _replication_csv(columns: tuple[str, ...], *rules) -> CsvFormat:
     """A table of one row per replication: every cell finite, rep an integer in 1..2**53, then rules."""
     return CsvFormat(
@@ -97,7 +95,7 @@ def _replication_csv(columns: tuple[str, ...], *rules) -> CsvFormat:
         (
             *((column, np.isfinite, "non-finite value {!r}") for column in range(len(columns))),
             (0, lambda rep: rep == np.trunc(rep), "rep {!r} is not an integer"),
-            (0, lambda rep: (rep >= 1.0) & (rep <= _MAX_REP), "rep {!r} is outside 1..2**53"),
+            (0, lambda rep: (rep >= 1.0) & (rep <= MAX_COUNT), "rep {!r} is outside 1..2**53"),
             *rules,
         ),
     )
@@ -120,12 +118,14 @@ _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
 def _check_integers(*checks: tuple[str, object, int]) -> None:
-    """Refuse, naming it, the first (name, value, least) whose value is not an integer >= least."""
+    """Refuse, naming it, the first (name, value, least) not an integer >= least, or a count (least 1) > MAX_COUNT."""
     for name, value, least in checks:
         if not is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {shown(value)}")
         if value < least:
             raise ValidationError(f"{name} must be >= {least}, got {shown(int(value))}")
+        if least == 1:
+            check_count(name, value)
 
 
 @dataclass(frozen=True)
@@ -210,13 +210,25 @@ def summarize(samples) -> SummaryStats:
 
 
 @dataclass(frozen=True)
+class CellResult:
+    """One run of a (true distribution, n) cell; scenario t of cell ``index`` is scenario index * T + t of its study.
+
+    ``table`` is the kernel's read-only (2T + 3, N) table: T brier rows, T cil rows, then the scenarios' shared gap,
+    exceeded (0 or 1) and ybar. ``stats`` holds the SummaryStats of its first 2T + 1 rows.
+    """
+
+    index: int
+    scenarios: tuple[Scenario, ...]
+    table: np.ndarray
+    stats: list[SummaryStats]
+
+
+@dataclass(frozen=True)
 class ScenarioResult:
-    """All per-replication samples plus summary estimands; a cell's scenarios share gap, exceeded and ybar."""
+    """The read-only per-replication samples and summary estimands of one scenario, run alone."""
 
     scenario: Scenario
     n_reps: int
-    root_seed: int
-    scenario_index: int
     brier_samples: np.ndarray
     cil_samples: np.ndarray
     gap_samples: np.ndarray
@@ -225,12 +237,8 @@ class ScenarioResult:
     summaries: dict[str, SummaryStats]
 
     @property
-    def exceed_count(self) -> int:
-        return int(np.sum(self.exceeded))
-
-    @property
     def exceed_prob(self) -> float:
-        return self.exceed_count / self.n_reps
+        return int(np.count_nonzero(self.exceeded)) / self.n_reps
 
 
 def run_replication(scenario: Scenario, streams) -> np.ndarray:
@@ -245,10 +253,9 @@ def _run_block(scenarios: tuple, root_seed: int, cell: int, block: int, n_reps: 
 
 
 def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_seed: int, workers: int):
-    """Each (cell index, scenarios) pair's results, in order; the caller has checked the arguments.
+    """The CellResult of each (cell index, scenarios) pair, in order; the caller has checked the arguments.
 
-    A cell's T scenarios share one true distribution and n; scenario t of
-    cell c has index c * T + t. Every (cell, block) task is known up front.
+    A cell's T scenarios share one true distribution and n. Every (cell, block) task is known up front.
     One worker maps them in process; more submit them all to one pool, so a
     study starts one pool however many cells it has; closing the iterator stops it.
     """
@@ -267,20 +274,11 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
             stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(_run_block, *task) for task in tasks]
             blocks = (future.result() for future in futures)
-        for cell, scenarios in cells:
-            # Blocks arrive in replication order; rows: T brier, T cil, then gap, exceeded and ybar.
+        for index, scenarios in cells:
+            # Blocks arrive in replication order.
             table = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
-            width = len(scenarios)
-            stats = _summarize_rows(table[:-2])
-            gap, exceeded, ybar = table[-3], table[-2].astype(bool), table[-1]
-            gap.flags.writeable = exceeded.flags.writeable = ybar.flags.writeable = False
-            yield tuple(
-                ScenarioResult(
-                    scenario, n_reps, root_seed, cell * width + t, table[t], table[width + t], gap, ybar, exceeded,
-                    dict(zip(_SUMMARY_METRICS, (stats[t], stats[width + t], stats[-1]))),
-                )
-                for t, scenario in enumerate(scenarios)
-            )
+            table.flags.writeable = False
+            yield CellResult(index, scenarios, table, _summarize_rows(table[:-2]))
 
 
 def run_scenario(
@@ -299,8 +297,11 @@ def run_scenario(
     """
     _check_integers(("replication count", n_reps, 1), ("worker count", workers, 1), ("seed", root_seed, 0),
                     ("cell index", scenario_index, 0))
-    [(result,)] = _run_cells([(scenario_index, (scenario,))], n_reps, root_seed, workers)
-    return result
+    [cell] = _run_cells([(scenario_index, (scenario,))], n_reps, root_seed, workers)
+    brier, cil, gap, exceeded, ybar = cell.table
+    exceeded = exceeded.astype(bool)
+    exceeded.flags.writeable = False  # as the table's rows are
+    return ScenarioResult(scenario, n_reps, brier, cil, gap, ybar, exceeded, dict(zip(_SUMMARY_METRICS, cell.stats)))
 
 
 @dataclass(frozen=True)
@@ -308,9 +309,9 @@ class StudyConfig:
     """A full study: DGM grid x transform grid x sample sizes, N reps each.
 
     Every field is checked when it is built, directly or through
-    dataclasses.replace: a string name, integer seed >= 0 and N >= 1,
-    sequences of sample sizes and specs, nonempty, no clashing cell or
-    scenario files, no pool smaller than the largest n.
+    dataclasses.replace: a string name, integer seed >= 0 and N in
+    1..2**53, sequences of sample sizes in 1..2**53 and of specs, nonempty,
+    no clashing cell or scenario files, no pool smaller than the largest n.
     """
 
     name: str
@@ -329,6 +330,7 @@ class StudyConfig:
             is_integer(n) and n >= 1 for n in sizes
         ):
             raise ValidationError(f"study sample sizes must be a sequence of integers >= 1, got {shown(sizes)}")
+        check_count("study sample size", max(sizes, default=1))
         for field in ("dgms", "transforms"):
             if not isinstance(specs := getattr(self, field), Sequence):
                 raise ValidationError(f"study {field} must be a sequence of specs, got {shown(specs)}")
@@ -358,11 +360,11 @@ def scenarios_for(config: StudyConfig) -> list[Scenario]:
     return [scenario for cell in _grid_cells(config) for scenario in cell]
 
 
-def run_study(config: StudyConfig, workers: int = 1) -> Iterator[tuple[ScenarioResult, ...]]:
+def run_study(config: StudyConfig, workers: int = 1) -> Iterator[CellResult]:
     """Run every (n, dgm) cell of the grid, whose index keys its random streams.
 
-    Yields each cell's ScenarioResults, one per transform, as a tuple, in
-    cell-index order. The config checked itself when built, so only the
+    Yields each cell's CellResult in cell-index order, so its scenarios come
+    in scenarios_for order. The config checked itself when built, so only the
     worker count is checked, when it is called. With ``workers`` > 1 one
     process pool, stopped by closing the iterator, serves every block.
     """
@@ -473,10 +475,6 @@ def _check_filenames_unique(cells: list[tuple[Scenario, ...]]) -> None:
         raise ConfigError(f"scenario and cell labels collide after filename sanitization: {clashes}")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _atomic_write(path: Path, text: str) -> Path:
     """Write through a new temp file in path's directory, removed if the write fails."""
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -498,78 +496,68 @@ def _write_rows(path: Path, columns: tuple[str, ...], *texts) -> Path:
     return _atomic_write(path, "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n")
 
 
-def _rep_text(result: ScenarioResult) -> list[str]:
-    return list(map(str, range(1, len(result.exceeded) + 1)))
-
-
-def _write_scenario_text(result: ScenarioResult, directory: Path, reps: list[str]) -> Path:
-    path = directory / scenario_filename(result.scenario.label)
-    brier, cil = map(repr, result.brier_samples.tolist()), map(repr, result.cil_samples.tolist())
-    return _write_rows(path, SCENARIO_CSV_COLUMNS, reps, brier, cil)
+def _write_scenario_text(scenario: Scenario, directory: Path, reps, brier: np.ndarray, cil: np.ndarray) -> Path:
+    path = directory / scenario_filename(scenario.label)
+    return _write_rows(path, SCENARIO_CSV_COLUMNS, reps, map(repr, brier.tolist()), map(repr, cil.tolist()))
 
 
 def write_scenario_csv(result: ScenarioResult, directory) -> Path:
     """One row per replication: rep, brier, cil; floats as their repr. write_study_results adds the cell file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    return _write_scenario_text(result, directory, _rep_text(result))
+    reps = map(str, range(1, result.n_reps + 1))
+    return _write_scenario_text(result.scenario, directory, reps, result.brier_samples, result.cil_samples)
 
 
-def write_summary_csv(results: list[ScenarioResult], directory) -> Path:
+def write_summary_csv(cells: list[CellResult], directory) -> Path:
     """Long-format summary: one row per scenario and metric, naming the scenario's cell file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "summary.csv"
     rows = [SUMMARY_CSV_COLUMNS]
-    for result in results:
-        cell = scenario_filename(_cell_label(result.scenario))
-        for metric in _SUMMARY_METRICS:
-            # median, q05, q95 and mean, in SummaryStats order, then exceed_prob
-            values = (*result.summaries[metric], result.exceed_prob)
-            rows.append((result.scenario.label, str(result.scenario.n), metric, *map(_fmt, values), cell))
+    for cell in cells:
+        name, width = scenario_filename(_cell_label(cell.scenarios[0])), len(cell.scenarios)
+        exceed_prob = int(np.count_nonzero(cell.table[-2])) / cell.table.shape[1]
+        for t, scenario in enumerate(cell.scenarios):
+            for metric, stats in zip(_SUMMARY_METRICS, (cell.stats[t], cell.stats[width + t], cell.stats[-1])):
+                # median, q05, q95 and mean, in SummaryStats order, then exceed_prob: Python floats, as their repr
+                rows.append((scenario.label, str(scenario.n), metric, *map(repr, (*stats, exceed_prob)), name))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return _atomic_write(path, buf.getvalue())
 
 
-def write_study_results(cells: Iterable[tuple[ScenarioResult, ...]], directory) -> list[Path]:
-    """Write each cell as run_study yields it: its cell file, then its scenario files; the summary last.
+def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
+    """Write each CellResult as run_study yields it: its cell file, then its scenario files; the summary last.
 
-    A cell is a tuple of results that hold one run's gap, exceeded and ybar
-    arrays and name one (true distribution, n) pair; its file holds rep, gap,
-    exceeded and ybar, and each scenario file rep, brier and cil. A cell that
-    is not, or whose files would be an earlier one's, is refused before any
-    of its files is written; an empty input is refused untouched, as a lone
-    summary would look like a complete run. An earlier run's summary is
-    removed first. Stopping early closes cells, and with it run_study's pool.
+    A cell file holds rep, gap, exceeded and ybar, and each scenario file rep,
+    brier and cil. A cell whose files would be an earlier one's (say, a cell
+    of another run) is refused before any of its files is written; an empty
+    input is refused untouched, as a lone summary would look like a complete
+    run. An earlier run's summary is removed first. Stopping early closes
+    cells, and with it run_study's pool.
     """
     directory = Path(directory)
-    paths, results, written = [], [], []
+    paths, written = [], []
     with contextlib.ExitStack() as stack:
         stack.callback(getattr(cells, "close", lambda: None))
-        for i, cell in enumerate(cells):
-            first = cell[0] if isinstance(cell, tuple) and cell else None
-            if first is None or not all(
-                _cell_label(r.scenario) == _cell_label(first.scenario) and r.gap_samples is first.gap_samples
-                and r.exceeded is first.exceeded and r.ybar_samples is first.ybar_samples
-                for r in cell
-            ):
-                raise ValidationError(f"cell {i} is not a nonempty tuple of one run's results for one cell")
-            written.append(tuple(r.scenario for r in cell))
-            _check_filenames_unique(written)
-            if not results:
+        for cell in cells:
+            _check_filenames_unique([*(done.scenarios for done in written), cell.scenarios])
+            if not written:
                 (directory / "summary.csv").unlink(missing_ok=True)
                 directory.mkdir(parents=True, exist_ok=True)
-            results += cell
-            reps = _rep_text(first)
-            gap, ybar = map(repr, first.gap_samples.tolist()), map(repr, first.ybar_samples.tolist())
-            exceeded = ("1" if flag else "0" for flag in first.exceeded.tolist())
-            path = directory / scenario_filename(_cell_label(first.scenario))
+            written.append(cell)
+            table, width = cell.table, len(cell.scenarios)
+            reps = list(map(str, range(1, table.shape[1] + 1)))
+            gap, ybar = map(repr, table[-3].tolist()), map(repr, table[-1].tolist())
+            exceeded = ("1" if flag else "0" for flag in table[-2].tolist())
+            path = directory / scenario_filename(_cell_label(cell.scenarios[0]))
             paths.append(_write_rows(path, CELL_CSV_COLUMNS, reps, gap, exceeded, ybar))
-            paths += [_write_scenario_text(result, directory, reps) for result in cell]
-    if not results:
+            for t, scenario in enumerate(cell.scenarios):
+                paths.append(_write_scenario_text(scenario, directory, reps, table[t], table[width + t]))
+    if not written:
         raise ValidationError("no scenario results to write")
-    paths.append(write_summary_csv(results, directory))
+    paths.append(write_summary_csv(written, directory))
     return paths
 
 

@@ -23,6 +23,9 @@ from .errors import DimensionError, ValidationError
 # are rejected instead of snapped to the boundary.
 DOMAIN_TOL = 1e-12
 
+# The largest count, size or results-file rep taken: float64 holds every integer up to it exactly.
+MAX_COUNT = 2**53
+
 
 def _as_float_vector(values, name: str) -> np.ndarray:
     """values as a nonempty one-dimensional float64 array; anything else raises a ValidationError naming name."""
@@ -89,6 +92,12 @@ def is_real(value) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def check_count(name: str, value) -> None:
+    """Refuse, naming it, an integer count or size above MAX_COUNT."""
+    if value > MAX_COUNT:
+        raise ValidationError(f"{name} must be <= 2**53, got {shown(int(value))}")
 
 
 def shown(value) -> str:

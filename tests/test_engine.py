@@ -82,11 +82,6 @@ def small_config(**overrides):
     return StudyConfig(**defaults)
 
 
-def flatten(cells):
-    """run_study's cells as one list of results, in scenario order."""
-    return [result for cell in cells for result in cell]
-
-
 def per_line_scenario_rows(path):
     """The rows of a scenario file as the per-line reader alone reads them."""
     return validation.csv_rows(path, engine._SCENARIO_CSV)
@@ -319,9 +314,8 @@ class TestRunScenario:
 
 class TestStudy:
     def test_cartesian_count(self):
-        results = flatten(run_study(small_config()))
-        assert len(results) == 4
-        labels = [r.scenario.label for r in results]
+        labels = [scenario.label for cell in run_study(small_config()) for scenario in cell.scenarios]
+        assert len(labels) == 4
         assert len(set(labels)) == 4
 
     def test_full_grid_counts(self):
@@ -377,19 +371,16 @@ class TestStudy:
     def test_shorter_run_is_a_prefix_of_a_longer_one(self):
         # replication r of a cell draws the same numbers whatever N is, so a run can later be extended
         config = load_study_config(CONFIGS / "every_kind.json")
-        short = flatten(run_study(dataclasses.replace(config, n_reps=100)))
-        long = flatten(run_study(dataclasses.replace(config, n_reps=2 * BLOCK_REPS + 44)))
-        assert len(short) == len(long) == 40
-        for a, b in zip(short, long):
-            assert a.scenario == b.scenario
-            for name in ("brier_samples", "cil_samples", "gap_samples", "exceeded", "ybar_samples"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)[:100])
+        short = list(run_study(dataclasses.replace(config, n_reps=100)))
+        long = list(run_study(dataclasses.replace(config, n_reps=2 * BLOCK_REPS + 44)))
+        assert sum(len(cell.scenarios) for cell in short) == 40
+        for a, b in zip(short, long, strict=True):
+            assert a.scenarios == b.scenarios
+            assert np.array_equal(a.table, b.table[:, :100])
 
     def test_study_reproducible(self):
-        a = flatten(run_study(small_config()))
-        b = flatten(run_study(small_config()))
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.brier_samples, rb.brier_samples)
+        for a, b in zip(run_study(small_config()), run_study(small_config()), strict=True):
+            assert np.array_equal(a.table, b.table)
 
     @pytest.mark.parametrize("labels", [("a b", "a_b"), ("same", "same")])
     def test_filename_collision_fails_before_any_replication(self, monkeypatch, labels):
@@ -428,11 +419,10 @@ class TestStudy:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         config = small_config(n_reps=BLOCK_REPS + 37)
-        parallel = flatten(run_study(config, workers=2))
+        parallel = list(run_study(config, workers=2))
         assert len(starts) == 1
-        for a, b in zip(flatten(run_study(config)), parallel, strict=True):
-            assert np.array_equal(a.brier_samples, b.brier_samples)
-            assert np.array_equal(a.exceeded, b.exceeded)
+        for a, b in zip(run_study(config), parallel, strict=True):
+            assert np.array_equal(a.table, b.table)
 
     def test_pool_files_match_generator(self):
         # the checked-in pools are the generator's output, bit for bit
@@ -484,10 +474,9 @@ class TestDirectInputChecks:
             run_study(small_config(), workers=workers)
 
     def test_numpy_integer_seed_and_worker_count_accepted(self):
-        expected = flatten(run_study(small_config()))
-        results = flatten(run_study(small_config(seed=np.int64(321)), workers=np.int32(1)))
-        for got, want in zip(results, expected, strict=True):
-            assert np.array_equal(got.brier_samples, want.brier_samples)
+        expected = run_study(small_config())
+        for got, want in zip(run_study(small_config(seed=np.int64(321)), workers=np.int32(1)), expected, strict=True):
+            assert np.array_equal(got.table, want.table)
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Scenario("uniform", Transform.perfect(), 5), "scenario true_dist must be a TrueDistributionSpec, got 'uniform'"),
@@ -562,6 +551,57 @@ class TestStudyConfigChecks:
             small_config(dgms=(self.TINY, self.TINY), sample_sizes=(2, 5))
 
 
+class TestCountBounds:
+    """Counts and sizes are at most 2**53, the largest rep a results file can hold, refused before any block."""
+
+    SCENARIO = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 10)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: small_config(sample_sizes=(50, 10**30)), f"study sample size must be <= 2**53, got {10**30}"),
+        (lambda: small_config(n_reps=10**20), f"replication count must be <= 2**53, got {10**20}"),
+        (lambda: dataclasses.replace(small_config(), n_reps=2**53 + 1),
+         "replication count must be <= 2**53, got 9007199254740993"),
+        (lambda: Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), np.int64(2**53 + 1)),
+         "scenario sample size must be <= 2**53, got 9007199254740993"),
+        (lambda: run_scenario(TestCountBounds.SCENARIO, 2**53 + 1, 1),
+         "replication count must be <= 2**53, got 9007199254740993"),
+        (lambda: sample_true_probs(Dist.uniform(0.0, 1.0), 10**30, np.random.default_rng(1)),
+         f"total size must be <= 2**53, got {10**30}"),
+        # the product of numpy integers, 2**64, would wrap to 0
+        (lambda: sample_true_probs(Dist.uniform(0.0, 1.0), (np.int64(2**32),) * 2, np.random.default_rng(1)),
+         f"total size must be <= 2**53, got {2**64}"),
+        (lambda: make_synthetic_pool(0.3, size=10**30), f"pool size must be <= 2**53, got {10**30}"),
+        (lambda: run_study(small_config(), workers=2**53 + 1), "worker count must be <= 2**53, got 9007199254740993"),
+    ], ids=["study-n", "study-N", "replaced-N", "scenario-n", "run_scenario-N", "draw-n", "draw-rows-by-n",
+            "pool-size", "workers"])
+    def test_a_count_above_2_53_is_refused(self, monkeypatch, build, message):
+        # listing the blocks of N = 2**53 + 1 would exhaust memory before the first one ran
+        monkeypatch.setattr(engine, "_run_cells", lambda *args: pytest.fail("the blocks were listed"))
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_2_53_is_taken(self):
+        # building a scenario or a study runs nothing
+        assert Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 2**53).label == f"uniform(0,1)+perfect+n{2**53}"
+        assert small_config(n_reps=2**53, sample_sizes=(2**53,)).n_reps == 2**53
+        assert validation.MAX_COUNT == 2**53
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("sample_sizes", [10**30], f"study sample size must be <= 2**53, got {10**30}"),
+        ("N", 10**20, f"replication count must be <= 2**53, got {10**20}"),
+    ], ids=["sample_sizes", "N"])
+    def test_simulate_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, field, value, message):
+        doc = {"study": {"name": "big", "seed": 1, "N": 5, "sample_sizes": [10]},
+               "dgms": [{"kind": "constant", "c": 0.5}], "transforms": [{"kind": "perfect"}]}
+        doc["study"][field] = value
+        (tmp_path / "big.json").write_text(json.dumps(doc))
+        monkeypatch.setattr(engine, "_run_cells", lambda *args: pytest.fail("the blocks were listed"))
+        assert main(["simulate", "--config", str(tmp_path / "big.json"), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
 FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="only forked workers inherit a replaced _run_block"
 )
@@ -619,23 +659,6 @@ class TestStreamedWrites:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
         run_study(self.CONFIG, workers=2).close()
 
-    # a: a run of the study, b: another run of it
-    @pytest.mark.parametrize("make, index", [
-        (lambda a, b: [a[0], ()], 1),
-        (lambda a, b: [a[0][0], a[1]], 0),
-        (lambda a, b: [(a[0][0], b[0][1])], 0),
-        (lambda a, b: [(a[0][0], dataclasses.replace(a[0][1], scenario=a[1][1].scenario))], 0),
-    ], ids=["empty", "not-a-tuple", "two-runs", "two-cells"])
-    def test_a_cell_that_is_not_one_run_of_one_cell_is_refused_before_its_files(self, tmp_path, make, index):
-        out = tmp_path / "out"
-        with pytest.raises(ValidationError) as info:
-            write_study_results(make(list(run_study(self.CONFIG)), list(run_study(self.CONFIG))), out)
-        assert str(info.value) == f"cell {index} is not a nonempty tuple of one run's results for one cell"
-        if index == 0:
-            assert not out.exists()
-        else:
-            assert sorted(path.name for path in out.iterdir()) == self.FIRST_CELL
-
 
 class TestCommonRandomNumbers:
     """The transforms of one (DGM, n) cell are scored on the same q and y."""
@@ -648,39 +671,51 @@ class TestCommonRandomNumbers:
             dgms=(Dist.uniform(0.0, 1.0), Dist.beta(2.0, 5.0)),
             transforms=transforms,
         )
-        results = flatten(run_study(config))
-        assert [r.scenario_index for r in results] == list(range(12))
-        cells = [results[start:start + 3] for start in range(0, 12, 3)]
-        for cell, (first, *others) in enumerate(cells):
-            assert len({(r.scenario.n, r.scenario.true_dist) for r in (first, *others)}) == 1
-            for other in others:
-                assert np.array_equal(first.gap_samples, other.gap_samples)
-                assert np.array_equal(first.exceeded, other.exceeded)
-                assert np.array_equal(first.ybar_samples, other.ybar_samples)
-                assert not np.array_equal(first.brier_samples, other.brier_samples)
+        cells = list(run_study(config))
+        assert [cell.index for cell in cells] == [0, 1, 2, 3]
+        # scenario t of cell c is scenario c * T + t of the grid
+        assert [scenario for cell in cells for scenario in cell.scenarios] == scenarios_for(config)
+        for cell in cells:
+            assert len({(s.n, s.true_dist) for s in cell.scenarios}) == 1
+            assert len({row.tobytes() for row in cell.table[:3]}) == 3  # one brier row per transform
             # the first transform of cell c draws what a one-cell study at index c draws
-            alone = run_scenario(first.scenario, config.n_reps, config.seed, scenario_index=cell)
-            for name in ("brier_samples", "cil_samples", "gap_samples", "ybar_samples", "exceeded"):
-                assert np.array_equal(getattr(alone, name), getattr(first, name))
-        assert not np.array_equal(cells[0][0].ybar_samples, cells[1][0].ybar_samples)
+            alone = run_scenario(cell.scenarios[0], config.n_reps, config.seed, scenario_index=cell.index)
+            for name, row in (("brier_samples", 0), ("cil_samples", 3), ("gap_samples", -3), ("exceeded", -2),
+                              ("ybar_samples", -1)):
+                assert np.array_equal(getattr(alone, name), cell.table[row])
+            assert alone.summaries == {"brier": cell.stats[0], "cil": cell.stats[3], "gap": cell.stats[-1]}
+        assert not np.array_equal(cells[0].table[-1], cells[1].table[-1])
 
-    def test_cell_results_share_read_only_arrays(self):
+    def test_a_cell_holds_the_kernel_table_read_only_with_its_row_summaries(self):
+        n_reps = BLOCK_REPS + 37
         config = small_config(
-            n_reps=BLOCK_REPS + 37,
+            n_reps=n_reps,
             transforms=(Transform.perfect(), Transform.additive_bias(0.1), Transform.uniform_noise(0.1)),
         )
         cells = list(run_study(config))
-        assert [len(cell) for cell in cells] == [3, 3]
-        for first, *others in cells:
-            for other in others:
-                assert other.gap_samples is first.gap_samples
-                assert other.exceeded is first.exceeded
-                assert other.ybar_samples is first.ybar_samples
-                assert other.summaries["gap"] == first.summaries["gap"]
-            for shared in (first.gap_samples, first.exceeded, first.ybar_samples):
-                with pytest.raises(ValueError, match="read-only"):
-                    shared[0] = 0
-        assert cells[0][0].gap_samples is not cells[1][0].gap_samples
+        assert [len(cell.scenarios) for cell in cells] == [3, 3]
+        for cell in cells:
+            assert cell.table.shape == (2 * 3 + 3, n_reps)
+            assert not cell.table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cell.table[-3, 0] = 0
+            blocks = [engine._run_block(cell.scenarios, config.seed, cell.index, block, n_reps) for block in (0, 1)]
+            assert np.array_equal(cell.table, np.concatenate(blocks, axis=1))
+            # brier, cil and gap rows; exceeded and ybar have none
+            assert len(cell.stats) == 2 * 3 + 1
+            for row, stats in zip(cell.table, cell.stats):
+                assert stats == summarize(row)  # bit for bit
+        assert not np.array_equal(cells[0].table[-3], cells[1].table[-3])
+
+    def test_run_scenario_arrays_are_read_only(self):
+        n_reps = BLOCK_REPS + 37
+        result = run_scenario(Scenario(Dist.beta(2.0, 5.0), Transform.uniform_noise(0.1), 40), n_reps, 7)
+        for name in ("brier_samples", "cil_samples", "gap_samples", "ybar_samples", "exceeded"):
+            samples = getattr(result, name)
+            assert samples.shape == (n_reps,)
+            with pytest.raises(ValueError, match="read-only"):
+                samples[0] = 0
+        assert result.exceeded.dtype == bool
 
     def test_paired_bias_difference_is_delta_squared(self):
         # q <= 0.2, so q + 0.1 never clamps and brier(bias) - brier(perfect) = delta^2 + 2 delta cil(perfect)
@@ -691,13 +726,14 @@ class TestCommonRandomNumbers:
             dgms=(Dist.uniform(0.0, 0.2),),
             transforms=(Transform.perfect(), Transform.additive_bias(delta)),
         )
-        [(perfect, bias)] = run_study(config)
-        difference = bias.brier_samples - perfect.brier_samples
-        assert np.allclose(difference, delta**2 + 2 * delta * perfect.cil_samples, rtol=0, atol=1e-15)
+        [cell] = run_study(config)
+        perfect_brier, bias_brier, perfect_cil = cell.table[:3]
+        difference = bias_brier - perfect_brier
+        assert np.allclose(difference, delta**2 + 2 * delta * perfect_cil, rtol=0, atol=1e-15)
         se = np.std(difference, ddof=1) / math.sqrt(n_reps)
         assert abs(np.mean(difference) - delta**2) <= 4 * se
         # unpaired draws would give about sqrt(2) times brier's SD, not a quarter of it
-        assert np.std(difference, ddof=1) < np.std(perfect.brier_samples, ddof=1) / 3
+        assert np.std(difference, ddof=1) < np.std(perfect_brier, ddof=1) / 3
 
 
 class TestConfigDocuments:
@@ -911,15 +947,16 @@ class TestConfigDocuments:
 JOINED_COLUMNS = ("rep", "brier", "cil", "gap", "exceeded", "ybar")
 
 
-def reference_scenario_text(result):
-    """The six-column file of one scenario as the per-scenario writer formatted it, every column on its own."""
+def reference_scenario_text(cell, t):
+    """The six-column file of a cell's scenario t as the per-scenario writer formatted it, every column on its own."""
+    brier, cil, gap, exceeded, ybar = cell.table[[t, len(cell.scenarios) + t, -3, -2, -1]].tolist()
     cells = zip(
-        map(str, range(1, len(result.exceeded) + 1)),
-        map(repr, result.brier_samples.tolist()),
-        map(repr, result.cil_samples.tolist()),
-        map(repr, result.gap_samples.tolist()),
-        ("1" if exceeded else "0" for exceeded in result.exceeded.tolist()),
-        map(repr, result.ybar_samples.tolist()),
+        map(str, range(1, len(gap) + 1)),
+        map(repr, brier),
+        map(repr, cil),
+        map(repr, gap),
+        ("1" if flag == 1.0 else "0" for flag in exceeded),
+        map(repr, ybar),
     )
     lines = [",".join(JOINED_COLUMNS), *map(",".join, cells)]
     return "\n".join(lines) + "\n"
@@ -949,25 +986,29 @@ class TestPersistence:
             "summary.csv",
         ]
         cells = {path.name: path for path in paths[0::3]}
-        for result, path in zip(flatten(study), paths[1:3] + paths[4:6], strict=True):
-            [row] = [row for row in read_summary_csv(paths[-1]) if row["scenario"] == result.scenario.label][:1]
-            assert joined_text(path, cells[row["cell"]]) == reference_scenario_text(result)
+        scenarios = [(cell, t) for cell in study for t in range(len(cell.scenarios))]
+        for (cell, t), path in zip(scenarios, paths[1:3] + paths[4:6], strict=True):
+            label = cell.scenarios[t].label
+            [row] = [row for row in read_summary_csv(paths[-1]) if row["scenario"] == label][:1]
+            assert joined_text(path, cells[row["cell"]]) == reference_scenario_text(cell, t)
 
     @pytest.mark.parametrize("read_only_view", [False, True], ids=["copy", "read-only-view"])
     def test_changed_writable_arrays_are_formatted_again(self, tmp_path, read_only_view):
         # no text outlives a write: a read-only view changes with its writable base
-        result = run_scenario(Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 20), 5, 3)
-        gap = result.gap_samples.copy()
-        held = gap.view() if read_only_view else gap
+        config = small_config(seed=3, n_reps=5, sample_sizes=(20,), dgms=(Dist.uniform(0.0, 1.0),),
+                              transforms=(Transform.perfect(),))
+        [cell] = run_study(config)
+        table = cell.table.copy()
+        held = table.view() if read_only_view else table
         held.flags.writeable = not read_only_view
-        own = dataclasses.replace(result, gap_samples=held)
-        cell, scenario, _ = write_study_results([(own,)], tmp_path / "a")
+        own = dataclasses.replace(cell, table=held)
+        cell, scenario, _ = write_study_results([own], tmp_path / "a")
         first = joined_text(scenario, cell)
-        gap[0] = 0.5
-        cell, scenario, _ = write_study_results([(own,)], tmp_path / "b")
+        table[-3, 0] = 0.5  # the gap of replication 1
+        cell, scenario, _ = write_study_results([own], tmp_path / "b")
         second = joined_text(scenario, cell)
         assert first != second
-        assert second == reference_scenario_text(own)
+        assert second == reference_scenario_text(own, 0)
 
     def test_empty_result_list_writes_nothing(self, tmp_path):
         # a summary with no scenario files beside it would look like a complete run
@@ -996,10 +1037,12 @@ class TestPersistence:
         assert {row["cell"] for row in rows} == {f"{stem}_n10.csv"}
 
     def test_two_runs_of_one_cell_are_refused(self, tmp_path):
-        # each would write the cell file from arrays of its own, so neither cell file could be trusted
-        dist = Dist.uniform(0.0, 1.0)
-        transforms = (Transform.perfect(), Transform.additive_bias(0.1))
-        cells = [(run_scenario(Scenario(dist, transform, 20), 5, 3),) for transform in transforms]
+        # each would write the cell file from a table of its own, so neither cell file could be trusted
+        cells = [
+            next(run_study(small_config(seed=3, n_reps=5, sample_sizes=(20,), dgms=(Dist.uniform(0.0, 1.0),),
+                                        transforms=(transform,))))
+            for transform in (Transform.perfect(), Transform.additive_bias(0.1))
+        ]
         with pytest.raises(ConfigError) as info:
             write_study_results(cells, tmp_path / "out")
         assert str(info.value) == (
@@ -1012,29 +1055,31 @@ class TestPersistence:
 
     def test_round_trip(self, tmp_path):
         cells = list(run_study(small_config()))
-        results = flatten(cells)
         paths = write_study_results(cells, tmp_path)
         assert paths[-1].name == "summary.csv"
         assert len(paths) == 2 + 4 + 1  # cells, scenarios, summary
+        # two transforms: rows brier, brier, cil, cil, gap, exceeded, ybar
+        brier, _, cil, _, gap, exceeded, ybar = cells[0].table
 
         data = read_scenario_csv(paths[1])
         assert list(data) == list(SCENARIO_CSV_COLUMNS)
-        assert np.array_equal(data["brier"], results[0].brier_samples)
-        assert np.array_equal(data["cil"], results[0].cil_samples)
+        assert np.array_equal(data["brier"], brier)
+        assert np.array_equal(data["cil"], cil)
         assert data["rep"].tolist() == list(range(1, 41))
 
         cell = read_cell_csv(paths[0])
         assert list(cell) == list(CELL_CSV_COLUMNS)
-        assert np.array_equal(cell["gap"], results[0].gap_samples)
-        assert cell["exceeded"].dtype == bool and np.array_equal(cell["exceeded"], results[0].exceeded)
-        assert np.array_equal(cell["ybar"], results[0].ybar_samples)
+        assert np.array_equal(cell["gap"], gap)
+        assert cell["exceeded"].dtype == bool and np.array_equal(cell["exceeded"], exceeded == 1.0)
+        assert np.array_equal(cell["ybar"], ybar)
         assert cell["rep"].tolist() == list(range(1, 41))
 
         rows = read_summary_csv(paths[-1])
         assert len(rows) == 4 * 3  # scenarios x metrics
         first = rows[0]
-        assert first["scenario"] == results[0].scenario.label
-        assert first["median"] == results[0].summaries["brier"].median
+        assert first["scenario"] == cells[0].scenarios[0].label
+        assert first["median"] == cells[0].stats[0].median
+        assert first["exceed_prob"] == np.mean(exceeded)
         assert [row["cell"] for row in rows] == [paths[0].name] * 6 + [paths[3].name] * 6
 
     def test_schema_self_check(self, tmp_path):
@@ -1162,7 +1207,7 @@ class TestPersistence:
         assert outcome(public) == outcome(per_line_scenario_rows)
 
     def test_scenario_csv_text(self, tmp_path):
-        result = flatten(run_study(small_config()))[0]
+        result = run_scenario(Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 50), 40, 321)
         path = write_scenario_csv(result, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no cell file
         buf = io.StringIO()
@@ -1176,8 +1221,8 @@ class TestPersistence:
         assert path.read_text() == buf.getvalue()
 
     def test_failed_write_leaves_no_stray_file(self, tmp_path, monkeypatch):
-        results = flatten(run_study(small_config()))
-        write_summary_csv(results, tmp_path)
+        cells = list(run_study(small_config()))
+        write_summary_csv(cells, tmp_path)
         before = (tmp_path / "summary.csv").read_bytes()
 
         def failing_replace(source, target):
@@ -1186,7 +1231,7 @@ class TestPersistence:
 
         monkeypatch.setattr(engine.os, "replace", failing_replace)
         with pytest.raises(OSError, match="replace failed"):
-            write_summary_csv(results[:1], tmp_path)
+            write_summary_csv(cells[:1], tmp_path)
         monkeypatch.undo()
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
         assert (tmp_path / "summary.csv").read_bytes() == before
@@ -1217,12 +1262,12 @@ class TestPersistence:
 
     def test_failed_write_removes_only_its_own_temp_file(self, tmp_path, monkeypatch):
         # a temp file of the same name that another writer made is not ours to remove
-        results = flatten(run_study(small_config()))
+        cells = list(run_study(small_config()))
         monkeypatch.setattr(os, "urandom", lambda size: b"\0" * size)
         other = tmp_path / f".summary.csv.{bytes(8).hex()}.tmp"
         other.write_text("another writer's")
         with pytest.raises(FileExistsError):
-            write_summary_csv(results, tmp_path)
+            write_summary_csv(cells, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [other.name]
         assert other.read_text() == "another writer's"
 

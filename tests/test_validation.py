@@ -406,20 +406,28 @@ def _huge_integer_table():
                        "predictor-transform kind 'perfect' takes params (), got (an unprintable int, 1)"),
         "scenario-n": (lambda: Scenario(dist, transform, -HUGE),
                        "scenario sample size must be >= 1, got an unprintable int"),
+        "scenario-n-positive": (lambda: Scenario(dist, transform, HUGE),
+                                "scenario sample size must be <= 2**53, got an unprintable int"),
         "scenario-true_dist": (lambda: Scenario(HUGE, transform, 5),
                                "scenario true_dist must be a TrueDistributionSpec, got an unprintable int"),
         "scenario-transform": (lambda: Scenario(dist, HUGE, 5),
                                "scenario transform must be a PredictorTransformSpec, got an unprintable int"),
         "study-seed": (lambda: study(seed=-HUGE), "seed must be >= 0, got an unprintable int"),
         "study-N": (lambda: study(n_reps=-HUGE), "replication count must be >= 1, got an unprintable int"),
+        "study-N-positive": (lambda: study(n_reps=HUGE),
+                             "replication count must be <= 2**53, got an unprintable int"),
         "study-sample_sizes": (lambda: study(sample_sizes=(5, -HUGE)),
                                "study sample sizes must be a sequence of integers >= 1, got (5, an unprintable int)"),
+        "study-sample_sizes-positive": (lambda: study(sample_sizes=(5, HUGE)),
+                                        "study sample size must be <= 2**53, got an unprintable int"),
         "study-name": (lambda: study(name=HUGE), "study name must be a string, got an unprintable int"),
         "study-dgms": (lambda: study(dgms=HUGE), "study dgms must be a sequence of specs, got an unprintable int"),
         "run_study-workers": (lambda: run_study(study(), workers=-HUGE),
                               "worker count must be >= 1, got an unprintable int"),
         "run_scenario-N": (lambda: run_scenario(scenario, -HUGE, 1),
                            "replication count must be >= 1, got an unprintable int"),
+        "run_scenario-N-positive": (lambda: run_scenario(scenario, HUGE, 1),
+                                    "replication count must be <= 2**53, got an unprintable int"),
         "run_scenario-seed": (lambda: run_scenario(scenario, 2, -HUGE), "seed must be >= 0, got an unprintable int"),
         "run_scenario-cell": (lambda: run_scenario(scenario, 2, 1, scenario_index=-HUGE),
                               "cell index must be >= 0, got an unprintable int"),
@@ -429,11 +437,15 @@ def _huge_integer_table():
                              "target incidence must lie in (0, 1), got an unprintable int"),
         "synthetic-size": (lambda: make_synthetic_pool(0.3, size=-HUGE),
                            "pool size must be an integer >= 1, got an unprintable int"),
+        "synthetic-size-positive": (lambda: make_synthetic_pool(0.3, size=HUGE),
+                                    "pool size must be <= 2**53, got an unprintable int"),
         "synthetic-spread": (lambda: make_synthetic_pool(0.3, spread=HUGE),
                              "spread must be finite and nonnegative, got an unprintable int"),
         "sample_true_probs-size": (lambda: sample_true_probs(dist, (2, -HUGE), np.random.default_rng(1)),
                                    "size must be an integer n >= 1 or a tuple of integers >= 0 ending in n, "
                                    "got (2, an unprintable int)"),
+        "sample_true_probs-size-positive": (lambda: sample_true_probs(dist, (2, HUGE), np.random.default_rng(1)),
+                                            "total size must be <= 2**53, got an unprintable int"),
         "perturbation-direction": (lambda: PerturbationSpec(0.1, HUGE),
                                    "direction must be 'plus' or 'minus', got an unprintable int"),
         # numbers too large for a float, which numpy refuses with an OverflowError
