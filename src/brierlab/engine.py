@@ -14,7 +14,9 @@ Replications run in blocks of BLOCK_REPS, each drawn as (rows, n) matrices.
 Block b of cell c draws q from the stream addressed by (root seed, c, b, 0),
 the outcomes from (root seed, c, b, 2), and transform t's noise from
 (root seed, c, b, 1, t). The (cell, block) pair, not the replication, is the
-unit of determinism, so results are bit-identical at any worker count.
+unit of determinism, so results are bit-identical at any worker count. One
+worker is one thread, which computes the next blocks while the caller writes
+a cell; more are one process pool.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import concurrent.futures
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import re
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -252,28 +255,45 @@ def _run_block(scenarios: tuple, root_seed: int, cell: int, block: int, n_reps: 
     return _score_cell(scenarios, _cell_streams(root_seed, cell, block, len(scenarios)), rows)
 
 
+def _in_order(pool: concurrent.futures.Executor, tasks: Iterator[tuple], ahead: int) -> Iterator[np.ndarray]:
+    """The pool's _run_block result for each task, in order, with at most ``ahead`` submitted and not yet taken."""
+    futures = deque(pool.submit(_run_block, *task) for task in itertools.islice(tasks, ahead))
+    for task in tasks:
+        block = futures.popleft().result()
+        futures.append(pool.submit(_run_block, *task))
+        yield block
+    for future in futures:
+        yield future.result()
+
+
 def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_seed: int, workers: int):
     """The CellResult of each (cell index, scenarios) pair, in order; the caller has checked the arguments.
 
-    A cell's T scenarios share one true distribution and n. Every (cell, block) task is known up front.
-    One worker maps them in process; more submit them all to one pool, so a
-    study starts one pool however many cells it has; closing the iterator stops it.
+    A cell's T scenarios share one true distribution and n. Each (cell, block)
+    task is made when it is submitted, a few blocks ahead of the one being
+    taken, so a huge N starts at once. One worker is one thread, which runs the
+    next blocks while the caller takes in (and writes) a cell; more are one
+    process pool, so a study starts one pool however many cells it has. Closing
+    the iterator stops either; a lone block runs inline.
     """
     n_blocks = -(-n_reps // BLOCK_REPS)
-    tasks = [
-        (scenarios, root_seed, cell, block, n_reps) for cell, scenarios in cells for block in range(n_blocks)
-    ]
+    n_tasks = len(cells) * n_blocks
+    tasks = ((scenarios, root_seed, cell, block, n_reps) for cell, scenarios in cells for block in range(n_blocks))
     with contextlib.ExitStack() as stack:
-        if workers == 1 or len(tasks) == 1:
+        if n_tasks == 1:
             blocks = (_run_block(*task) for task in tasks)
         else:
-            import numpy.random  # numpy loads it lazily: once here, not again in every forked worker
+            if workers == 1:
+                # The thread shares the interpreter lock with the caller: running further ahead slows its writes.
+                pool, ahead = concurrent.futures.ThreadPoolExecutor(max_workers=1), 2
+            else:
+                import numpy.random  # numpy loads it lazily: once here, not again in every forked worker
 
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+                # Processes keep computing while the caller writes a cell, which needs a deeper queue.
+                pool, ahead = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, n_tasks)), 16 * workers
             # On an error or an early close, drop the queued tasks instead of running them out.
             stack.callback(pool.shutdown, cancel_futures=True)
-            futures = [pool.submit(_run_block, *task) for task in tasks]
-            blocks = (future.result() for future in futures)
+            blocks = _in_order(pool, tasks, ahead)
         for index, scenarios in cells:
             # Blocks arrive in replication order.
             table = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
@@ -293,7 +313,7 @@ def run_scenario(
     Block b holds replications [b * BLOCK_REPS, (b + 1) * BLOCK_REPS) and
     draws from the streams of cell ``scenario_index`` (see the module
     docstring), so the result is identical for any ``workers`` value;
-    workers only controls which process runs each block.
+    workers only controls which worker runs each block.
     """
     _check_integers(("replication count", n_reps, 1), ("worker count", workers, 1), ("seed", root_seed, 0),
                     ("cell index", scenario_index, 0))
@@ -336,7 +356,7 @@ class StudyConfig:
                 raise ValidationError(f"study {field} must be a sequence of specs, got {shown(specs)}")
         if not (sizes and self.dgms and self.transforms):
             raise ValidationError("a study needs at least one sample size, true distribution and transform")
-        _check_filenames_unique(_grid_cells(self))
+        _claim_filenames(_grid_cells(self), {})
         n = max(self.sample_sizes)
         for i, dgm in enumerate(self.dgms):
             if dgm.pool is not None and dgm.pool.size < n:
@@ -365,8 +385,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> Iterator[CellResult]:
 
     Yields each cell's CellResult in cell-index order, so its scenarios come
     in scenarios_for order. The config checked itself when built, so only the
-    worker count is checked, when it is called. With ``workers`` > 1 one
-    process pool, stopped by closing the iterator, serves every block.
+    worker count is checked, when it is called. One thread (``workers`` = 1)
+    or one process pool serves every block, and closing the iterator stops it.
     """
     _check_integers(("worker count", workers, 1))
     return _run_cells(list(enumerate(_grid_cells(config))), config.n_reps, config.seed, workers)
@@ -466,13 +486,18 @@ def _cell_label(scenario: Scenario) -> str:
     return f"{scenario.true_dist.label}+n{scenario.n}"
 
 
-def _check_filenames_unique(cells: list[tuple[Scenario, ...]]) -> None:
-    """Reject cell and scenario labels that would share a file, naming them; each ends in +n<n>, never 'summary'."""
+def _claim_filenames(cells: list[tuple[Scenario, ...]], claimed: dict[str, str]) -> None:
+    """Add the cells' files to claimed (file name -> label), which holds no clash, or refuse, naming every label of one.
+
+    Only the new names are looked up. Each label ends in +n<n>, so no file is named 'summary'.
+    """
     labels = [label for cell in cells for label in (_cell_label(cell[0]), *(s.label for s in cell))]
-    counts = Counter(map(scenario_filename, labels))
-    clashes = [label for label in labels if counts[scenario_filename(label)] > 1]
-    if clashes:
+    names = list(map(scenario_filename, labels))
+    if len(set(names)) < len(names) or not claimed.keys().isdisjoint(names):
+        counts = Counter([*claimed, *names])
+        clashes = [label for name, label in [*claimed.items(), *zip(names, labels)] if counts[name] > 1]
         raise ConfigError(f"scenario and cell labels collide after filename sanitization: {clashes}")
+    claimed.update(zip(names, labels))
 
 
 def _atomic_write(path: Path, text: str) -> Path:
@@ -535,14 +560,14 @@ def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
     of another run) is refused before any of its files is written; an empty
     input is refused untouched, as a lone summary would look like a complete
     run. An earlier run's summary is removed first. Stopping early closes
-    cells, and with it run_study's pool.
+    cells, and with it run_study's thread or pool.
     """
     directory = Path(directory)
-    paths, written = [], []
+    paths, written, claimed = [], [], {}
     with contextlib.ExitStack() as stack:
         stack.callback(getattr(cells, "close", lambda: None))
         for cell in cells:
-            _check_filenames_unique([*(done.scenarios for done in written), cell.scenarios])
+            _claim_filenames([cell.scenarios], claimed)
             if not written:
                 (directory / "summary.csv").unlink(missing_ok=True)
                 directory.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Float cells for the scenario-reader parity test; see CELLS in test_scoring.py.
 SCENARIO_CELLS = ("0.25", "-0.5", "1e-3", "-0", "nan", "inf", "1e400", "0.2_5", '"0.5"', " 0.5", "", "abc", "\x1c0.5")
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="only forked workers inherit a replaced _run_block"
+)
 
 
 def small_config(**overrides):
@@ -581,6 +587,37 @@ class TestCountBounds:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the address space on Linux")
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+    def test_the_first_block_runs_before_the_rest_are_made(self, workers):
+        # N = 10**10 is 78 125 000 blocks: listed up front, their tasks alone would not fit in 1 GiB
+        code = """if True:
+            import resource, sys
+            from brierlab import engine
+            from brierlab.dgm import PredictorTransformSpec as T, TrueDistributionSpec as D
+
+            class Sentinel(Exception):
+                pass
+
+            def first_block_fails(*task):
+                raise Sentinel
+
+            engine._run_block = first_block_fails
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+            scenario = engine.Scenario(D.constant(0.5), T.perfect(), 10)
+            try:
+                engine.run_scenario(scenario, 10**10, 1, workers=int(sys.argv[1]))
+            except Sentinel:
+                print("first block ran")
+        """
+        src = str(Path(engine.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(workers)],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "first block ran\n", "")
+
     def test_2_53_is_taken(self):
         # building a scenario or a study runs nothing
         assert Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 2**53).label == f"uniform(0,1)+perfect+n{2**53}"
@@ -600,11 +637,6 @@ class TestCountBounds:
         assert main(["simulate", "--config", str(tmp_path / "big.json"), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
-
-
-FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="only forked workers inherit a replaced _run_block"
-)
 
 
 class TestStreamedWrites:
@@ -633,10 +665,12 @@ class TestStreamedWrites:
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_replace)
+        threads = threading.active_count()
         with pytest.raises(OSError, match="No space left on device") as info:
             write_study_results(run_study(self.CONFIG, workers), out)
         # info holds the traceback, and with it the writer's frame and the stream it was given
         assert info.value.errno == errno.ENOSPC and multiprocessing.active_children() == []
+        assert threading.active_count() == threads
         self.check_first_cell_kept(tmp_path, out)
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
@@ -648,12 +682,30 @@ class TestStreamedWrites:
             return run_block(scenarios, root_seed, cell, block, n_reps)
 
         monkeypatch.setattr(engine, "_run_block", failing_block)
+        threads = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             write_study_results(run_study(self.CONFIG, workers), tmp_path / "out")
         assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
         assert str(info.value) == "block 0 of cell 1 failed"
         monkeypatch.undo()
         self.check_first_cell_kept(tmp_path, tmp_path / "out")
+
+    def test_closing_a_serial_study_stops_its_thread(self, monkeypatch):
+        ran = []
+
+        def counted_block(scenarios, root_seed, cell, block, n_reps, run_block=engine._run_block):
+            ran.append((cell, block))
+            return run_block(scenarios, root_seed, cell, block, n_reps)
+
+        monkeypatch.setattr(engine, "_run_block", counted_block)
+        threads = threading.active_count()
+        cells = run_study(dataclasses.replace(self.CONFIG, sample_sizes=(50, 60)), 1)  # four cells of two blocks
+        assert next(cells).index == 0
+        cells.close()
+        assert threading.active_count() == threads
+        # the thread runs at most two blocks ahead of the caller, and none once closed: no block of cells 2 and 3
+        assert ran[:2] == [(0, 0), (0, 1)] and set(ran[2:]) <= {(1, 0), (1, 1)}
 
     def test_a_parallel_study_starts_its_pool_when_first_iterated(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
