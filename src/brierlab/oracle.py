@@ -65,7 +65,17 @@ def _doubling(op, if_zero: np.ndarray, if_one: np.ndarray, start: float) -> np.n
 def _scores_and_masses(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """BS(p, y) and Pr(y) for every outcome vector y."""
     squares = _doubling(np.add, p * p, (p - 1.0) * (p - 1.0), 0.0)
-    return squares / p.size, _doubling(np.multiply, 1.0 - q, q, 1.0)
+    squares /= p.size
+    return squares, _doubling(np.multiply, 1.0 - q, q, 1.0)
+
+
+def _fsum(a) -> float:
+    """math.fsum over an array's entries as float64, read from a flat buffer.
+
+    Exact and independent of order like fsum over the array itself, so the
+    bits are the same, but no numpy scalar is made per entry.
+    """
+    return math.fsum(memoryview(np.ravel(np.asarray(a, dtype=np.float64))))
 
 
 def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -79,7 +89,7 @@ def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
 def exact_expected_bs(p, q) -> float:
     """Expected score by full enumeration: sum over y of Pr(y) * BS(p, y)."""
     scores, masses = _scores_and_masses(*_checked_pair(p, q))
-    return math.fsum(scores * masses)
+    return _fsum(np.multiply(scores, masses, out=scores))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +106,14 @@ class ExactScoreDistribution:
         return tuple(zip(self.values.tolist(), self.masses.tolist()))
 
     def mean(self) -> float:
-        return math.fsum(self.values * self.masses)
+        return _fsum(self.values * self.masses)
 
     def variance(self) -> float:
         deviations = self.values - self.mean()
-        return math.fsum(self.masses * (deviations * deviations))
+        return _fsum(self.masses * (deviations * deviations))
 
     def total_mass(self) -> float:
-        return math.fsum(self.masses)
+        return _fsum(self.masses)
 
 
 def exact_distribution(p, q) -> ExactScoreDistribution:
@@ -121,21 +131,25 @@ def exact_distribution(p, q) -> ExactScoreDistribution:
     scores = scores[order]
     masses = masses[order]
 
-    starts = np.flatnonzero(np.diff(scores, prepend=-np.inf) > ATOM_MERGE_TOL)
-    sizes = np.diff(starts, append=scores.size)
+    gaps = np.diff(scores) > ATOM_MERGE_TOL
+    # When no two sorted scores lie within the tolerance (generic p), each is
+    # its own atom: the sorted arrays become the atoms, with no gathered copies.
+    starts = None if gaps.all() else np.flatnonzero(np.concatenate(([True], gaps)))
+    value, group_mass = (scores, masses) if starts is None else (scores[starts], masses[starts])
     # fsum of one term is that term, so single-score atoms need no fsum:
     # (s * m) / m in numpy gives the same bits as the fsum formula below.
-    group_mass = masses[starts]
-    value = scores[starts]
     positive = group_mass > 0.0
-    value[positive] = value[positive] * group_mass[positive] / group_mass[positive]
-    for i in np.flatnonzero(sizes > 1):
-        atom = slice(starts[i], starts[i] + sizes[i])
-        group_mass[i] = math.fsum(masses[atom])
-        if group_mass[i] > 0.0:
-            value[i] = math.fsum(scores[atom] * masses[atom]) / group_mass[i]
-        else:
-            value[i] = scores[starts[i]]
+    np.multiply(value, group_mass, out=value, where=positive)
+    np.divide(value, group_mass, out=value, where=positive)
+    if starts is not None:
+        sizes = np.diff(starts, append=scores.size)
+        for i in np.flatnonzero(sizes > 1):
+            atom = slice(starts[i], starts[i] + sizes[i])
+            group_mass[i] = _fsum(masses[atom])
+            if group_mass[i] > 0.0:
+                value[i] = _fsum(scores[atom] * masses[atom]) / group_mass[i]
+            else:
+                value[i] = scores[starts[i]]
     value.flags.writeable = False
     group_mass.flags.writeable = False
     return ExactScoreDistribution(values=value, masses=group_mass, n=int(p.size))
@@ -169,7 +183,7 @@ def exact_exceedance_probability(q) -> float:
     q = as_probability_vector(q, "true probabilities")
     n = q.size
     _check_budget(n, 2 * ENUMERATION_LIMIT)
-    sum_sq = math.fsum(q * q)
+    sum_sq = _fsum(q * q)
     half_a, half_b = _by_successes(q[: n // 2]), _by_successes(q[n // 2 :])
     totals = []
     for k_b, (s_b, m_b) in enumerate(half_b):

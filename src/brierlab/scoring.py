@@ -151,7 +151,8 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("near_reference_delta must be finite and positive")
     p, y = _paired(p, y)
-    bs = float(np.mean((p - y) ** 2))
+    d = p - y
+    bs = float(np.mean(np.square(d)))
     ybar = float(np.mean(y))
     ref_incidence = ybar - ybar * ybar
     warnings = []
@@ -165,7 +166,7 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
         n=int(p.size),
         brier=bs,
         rmse=math.sqrt(bs),
-        mae=float(np.mean(np.abs(p - y))),
+        mae=float(np.mean(np.abs(d, out=d))),
         cil=float(np.mean(p)) - ybar,
         reference_half=0.25,
         reference_incidence=ref_incidence,
@@ -173,7 +174,8 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
     )
 
 
-# A header p,y in any case and spacing; a probability and a 0/1 outcome per row.
+# A header p,y in any case and spacing, after the U+FEFF a spreadsheet's "CSV UTF-8"
+# puts first; a probability and a 0/1 outcome per row.
 _PAIR_CSV = CsvFormat(
     ("p", "y"),
     (float, float),
@@ -181,7 +183,7 @@ _PAIR_CSV = CsvFormat(
         (0, lambda p: (p >= -DOMAIN_TOL) & (p <= 1.0 + DOMAIN_TOL), "probability {} outside [0, 1]"),
         (1, lambda y: (y == 0.0) | (y == 1.0), "outcome {} is not 0 or 1"),
     ),
-    fold=lambda cell: cell.strip().lower(),
+    fold=lambda cell: cell.removeprefix("\ufeff").strip().lower(),
 )
 
 

@@ -11,6 +11,7 @@ from brierlab.oracle import (
     ATOM_MERGE_TOL,
     ENUMERATION_LIMIT,
     EXCEEDANCE_TIE_TOL,
+    ExactScoreDistribution,
     exact_distribution,
     exact_exceedance_probability,
     exact_expected_bs,
@@ -205,6 +206,28 @@ class TestExactDistribution:
         assert dist.support == tuple(zip(dist.values.tolist(), dist.masses.tolist()))
         assert dist.mean() == math.fsum(v * m for v, m in dist.support)
         assert dist.total_mass() == math.fsum(m for _, m in dist.support)
+
+    def test_expectation_and_total_mass_are_exact_sums(self, rng):
+        # each side is an exact sum of the same terms, so a rounding sum on either side fails
+        # this; q**4 spreads the masses over many magnitudes, where rounding shows
+        for n in range(1, 13):
+            p, q = rng.random(n), rng.random(n) ** 4
+            dist = exact_distribution(p, q)
+            assert exact_expected_bs(p, q) == dist.mean()
+            assert dist.total_mass() == math.fsum(dist.masses.tolist())
+
+    def test_moments_of_strided_and_byte_swapped_arrays(self, rng):
+        dist = exact_distribution(rng.random(9), rng.random(9))
+        values, masses = dist.values[::2], dist.masses[::2]
+        mean = math.fsum(v * m for v, m in zip(values.tolist(), masses.tolist()))
+        variance = math.fsum(m * ((v - mean) * (v - mean)) for v, m in zip(values.tolist(), masses.tolist()))
+        for view in (
+            ExactScoreDistribution(values=values, masses=masses, n=9),
+            ExactScoreDistribution(values=values.astype(">f8"), masses=masses.astype(">f8"), n=9),
+        ):
+            assert view.mean() == mean
+            assert view.variance() == variance
+            assert view.total_mass() == math.fsum(masses.tolist())
 
 
 class TestExceedance:

@@ -416,6 +416,18 @@ class TestPairFile:
         err = capsys.readouterr().err
         assert err == f"error: {path}: no data rows found\n"
 
+    @pytest.mark.parametrize("rows", [2, 60_000], ids=["text", "path"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, rows):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF; past 1 MiB numpy parses the file by path
+        rng = np.random.default_rng(rows)
+        body = "".join(f"{p!r},{y}\n" for p, y in zip(rng.random(rows).tolist(), rng.integers(0, 2, rows).tolist()))
+        assert (len(body) > validation._CHUNK) == (rows > 2)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("p,y\n" + body, encoding="utf-8")
+        marked.write_text("\ufeffp,y\n" + body, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfp,y\n")
+        assert score_report(*read_pair_file(marked)) == score_report(*read_pair_file(plain))
+
     def test_arrays_are_contiguous_float(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("p,y\n0.25,0\n0.75,1\n1.0000000000001,1\n")
