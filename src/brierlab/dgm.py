@@ -17,7 +17,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
-from .validation import as_probability_vector, check_count, is_integer, is_real, names_undecodable_file, shown
+from .validation import (
+    TEXT_ENCODING, as_probability_vector, check_count, is_integer, is_real, names_undecodable_file, shown,
+)
 
 __all__ = [
     "EmpiricalProbabilityPool",
@@ -255,7 +257,7 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
     line; an empty file (after comments) raises too.
     """
     values: list[float] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=TEXT_ENCODING) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -52,8 +52,8 @@ from .dgm import (
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
 from .validation import (
-    MAX_COUNT, CsvFormat, _as_float_vector, check_count, csv_rows, is_integer, names_undecodable_file, read_float_csv,
-    shown,
+    MAX_COUNT, TEXT_ENCODING, CsvFormat, _as_float_vector, check_count, csv_rows, is_integer, names_undecodable_file,
+    read_float_csv, shown,
 )
 
 __all__ = [
@@ -445,7 +445,7 @@ def load_study_config(path) -> StudyConfig:
     spec's own error is prefixed with its entry (``dgms[0]: ...``).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")  # bytes that are not UTF-8 are named by names_undecodable_file
+    text = path.read_text(encoding=TEXT_ENCODING)  # bytes that are not UTF-8 are named by names_undecodable_file
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python's int() takes

@@ -145,9 +145,9 @@ def exact_distribution(p, q) -> ExactScoreDistribution:
         sizes = np.diff(starts, append=scores.size)
         for i in np.flatnonzero(sizes > 1):
             atom = slice(starts[i], starts[i] + sizes[i])
-            group_mass[i] = _fsum(masses[atom])
+            group_mass[i] = math.fsum(masses[atom])
             if group_mass[i] > 0.0:
-                value[i] = _fsum(scores[atom] * masses[atom]) / group_mass[i]
+                value[i] = math.fsum(scores[atom] * masses[atom]) / group_mass[i]
             else:
                 value[i] = scores[starts[i]]
     value.flags.writeable = False

@@ -174,8 +174,7 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
     )
 
 
-# A header p,y in any case and spacing, after the U+FEFF a spreadsheet's "CSV UTF-8"
-# puts first; a probability and a 0/1 outcome per row.
+# A header p,y in any case and spacing; a probability and a 0/1 outcome per row.
 _PAIR_CSV = CsvFormat(
     ("p", "y"),
     (float, float),
@@ -183,7 +182,7 @@ _PAIR_CSV = CsvFormat(
         (0, lambda p: (p >= -DOMAIN_TOL) & (p <= 1.0 + DOMAIN_TOL), "probability {} outside [0, 1]"),
         (1, lambda y: (y == 0.0) | (y == 1.0), "outcome {} is not 0 or 1"),
     ),
-    fold=lambda cell: cell.removeprefix("\ufeff").strip().lower(),
+    fold=lambda cell: cell.strip().lower(),
 )
 
 

@@ -26,6 +26,10 @@ DOMAIN_TOL = 1e-12
 # The largest count, size or results-file rep taken: float64 holds every integer up to it exactly.
 MAX_COUNT = 2**53
 
+# Input files (CSV tables, pool files, study configs) are read as UTF-8; "utf-8-sig" also drops the
+# U+FEFF byte order mark a spreadsheet's "CSV UTF-8" export puts first, and errors still name "utf-8".
+TEXT_ENCODING = "utf-8-sig"
+
 
 def _as_float_vector(values, name: str) -> np.ndarray:
     """values as a nonempty one-dimensional float64 array; anything else raises a ValidationError naming name."""
@@ -172,7 +176,7 @@ def csv_rows(path, fmt: CsvFormat) -> list[list]:
     cell longer than csv.field_size_limit() raises a ValidationError naming
     the file and line, as does a file with no data rows.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding=TEXT_ENCODING) as fh:
         return _rows(_past_header(fh, path, fmt), path, fmt)
 
 
@@ -216,7 +220,7 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     there are no rows, the per-line reader names the first bad line, from
     that text if the file cannot be read again.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding=TEXT_ENCODING) as fh:
         header_lines = _past_header(fh, path, fmt).line_num
         whole = os.fsdecode(path).endswith(_COMPRESSED) or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         text = chunk = fh.read(-1 if whole else _CHUNK)
@@ -235,7 +239,7 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
             source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
         with contextlib.suppress(ValueError), warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the per-line reader reports it
-            table = np.loadtxt(source, skiprows=header_lines if large else 0, encoding="utf-8", delimiter=",",
+            table = np.loadtxt(source, skiprows=header_lines if large else 0, encoding=TEXT_ENCODING, delimiter=",",
                                comments=None, dtype=float, ndmin=2)
             if len(table) and table.shape[1] == len(fmt.header) and all(
                 test(table[:, column]).all() for column, test, _ in fmt.rules

@@ -465,6 +465,12 @@ class TestPoolFiles:
         assert pool.label == "pool"
         assert pool.nominal_incidence == pytest.approx((0.07 + 0.2 + 0.5) / 3, abs=1e-15)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts the file with U+FEFF
+        path = tmp_path / "pool.txt"
+        path.write_bytes(b"\xef\xbb\xbf0.1\n0.2\n0.3\n")
+        assert load_empirical_pool(path).probabilities.tolist() == [0.1, 0.2, 0.3]
+
     def test_constant_pool_incidence(self, tmp_path):
         path = tmp_path / "flat.txt"
         path.write_text("".join("0.07\n" for _ in range(5000)))

@@ -808,6 +808,11 @@ class TestConfigDocuments:
         assert config.sample_sizes == (20,)
         assert config.dgms[0].label == "uniform(0,1)"
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "marked.json"
+        path.write_text("\ufeff" + json.dumps(self.base_doc()), encoding="utf-8")
+        assert load_study_config(path) == load_study_config(self.write(tmp_path, self.base_doc()))
+
     def test_empirical_path_resolved_relative_to_config(self, tmp_path):
         (tmp_path / "pools").mkdir()
         (tmp_path / "pools" / "p.txt").write_text("0.1\n0.2\n0.3\n")

@@ -116,6 +116,27 @@ def test_whitespace_only_lines_are_skipped(tmp_path, name, end):
 
 
 @pytest.mark.parametrize("name", FORMATS)
+def test_a_leading_byte_order_mark_is_dropped_by_both_readers(tmp_path, name):
+    # a spreadsheet's "CSV UTF-8" export starts the file with U+FEFF
+    fmt, read, good = FORMATS[name]
+    plain = write_table(tmp_path / "plain.csv", name, [good, good])
+    marked = write_text(tmp_path / "marked.csv", "\ufeff" + plain.read_text(encoding="utf-8"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert repr(read(marked)) == repr(read(plain))
+    assert validation.csv_rows(marked, fmt) == validation.csv_rows(plain, fmt)
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_a_byte_order_mark_past_the_first_byte_is_refused(tmp_path, name):
+    fmt, read, good = FORMATS[name]
+    header = ",".join(fmt.header[:1] + ("\ufeff" + fmt.header[1],) + fmt.header[2:])
+    path = write_text(tmp_path / f"{name}.csv", header + "\n" + ",".join(good) + "\n")
+    expected = f"{path}: line 1: expected header {','.join(fmt.header)!r}, got {header!r}"
+    assert failure(read, path) == expected
+    assert failure(lambda path: validation.csv_rows(path, fmt), path) == expected
+
+
+@pytest.mark.parametrize("name", FORMATS)
 def test_valid_file_is_read_in_one_pass(tmp_path, monkeypatch, name):
     # pair and scenario files never reach the per-line reader unless a line
     # is bad; the summary, whose cells are not all numbers, is read by it once
@@ -197,8 +218,9 @@ def test_both_parses_read_the_same_table(tmp_path, monkeypatch, text):
         ("p,y\r\n0.25,0\r\nnope,1\r\n", "line 3: non-numeric entry ['nope', '1']"),
         ('"p\n",y\n0.25,0\n0.75,2\n', "line 4: outcome 2 is not 0 or 1"),
         ("p,y\n0.25,0\n\x1c\n0.75,1\n\x1c0.5,1\n", "line 5: non-numeric entry ['\\x1c0.5', '1']"),
+        ("\ufeffp,y\n0.25,0\nnope,1\n", "line 3: non-numeric entry ['nope', '1']"),
     ],
-    ids=["nel", "vt", "crlf-bad-row", "two-line-header", "separator"],
+    ids=["nel", "vt", "crlf-bad-row", "two-line-header", "separator", "byte-order-mark"],
 )
 def test_both_parses_name_the_same_bad_line(tmp_path, monkeypatch, text, message):
     path = write_text(tmp_path / "pairs.csv", text)
