@@ -28,8 +28,6 @@ _FIGURES = {
     "3": ("gap", 300, "(ybar - ybar^2) - score of true probabilities"),
     "4": ("exceed_prob", 300, "P(score of true probabilities > ybar - ybar^2)"),
 }
-# the summary columns a violin figure's CSV shows
-_VIOLIN_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean")
 
 
 # mode: (flags it needs, in order; the closed form on their values, returning named values).
@@ -144,7 +142,7 @@ def cmd_report(args) -> int:
         items = [(r["scenario"], r[metric]) for r in rows]
         svg = figures.bar_svg(items, f"Exceedance probability by scenario (n={n})", ylabel)
     else:
-        columns = _VIOLIN_COLUMNS
+        columns = engine.SUMMARY_CSV_COLUMNS[:7]  # scenario, n, metric, median, q05, q95, mean
         svg = figures.violin_svg(
             _violin_groups(results_dir, rows, metric), f"{metric} distribution by scenario (n={n})", ylabel
         )

@@ -274,31 +274,29 @@ def _run_cells(cells: list[tuple[int, tuple[Scenario, ...]]], n_reps: int, root_
     taken, so a huge N starts at once. One worker is one thread, which runs the
     next blocks while the caller takes in (and writes) a cell; more are one
     process pool, so a study starts one pool however many cells it has. Closing
-    the iterator stops either; a lone block runs inline.
+    the iterator stops either.
     """
     n_blocks = -(-n_reps // BLOCK_REPS)
     n_tasks = len(cells) * n_blocks
     tasks = ((scenarios, root_seed, cell, block, n_reps) for cell, scenarios in cells for block in range(n_blocks))
-    with contextlib.ExitStack() as stack:
-        if n_tasks == 1:
-            blocks = (_run_block(*task) for task in tasks)
-        else:
-            if workers == 1:
-                # The thread shares the interpreter lock with the caller: running further ahead slows its writes.
-                pool, ahead = concurrent.futures.ThreadPoolExecutor(max_workers=1), 2
-            else:
-                import numpy.random  # numpy loads it lazily: once here, not again in every forked worker
+    if workers == 1:
+        # The thread shares the interpreter lock with the caller: running further ahead slows its writes.
+        pool, ahead = concurrent.futures.ThreadPoolExecutor(max_workers=1), 2
+    else:
+        import numpy.random  # numpy loads it lazily: once here, not again in every forked worker
 
-                # Processes keep computing while the caller writes a cell, which needs a deeper queue.
-                pool, ahead = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, n_tasks)), 16 * workers
-            # On an error or an early close, drop the queued tasks instead of running them out.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            blocks = _in_order(pool, tasks, ahead)
+        # Processes keep computing while the caller writes a cell, which needs a deeper queue.
+        pool, ahead = concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, n_tasks)), 16 * workers
+    try:
+        blocks = _in_order(pool, tasks, ahead)
         for index, scenarios in cells:
             # Blocks arrive in replication order.
             table = np.concatenate([next(blocks) for _ in range(n_blocks)], axis=1)
             table.flags.writeable = False
             yield CellResult(index, scenarios, table, _summarize_rows(table[:-2]))
+    finally:
+        # On an error or an early close, drop the queued tasks instead of running them out.
+        pool.shutdown(cancel_futures=True)
 
 
 def run_scenario(
@@ -593,7 +591,6 @@ def _read_replication_csv(path, fmt: CsvFormat) -> dict[str, np.ndarray]:
     return columns
 
 
-@names_undecodable_file
 def read_scenario_csv(path) -> dict[str, np.ndarray]:
     """Read a scenario file (rep, brier, cil) back, validating the column schema and every cell.
 
@@ -603,7 +600,6 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
     return _read_replication_csv(path, _SCENARIO_CSV)
 
 
-@names_undecodable_file
 def read_cell_csv(path) -> dict[str, np.ndarray]:
     """Read a cell file (rep, gap, exceeded, ybar) back, validating the column schema and every cell.
 
@@ -615,7 +611,6 @@ def read_cell_csv(path) -> dict[str, np.ndarray]:
     return columns
 
 
-@names_undecodable_file
 def read_summary_csv(path) -> list[dict]:
     """Read the summary file back as row dicts, validating the column schema and every cell."""
     return [dict(zip(SUMMARY_CSV_COLUMNS, row)) for row in csv_rows(path, _SUMMARY_CSV)]

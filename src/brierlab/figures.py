@@ -2,10 +2,13 @@
 
 Two chart kinds cover all report figures: violin plots (a mirrored Gaussian
 kernel density outline with median and 5%/95% tick marks per group) and bar
-charts. The SVG text is assembled with fixed numeric formatting ("%.2f" pixels)
-and holds no timestamps, so identical inputs produce identical bytes. Each violin
-outline is computed as float64 arrays and formatted in one pass. Kernel bandwidths
-(Silverman's rule, h = (3N/4) ** (-1/5) * sd with ddof=1) are recorded in the SVG metadata.
+charts. Both are drawn in one frame, ``_frame``: the page, the title, a y axis
+with six ticks and its label, and one slot per group with its rotated x label;
+a chart kind gives only the marks of each slot. The SVG text is assembled with
+fixed numeric formatting ("%.2f" pixels) and holds no timestamps, so identical
+inputs produce identical bytes. Each violin outline is computed as float64
+arrays and formatted in one pass. Kernel bandwidths (Silverman's rule,
+h = (3N/4) ** (-1/5) * sd with ddof=1) are recorded in the SVG metadata.
 """
 
 from __future__ import annotations
@@ -73,12 +76,15 @@ def _outline_points(cx: float, grid: np.ndarray, density: np.ndarray, lo: float,
     return ("%.2f,%.2f " * (2 * grid.size) % tuple(xy.ravel().tolist()))[:-1]
 
 
-def _axis_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _frame(labels: list[str], lo: float, hi: float, title: str, ylabel: str, metadata: str, marks) -> str:
+    """One chart's SVG document, its y axis from lo to hi and one slot per label.
 
-
-def _svg_header(width: float, height: float, title: str, metadata: str) -> list[str]:
-    return [
+    ``marks(index, cx, lo, span)`` gives the elements of slot ``index``, centred at x = cx.
+    """
+    width = _MARGIN_LEFT + _SLOT_WIDTH * len(labels) + _MARGIN_RIGHT
+    height = _PLOT_TOP + _PLOT_HEIGHT + _LABEL_SPACE
+    span = hi - lo
+    parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_px(width)}" '
         f'height="{_px(height)}" viewBox="0 0 {_px(width)} {_px(height)}">',
@@ -86,19 +92,13 @@ def _svg_header(width: float, height: float, title: str, metadata: str) -> list[
         f'<rect x="0" y="0" width="{_px(width)}" height="{_px(height)}" fill="white"/>',
         f'<text x="{_px(width / 2)}" y="24" font-family="sans-serif" font-size="15" '
         f'text-anchor="middle">{_escape(title)}</text>',
-    ]
-
-
-def _y_axis(parts: list[str], lo: float, hi: float, ylabel: str, plot_right: float) -> None:
-    span = hi - lo
-    parts.append(
         f'<line x1="{_px(_MARGIN_LEFT)}" y1="{_px(_PLOT_TOP)}" x2="{_px(_MARGIN_LEFT)}" '
-        f'y2="{_px(_PLOT_TOP + _PLOT_HEIGHT)}" stroke="black" stroke-width="1"/>'
-    )
-    for tick in _axis_ticks(lo, hi):
+        f'y2="{_px(_PLOT_TOP + _PLOT_HEIGHT)}" stroke="black" stroke-width="1"/>',
+    ]
+    for tick in (lo + span * i / 5 for i in range(6)):
         y = _y_of(tick, lo, span)
         parts.append(
-            f'<line x1="{_px(_MARGIN_LEFT - 4)}" y1="{_px(y)}" x2="{_px(plot_right)}" '
+            f'<line x1="{_px(_MARGIN_LEFT - 4)}" y1="{_px(y)}" x2="{_px(width - _MARGIN_RIGHT)}" '
             f'y2="{_px(y)}" stroke="#cccccc" stroke-width="0.5"/>'
         )
         parts.append(
@@ -110,14 +110,16 @@ def _y_axis(parts: list[str], lo: float, hi: float, ylabel: str, plot_right: flo
         f'font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 14 {_px(_PLOT_TOP + _PLOT_HEIGHT / 2)})">{_escape(ylabel)}</text>'
     )
-
-
-def _x_label(parts: list[str], x: float, label: str) -> None:
-    y = _PLOT_TOP + _PLOT_HEIGHT + 14
-    parts.append(
-        f'<text x="{_px(x)}" y="{_px(y)}" font-family="sans-serif" font-size="10" '
-        f'text-anchor="end" transform="rotate(-55 {_px(x)} {_px(y)})">{_escape(label)}</text>'
-    )
+    y = _px(_PLOT_TOP + _PLOT_HEIGHT + 14)
+    for index, label in enumerate(labels):
+        cx = _MARGIN_LEFT + _SLOT_WIDTH * (index + 0.5)
+        parts += marks(index, cx, lo, span)
+        parts.append(
+            f'<text x="{_px(cx)}" y="{y}" font-family="sans-serif" font-size="10" '
+            f'text-anchor="end" transform="rotate(-55 {_px(cx)} {y})">{_escape(label)}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) -> str:
@@ -150,40 +152,31 @@ def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) ->
     pad = 0.02 * (hi - lo)
     lo -= pad
     hi += pad
-
-    width = _MARGIN_LEFT + _SLOT_WIDTH * len(groups) + _MARGIN_RIGHT
-    height = _PLOT_TOP + _PLOT_HEIGHT + _LABEL_SPACE
     metadata = "silverman bandwidths: " + "; ".join(
         f"{label}={0.0 if outline is None else outline[2]!r}" for label, _, outline, *_ in prepared
     )
-    parts = _svg_header(width, height, title, metadata)
-    _y_axis(parts, lo, hi, ylabel, width - _MARGIN_RIGHT)
 
-    span = hi - lo
-    for index, (label, samples, outline, q05, median, q95) in enumerate(prepared):
-        cx = _MARGIN_LEFT + _SLOT_WIDTH * (index + 0.5)
+    def marks(index, cx, lo, span):
+        _, samples, outline, *quantiles = prepared[index]
         if outline is None:
-            value = float(samples[0])
-            y = _y_of(value, lo, span)
-            parts.append(
+            y = _y_of(float(samples[0]), lo, span)
+            shape = (
                 f'<rect x="{_px(cx - _HALF_VIOLIN)}" y="{_px(y - 1.5)}" '
                 f'width="{_px(2 * _HALF_VIOLIN)}" height="3" fill="#4878a8"/>'
             )
         else:
-            grid, density, _ = outline
-            points = _outline_points(cx, grid, density, lo, span)
-            parts.append(
-                f'<polygon points="{points}" fill="#a8c4e0" stroke="#4878a8" stroke-width="1"/>'
-            )
-        for value, half in ((q05, 12.0), (median, 20.0), (q95, 12.0)):
+            points = _outline_points(cx, outline[0], outline[1], lo, span)
+            shape = f'<polygon points="{points}" fill="#a8c4e0" stroke="#4878a8" stroke-width="1"/>'
+        ticks = []
+        for value, half in zip(quantiles, (12.0, 20.0, 12.0)):  # q05, median, q95
             y = _y_of(value, lo, span)
-            parts.append(
+            ticks.append(
                 f'<line x1="{_px(cx - half)}" y1="{_px(y)}" x2="{_px(cx + half)}" '
                 f'y2="{_px(y)}" stroke="#222222" stroke-width="1.5"/>'
             )
-        _x_label(parts, cx, label)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        return [shape, *ticks]
+
+    return _frame([label for label, *_ in prepared], lo, hi, title, ylabel, metadata, marks)
 
 
 def bar_svg(items: list[tuple[str, float]], title: str, ylabel: str) -> str:
@@ -193,28 +186,16 @@ def bar_svg(items: list[tuple[str, float]], title: str, ylabel: str) -> str:
     values = [float(v) for _, v in items]
     lo = min(0.0, min(values))
     hi = max(max(values), 1e-9)
-    pad = 0.05 * (hi - lo)
-    hi += pad
+    hi += 0.05 * (hi - lo)
 
-    width = _MARGIN_LEFT + _SLOT_WIDTH * len(items) + _MARGIN_RIGHT
-    height = _PLOT_TOP + _PLOT_HEIGHT + _LABEL_SPACE
-    parts = _svg_header(width, height, title, f"values: {len(items)} bars")
-    _y_axis(parts, lo, hi, ylabel, width - _MARGIN_RIGHT)
-
-    span = hi - lo
-    base_y = _y_of(0.0, lo, span)
-    for index, (label, value) in enumerate(items):
-        cx = _MARGIN_LEFT + _SLOT_WIDTH * (index + 0.5)
-        top = _y_of(float(value), lo, span)
-        bar_height = max(base_y - top, 0.0)
-        parts.append(
+    def marks(index, cx, lo, span):
+        top = _y_of(values[index], lo, span)
+        bar_height = max(_y_of(0.0, lo, span) - top, 0.0)
+        return [
             f'<rect x="{_px(cx - 28)}" y="{_px(top)}" width="56" '
-            f'height="{_px(bar_height)}" fill="#a8c4e0" stroke="#4878a8" stroke-width="1"/>'
-        )
-        parts.append(
+            f'height="{_px(bar_height)}" fill="#a8c4e0" stroke="#4878a8" stroke-width="1"/>',
             f'<text x="{_px(cx)}" y="{_px(top - 4)}" font-family="sans-serif" font-size="10" '
-            f'text-anchor="middle">{float(value):.4f}</text>'
-        )
-        _x_label(parts, cx, label)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            f'text-anchor="middle">{values[index]:.4f}</text>',
+        ]
+
+    return _frame([label for label, _ in items], lo, hi, title, ylabel, f"values: {len(items)} bars", marks)

@@ -25,7 +25,6 @@ from .validation import (
     as_outcome_vector,
     as_probability_vector,
     check_same_length,
-    names_undecodable_file,
     read_float_csv,
 )
 
@@ -186,7 +185,6 @@ _PAIR_CSV = CsvFormat(
 )
 
 
-@names_undecodable_file
 def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column delimited text file of predictions and outcomes.
 

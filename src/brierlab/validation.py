@@ -148,6 +148,23 @@ class CsvFormat(NamedTuple):
     fold: Callable[[str], str] = str
 
 
+def names_undecodable_file(read):
+    """Wrap a reader whose first argument is a path.
+
+    Bytes the text encoding cannot decode then raise a ValidationError naming
+    the file, which the command line reports with exit code 2.
+    """
+
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not readable as {exc.encoding} text: {exc.reason}") from None
+
+    return checked
+
+
 def _records(reader, path):
     """The records of a csv reader; a csv.Error (say, a cell over csv.field_size_limit()) names the line."""
     try:
@@ -168,6 +185,7 @@ def _past_header(fh, path, fmt: CsvFormat):
     return reader
 
 
+@names_undecodable_file
 def csv_rows(path, fmt: CsvFormat) -> list[list]:
     """The per-line reader: each data row of a CSV file, its cells converted by fmt.types.
 
@@ -208,6 +226,7 @@ _CHUNK = 1 << 20
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
+@names_undecodable_file
 def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     """A CSV file of numbers in fmt as a (rows, columns) float table.
 
@@ -249,20 +268,3 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
         # Blank lines stand in for the header, so line numbers count from the top of the file.
         return np.array(_rows(csv.reader(io.StringIO("\n" * header_lines + text, newline="")), path, fmt))
     return np.array(csv_rows(path, fmt))
-
-
-def names_undecodable_file(read):
-    """Wrap a reader whose first argument is a path.
-
-    Bytes the text encoding cannot decode then raise a ValidationError naming
-    the file, which the command line reports with exit code 2.
-    """
-
-    @functools.wraps(read)
-    def checked(path, *args, **kwargs):
-        try:
-            return read(path, *args, **kwargs)
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not readable as {exc.encoding} text: {exc.reason}") from None
-
-    return checked

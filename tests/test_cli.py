@@ -341,6 +341,25 @@ class TestSimulate:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("route", ["label", "file-name"])
+    def test_pool_label_xml_cannot_hold_exits_2_before_any_block(self, tmp_path, monkeypatch, capsys, route):
+        # U+0001 passes every other check, and report would write an SVG that no XML parser reads
+        name = "a\x01b.txt" if route == "file-name" else "pool.txt"
+        try:
+            (tmp_path / name).write_text("0.1\n0.2\n0.3\n0.4\n0.5\n")
+        except OSError:
+            pytest.skip("this file system refuses control characters in file names")
+        dgm = {"kind": "empirical", "path": name, **({"label": "a\x01b"} if route == "label" else {})}
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"study": {"name": "x", "seed": 1, "N": 5, "sample_sizes": [5]},
+                                      "dgms": [dgm], "transforms": [{"kind": "perfect"}]}))
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: dgms[0]: a pool label must be text that XML 1.0 can hold, got 'a\\x01b'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_number_past_the_int_digit_limit_exits_2_naming_the_file(self, tmp_path, capsys):
         config = tmp_path / "huge.json"
         config.write_text('{"study": {"name": "x", "seed": 1, "N": 5, "sample_sizes": [5]}, '

@@ -551,7 +551,18 @@ class TestPoolBuiltDirectly:
             EmpiricalProbabilityPool([0.1, 0.2], label)
         assert str(info.value) == f"a pool label must be text that UTF-8 can encode, got {label!r}"
 
-    @pytest.mark.parametrize("label", ["ost\u00e9o", "\ud7ff", "\ue000", "bone \U0001f9b4"])
+    @pytest.mark.parametrize(
+        "label", ["a\x01b", "\x00", "\x08", "\x0b", "\x0c", "\x0e", "x\x1f", "\ufffe", "a\uffffb"]
+    )
+    def test_a_label_xml_cannot_hold_is_refused(self, label):
+        # it names the pool's scenarios in every SVG figure, which no XML parser would then read
+        with pytest.raises(ValidationError) as info:
+            EmpiricalProbabilityPool([0.1, 0.2], label)
+        assert str(info.value) == f"a pool label must be text that XML 1.0 can hold, got {label!r}"
+
+    @pytest.mark.parametrize(
+        "label", ["ost\u00e9o", "\ud7ff", "\ue000", "bone \U0001f9b4", "a\tb", "a\nb", "a\rb", "\ufffd", "\U00010000"]
+    )
     def test_a_label_of_any_other_code_points_is_taken(self, label):
         assert TrueDistributionSpec.empirical(EmpiricalProbabilityPool([0.1], label)).label == f"empirical({label})"
 
@@ -564,6 +575,17 @@ class TestPoolBuiltDirectly:
         with pytest.raises(ValidationError) as info:
             load_empirical_pool(path)
         assert str(info.value) == "a pool label must be text that UTF-8 can encode, got 'a\\udc80b'"
+        assert load_empirical_pool(path, label="given").label == "given"
+
+    def test_a_pool_file_name_xml_cannot_hold_is_refused_as_a_label(self, tmp_path):
+        path = tmp_path / "a\x01b.txt"
+        try:
+            path.write_text("0.1\n0.2\n")
+        except OSError:
+            pytest.skip("this file system refuses control characters in file names")
+        with pytest.raises(ValidationError) as info:
+            load_empirical_pool(path)
+        assert str(info.value) == "a pool label must be text that XML 1.0 can hold, got 'a\\x01b'"
         assert load_empirical_pool(path, label="given").label == "given"
 
     def test_nominal_incidence_is_derived_not_passed(self):

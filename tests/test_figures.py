@@ -1,7 +1,9 @@
 """The violin density (a Gaussian KDE with Silverman's bandwidth, in numpy) and its outline."""
 
+import hashlib
 import math
 import re
+from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -154,3 +156,20 @@ def test_identical_groups_are_computed_once(monkeypatch):
     assert len(calls) == 3
     assert expected.count("<polygon ") == 4  # still one violin per group
     assert expected.count('width="68.00" height="3"') == 1
+
+
+def test_whole_documents_keep_their_bytes():
+    # digests of the text before the two chart kinds shared one frame: a moved byte anywhere fails here
+    spread = np.random.default_rng(29).beta(2.0, 5.0, size=200)
+    violins = violin_svg([("spread", spread), ("flat", np.full(6, 0.25)), ("copy", spread.copy())],
+                         "Violins & <bars>", "Brier score")
+    bars = figures.bar_svg([("zero", 0.0), ("p>0", 0.375)], "Bars", "P(gap > 0)")
+    for svg, size, digest in (
+        (violins, 7679, "49fd39cd2976e7ca78ed3a3fdf41f2944c624d3c402a430735c3124eb229e8cf"),
+        (bars, 2383, "8d3aa547a92182dcc06dbff1d563a0d90fe9f4dbf8a1b9c9e4226bd29aae0f44"),
+    ):
+        root = ElementTree.fromstring(svg.encode("utf-8"))
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert (len(svg), hashlib.sha256(svg.encode("utf-8")).hexdigest()) == (size, digest)
+    assert violins.count("<polygon ") == 2 and violins.count('height="3"') == 1
+    assert bars.count('transform="rotate(-55 ') == 2
