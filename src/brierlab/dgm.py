@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
 from .validation import (
-    TEXT_ENCODING, as_probability_vector, check_count, is_integer, is_real, names_undecodable_file, shown,
+    NOT_XML_CHAR, TEXT_ENCODING, as_probability_vector, check_count, is_integer, is_real, names_undecodable_file, shown,
 )
 
 __all__ = [
@@ -61,8 +61,7 @@ class EmpiricalProbabilityPool:
             raise ValidationError(f"a pool label must be a non-empty string, got {shown(self.label)}")
         if any("\ud800" <= char <= "\udfff" for char in self.label):  # the code points UTF-8 cannot encode
             raise ValidationError(f"a pool label must be text that UTF-8 can encode, got {self.label!r}")
-        # the characters besides surrogates that XML 1.0 cannot hold; the label names scenarios in SVG figures
-        if any(char < " " and char not in "\t\n\r" or char in "\ufffe\uffff" for char in self.label):
+        if NOT_XML_CHAR.search(self.label):  # the label names scenarios in SVG figures
             raise ValidationError(f"a pool label must be text that XML 1.0 can hold, got {self.label!r}")
         probs = as_probability_vector(self.probabilities, f"pool {self.label!r}")
         probs.setflags(write=False)

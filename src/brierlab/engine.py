@@ -52,8 +52,8 @@ from .dgm import (
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
 from .validation import (
-    MAX_COUNT, TEXT_ENCODING, CsvFormat, _as_float_vector, check_count, csv_rows, is_integer, names_undecodable_file,
-    read_float_csv, shown,
+    MAX_COUNT, NOT_XML_CHAR, TEXT_ENCODING, CsvFormat, _as_float_vector, check_count, csv_rows, is_integer,
+    names_undecodable_file, read_float_csv, shown,
 )
 
 __all__ = [
@@ -115,6 +115,8 @@ _SUMMARY_CSV = CsvFormat(
         *((column, math.isfinite, "non-finite value {!r}") for column in range(3, 8)),
         # report opens the cell file by this name inside the results directory, so it is never a path
         (8, lambda name: re.fullmatch(r"[A-Za-z0-9._\-]+\.csv", name) is not None, "cell {!r} is not a file name"),
+        # report names each violin and bar by this label in an SVG figure
+        (0, lambda label: NOT_XML_CHAR.search(label) is None, "scenario {!r} holds a character XML 1.0 cannot hold"),
     ),
 )
 _SUMMARY_METRICS = ("brier", "cil", "gap")

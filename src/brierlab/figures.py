@@ -6,14 +6,23 @@ charts. Both are drawn in one frame, ``_frame``: the page, the title, a y axis
 with six ticks and its label, and one slot per group with its rotated x label;
 a chart kind gives only the marks of each slot. The SVG text is assembled with
 fixed numeric formatting ("%.2f" pixels) and holds no timestamps, so identical
-inputs produce identical bytes. Each violin outline is computed as float64
+inputs produce identical bytes. A violin figure's distinct sample sets are
+stacked into one table per sample count, and the quantiles, sd, bandwidth,
+range and density grid of every set come from one numpy call per table; only
+the Gaussian sum runs per set. Each violin outline is computed as float64
 arrays and formatted in one pass. Kernel bandwidths (Silverman's rule,
 h = (3N/4) ** (-1/5) * sd with ddof=1) are recorded in the SVG metadata.
+Text that XML 1.0 cannot hold, and samples or values that are not finite,
+are refused with a ValueError.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .validation import NOT_XML_CHAR
 
 __all__ = ["violin_svg", "bar_svg"]
 
@@ -36,22 +45,44 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _kde_outline(samples: np.ndarray):
-    """Density curve for one violin, or None when the samples are degenerate.
+def _violin_rows(table: np.ndarray) -> list:
+    """The statistics of each violin of a (G, N) table, one sample set per row.
 
-    Returns (grid, density, bandwidth). A sample set with zero spread has no
-    density estimate and is drawn as a flat bar instead.
+    Row i gives (outline, low, high, q05, median, q95). The outline is (grid,
+    density, bandwidth), or None for a sample set with zero spread, which has no
+    density estimate and is drawn as a flat bar instead; from low to high is the
+    extent drawn. The quantiles, sd, bandwidth, range and grid of all rows come
+    from one call each along axis 1 and round as those of one row alone; only
+    the Gaussian sum runs row by row (one (G, N, 81) tensor is slower and larger).
     """
-    sd = float(np.std(samples, ddof=1)) if samples.size > 1 else 0.0
-    if sd == 0.0:
-        return None
-    bandwidth = (0.75 * samples.size) ** -0.2 * sd
-    lo = float(np.min(samples)) - 2.0 * bandwidth
-    hi = float(np.max(samples)) + 2.0 * bandwidth
-    grid = np.linspace(lo, hi, _KDE_POINTS)
-    z = (grid - samples[:, None]) / bandwidth
-    norm = samples.size * bandwidth * np.sqrt(2 * np.pi)
-    return grid, np.exp(-0.5 * z * z).sum(axis=0) / norm, bandwidth
+    size = table.shape[1]
+    sd = np.std(table, axis=1, ddof=1) if size > 1 else np.zeros(len(table))
+    bandwidth = (0.75 * size) ** -0.2 * sd
+    low = np.min(table, axis=1)
+    high = np.max(table, axis=1)
+    lo = low - 2.0 * bandwidth
+    hi = high + 2.0 * bandwidth
+    # np.linspace(lo, hi, _KDE_POINTS) of each row: i * step + lo, the last point hi itself
+    grids = np.arange(_KDE_POINTS, dtype=float) * ((hi - lo) / (_KDE_POINTS - 1))[:, None] + lo[:, None]
+    grids[:, -1] = hi
+    norm = size * bandwidth * np.sqrt(2 * np.pi)
+    quantiles = np.quantile(table, [0.05, 0.5, 0.95], axis=1).T.tolist()
+    rows = []
+    for samples, grid, h, scale, ends, q in zip(
+        table, grids, bandwidth.tolist(), norm.tolist(), zip(low.tolist(), high.tolist()), quantiles
+    ):
+        if h == 0.0:  # zero spread
+            rows.append((None, *ends, *q))
+            continue
+        z = (grid - samples[:, None]) / h
+        outline = (grid, np.exp(-0.5 * z * z).sum(axis=0) / scale, h)
+        rows.append((outline, float(grid[0]), float(grid[-1]), *q))
+    return rows
+
+
+def _kde_outline(samples: np.ndarray):
+    """Density curve (grid, density, bandwidth) of one violin, or None when the samples have zero spread."""
+    return _violin_rows(samples[None, :])[0][0]
 
 
 def _y_of(value, lo: float, span: float):
@@ -81,6 +112,9 @@ def _frame(labels: list[str], lo: float, hi: float, title: str, ylabel: str, met
 
     ``marks(index, cx, lo, span)`` gives the elements of slot ``index``, centred at x = cx.
     """
+    for text in (title, ylabel, *labels):
+        if NOT_XML_CHAR.search(text):
+            raise ValueError(f"figure text must be text that XML 1.0 can hold, got {text!r}")
     width = _MARGIN_LEFT + _SLOT_WIDTH * len(labels) + _MARGIN_RIGHT
     height = _PLOT_TOP + _PLOT_HEIGHT + _LABEL_SPACE
     span = hi - lo
@@ -131,35 +165,39 @@ def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) ->
     """
     if not groups:
         raise ValueError("violin_svg needs at least one group")
-    prepared = []
-    lo = np.inf
-    hi = -np.inf
-    distinct = {}  # sample bytes -> outline and quantiles, so identical groups are computed once
+    labels, keys = [], []
+    distinct = {}  # sample bytes -> samples, so identical groups are computed once
+    by_size = {}  # sample count -> the bytes of the distinct sample sets that long, stacked into one table
     for label, samples in groups:
         samples = np.asarray(samples, dtype=float)
+        if samples.ndim != 1 or samples.size == 0:
+            raise ValueError(f"violin group {label!r} needs a non-empty 1-D sample array, got shape {samples.shape}")
         if (key := samples.tobytes()) not in distinct:
-            distinct[key] = (_kde_outline(samples), *np.quantile(samples, [0.05, 0.5, 0.95]).tolist())
-        outline, q05, median, q95 = distinct[key]
-        prepared.append((label, samples, outline, q05, median, q95))
-        if outline is None:
-            lo = min(lo, float(np.min(samples)))
-            hi = max(hi, float(np.max(samples)))
-        else:
-            lo = min(lo, float(outline[0][0]))
-            hi = max(hi, float(outline[0][-1]))
+            if not np.isfinite(samples).all():
+                raise ValueError(f"violin group {label!r} has a sample that is not finite")
+            distinct[key] = samples
+            by_size.setdefault(samples.size, []).append(key)
+        labels.append(label)
+        keys.append(key)
+    stats = {}  # sample bytes -> (outline, low, high, q05, median, q95)
+    for size_keys in by_size.values():
+        stats.update(zip(size_keys, _violin_rows(np.stack([distinct[key] for key in size_keys]))))
+    rows = [stats[key] for key in keys]
+    lo = min(row[1] for row in rows)
+    hi = max(row[2] for row in rows)
     if hi <= lo:
         lo, hi = lo - 0.05, hi + 0.05
     pad = 0.02 * (hi - lo)
     lo -= pad
     hi += pad
     metadata = "silverman bandwidths: " + "; ".join(
-        f"{label}={0.0 if outline is None else outline[2]!r}" for label, _, outline, *_ in prepared
+        f"{label}={0.0 if outline is None else outline[2]!r}" for label, (outline, *_) in zip(labels, rows)
     )
 
     def marks(index, cx, lo, span):
-        _, samples, outline, *quantiles = prepared[index]
+        outline, _, _, *quantiles = rows[index]
         if outline is None:
-            y = _y_of(float(samples[0]), lo, span)
+            y = _y_of(float(distinct[keys[index]][0]), lo, span)
             shape = (
                 f'<rect x="{_px(cx - _HALF_VIOLIN)}" y="{_px(y - 1.5)}" '
                 f'width="{_px(2 * _HALF_VIOLIN)}" height="3" fill="#4878a8"/>'
@@ -176,7 +214,7 @@ def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) ->
             )
         return [shape, *ticks]
 
-    return _frame([label for label, *_ in prepared], lo, hi, title, ylabel, metadata, marks)
+    return _frame(labels, lo, hi, title, ylabel, metadata, marks)
 
 
 def bar_svg(items: list[tuple[str, float]], title: str, ylabel: str) -> str:
@@ -184,6 +222,9 @@ def bar_svg(items: list[tuple[str, float]], title: str, ylabel: str) -> str:
     if not items:
         raise ValueError("bar_svg needs at least one item")
     values = [float(v) for _, v in items]
+    for (label, _), value in zip(items, values):
+        if not math.isfinite(value):
+            raise ValueError(f"bar {label!r} has a value that is not finite: {value!r}")
     lo = min(0.0, min(values))
     hi = max(max(values), 1e-9)
     hi += 0.05 * (hi - lo)

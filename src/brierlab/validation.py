@@ -11,6 +11,7 @@ import functools
 import io
 import numbers
 import os
+import re
 import stat
 import warnings
 from typing import Callable, NamedTuple
@@ -29,6 +30,10 @@ MAX_COUNT = 2**53
 # Input files (CSV tables, pool files, study configs) are read as UTF-8; "utf-8-sig" also drops the
 # U+FEFF byte order mark a spreadsheet's "CSV UTF-8" export puts first, and errors still name "utf-8".
 TEXT_ENCODING = "utf-8-sig"
+
+# A character outside XML 1.0's Char production: a C0 control but tab, newline and carriage return,
+# a surrogate, U+FFFE or U+FFFF. A scenario label names its violin or bar in an SVG figure.
+NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:

@@ -630,6 +630,22 @@ class TestReport:
         texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
         assert any(text and "(ostéo)" in text for text in texts)
 
+    @pytest.mark.parametrize("figure", ["1", "4"])
+    def test_summary_label_xml_cannot_hold_exits_2_naming_line(self, results_dir, tmp_path, capsys, figure):
+        summary = results_dir / "summary.csv"
+        with open(summary, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        label = rows[1][0]
+        rows[1][0] = rows[2][0] = rows[3][0] = label.replace("+", "\x01+", 1)  # each metric row of one scenario
+        with open(summary, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "f"
+        assert main(["report", "--results", str(results_dir), "--figure", figure, "--out", str(out), "--n", "30"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {summary}: line 2: scenario {rows[1][0]!r} holds a character XML 1.0 cannot hold\n"
+        )
+        assert not (out / f"figure{figure}.svg").exists()
+
     def test_corrupt_schema_detected(self, results_dir, tmp_path, capsys):
         summary = results_dir / "summary.csv"
         summary.write_text(summary.read_text().replace("median", "med"))

@@ -1165,6 +1165,15 @@ class TestPersistence:
         with pytest.raises(ValidationError, match=r"summary\.csv: line 3: "):
             read_summary_csv(paths[-1])
 
+    @pytest.mark.parametrize("label", ["a\x01b", "\x00", "x\x1f", "\ufffe", "a\uffffb"])
+    def test_summary_label_xml_cannot_hold_names_file_and_line(self, tmp_path, label):
+        # a results file edited by another tool: report would write the label into an SVG no XML parser reads
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        replace_cell(paths[-1], 2, 0, label)
+        with pytest.raises(ValidationError) as info:
+            read_summary_csv(paths[-1])
+        assert str(info.value) == f"{paths[-1]}: line 3: scenario {label!r} holds a character XML 1.0 cannot hold"
+
     @pytest.mark.parametrize("cell", ["abc", "", "nan?", "nan", "inf", "-inf"])
     def test_bad_scenario_cell_names_file_and_line(self, tmp_path, cell):
         paths = write_study_results(run_study(small_config()), tmp_path)

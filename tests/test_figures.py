@@ -1,4 +1,4 @@
-"""The violin density (a Gaussian KDE with Silverman's bandwidth, in numpy) and its outline."""
+"""The violin density (a Gaussian KDE with Silverman's bandwidth, in numpy), its outline and the chart frame."""
 
 import hashlib
 import math
@@ -8,6 +8,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brierlab import figures
 from brierlab.figures import (
@@ -18,6 +20,8 @@ from brierlab.figures import (
     _SLOT_WIDTH,
     _kde_outline,
     _outline_points,
+    _violin_rows,
+    bar_svg,
     violin_svg,
 )
 
@@ -150,12 +154,143 @@ def test_identical_groups_are_computed_once(monkeypatch):
     shared, other = rng.random(300), rng.random(300)
     groups = [("a", shared), ("b", other), ("c", shared.copy()), ("d", shared), ("e", np.full(4, 0.2))]
     expected = violin_svg(groups, "t", "y")
-    calls = []
-    monkeypatch.setattr(figures, "_kde_outline", lambda samples: calls.append(samples) or _kde_outline(samples))
+    tables = []
+    monkeypatch.setattr(figures, "_violin_rows", lambda table: tables.append(table.shape) or _violin_rows(table))
     assert violin_svg(groups, "t", "y") == expected
-    assert len(calls) == 3
+    assert tables == [(2, 300), (1, 4)]  # one table per sample count, one row per distinct sample set
     assert expected.count("<polygon ") == 4  # still one violin per group
     assert expected.count('width="68.00" height="3"') == 1
+
+
+def reference_kde_outline(samples):
+    """The density of one group as computed alone, with np.std, np.min, np.max and np.linspace on its samples."""
+    sd = float(np.std(samples, ddof=1)) if samples.size > 1 else 0.0
+    if sd == 0.0:
+        return None
+    bandwidth = (0.75 * samples.size) ** -0.2 * sd
+    grid = np.linspace(float(np.min(samples)) - 2.0 * bandwidth, float(np.max(samples)) + 2.0 * bandwidth, 81)
+    z = (grid - samples[:, None]) / bandwidth
+    return grid, np.exp(-0.5 * z * z).sum(axis=0) / (samples.size * bandwidth * np.sqrt(2 * np.pi)), bandwidth
+
+
+def reference_rows(table):
+    """_violin_rows computed one row at a time, each with numpy calls on that row alone."""
+    rows = []
+    for samples in table:
+        outline = reference_kde_outline(samples)
+        ends = (np.min(samples), np.max(samples)) if outline is None else (outline[0][0], outline[0][-1])
+        rows.append((outline, *map(float, ends), *np.quantile(samples, [0.05, 0.5, 0.95]).tolist()))
+    return rows
+
+
+def _bits(row):
+    """A row of _violin_rows as bytes and reprs, so that 0.0 and -0.0 or two NaNs do not compare equal by value."""
+    outline, *numbers = row
+    if outline is not None:
+        outline = (outline[0].tobytes(), outline[1].tobytes(), repr(outline[2]), type(outline[2]))
+    return outline, np.array(numbers).tobytes(), [type(number) for number in numbers]
+
+
+_values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sample_tables(draw):
+    """A (G, N) table of N = 1 to 40 finite values per row, some rows constant."""
+    size = draw(st.integers(1, 40))
+    rows = draw(st.lists(
+        st.one_of(st.lists(_values, min_size=size, max_size=size), _values.map(lambda value: [value] * size)),
+        min_size=1, max_size=6,
+    ))
+    return np.array(rows, dtype=float).reshape(len(rows), size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_tables())
+@example(np.array([[0.0, -0.0], [-0.0, 0.0], [0.25, 0.25]]))
+@example(np.array([[0.5], [-0.0]]))
+@example(np.array([[0.0, 1.0], [0.0, 5e-324], [1e-160, 3e-160]]))
+def test_stacked_rows_are_the_rows_computed_alone(table):
+    stacked = _violin_rows(table)
+    assert len(stacked) == len(table)
+    for row, samples, reference in zip(stacked, table, reference_rows(table)):
+        assert _bits(row) == _bits(_violin_rows(samples[None, :])[0]) == _bits(reference)
+        outline = _kde_outline(samples)
+        assert (outline is None) == (row[0] is None)
+        if outline is not None:
+            assert _bits((outline, 0.0)) == _bits((row[0], 0.0))
+        quantiles = np.quantile(samples, [0.05, 0.5, 0.95])
+        assert np.array(row[3:]).tobytes() == quantiles.tobytes()
+
+
+@st.composite
+def violin_groups(draw):
+    """Groups of one to eight sample sets of mixed lengths (N = 1, 2, 3 or 17), some sets repeated."""
+    groups = []
+    for index in range(draw(st.integers(1, 8))):
+        if groups and draw(st.booleans()):
+            samples = draw(st.sampled_from(groups))[1].copy()
+        else:
+            size = draw(st.sampled_from([1, 2, 3, 17]))
+            samples = np.array(draw(st.one_of(
+                st.lists(_values, min_size=size, max_size=size), _values.map(lambda value: [value] * size)
+            )))
+        groups.append((f"g{index}", samples))
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(violin_groups())
+def test_stacking_changes_no_byte_of_a_violin_figure(groups):
+    # the same figure with each distinct sample set computed alone, by the one-group formulas
+    stacked = violin_svg(groups, "t", "y")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(figures, "_violin_rows", reference_rows)
+        assert violin_svg(groups, "t", "y") == stacked
+
+
+@pytest.mark.parametrize("samples, message", [
+    (np.array([]), r"violin group 'bad' needs a non-empty 1-D sample array, got shape \(0,\)"),
+    (np.zeros((2, 3)), r"violin group 'bad' needs a non-empty 1-D sample array, got shape \(2, 3\)"),
+    (0.5, r"violin group 'bad' needs a non-empty 1-D sample array, got shape \(\)"),
+    (np.array([0.1, np.nan, 0.3]), "violin group 'bad' has a sample that is not finite"),
+    (np.array([0.1, np.inf]), "violin group 'bad' has a sample that is not finite"),
+    (np.array([-np.inf, 0.2, 0.3]), "violin group 'bad' has a sample that is not finite"),
+], ids=["empty", "2-d", "scalar", "nan", "inf", "-inf"])
+def test_bad_violin_samples_are_refused_naming_the_group(samples, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        violin_svg([("good", np.array([0.1, 0.2])), ("bad", samples)], "t", "y")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_bar_that_is_not_finite_is_refused(value):
+    with pytest.raises(ValueError, match=rf"^bar 'bad' has a value that is not finite: {value!r}$"):
+        bar_svg([("good", 0.5), ("bad", value)], "t", "y")
+
+
+_NOT_XML = ["a\x01b", "\x00", "\x0b", "x\x1f", "\ufffe", "a\uffffb", "\ud800"]
+_CHARTS = {
+    "violin": lambda label, title, ylabel: violin_svg([("ok", [0.1, 0.2]), (label, [0.3])], title, ylabel),
+    "bar": lambda label, title, ylabel: bar_svg([("ok", 0.1), (label, 0.3)], title, ylabel),
+}
+
+
+@pytest.mark.parametrize("chart", _CHARTS)
+@pytest.mark.parametrize("place", ["label", "title", "ylabel"])
+@pytest.mark.parametrize("text", _NOT_XML)
+def test_text_xml_cannot_hold_is_refused(chart, place, text):
+    texts = {"label": "x", "title": "t", "ylabel": "y", place: text}
+    with pytest.raises(ValueError) as info:
+        _CHARTS[chart](**texts)
+    assert str(info.value) == f"figure text must be text that XML 1.0 can hold, got {text!r}"
+
+
+@pytest.mark.parametrize("chart", _CHARTS)
+@pytest.mark.parametrize("text", ["a\tb", "a\nb", "\ud7ff", "\ue000", "\ufffd", "\U00010000", "ost\u00e9o"])
+def test_any_other_text_is_written_and_parsed(chart, text):
+    svg = _CHARTS[chart](text, text, text)
+    root = ElementTree.fromstring(svg.encode("utf-8"))
+    assert sum(node.text == text for node in root.iter("{http://www.w3.org/2000/svg}text")) == 3
 
 
 def test_whole_documents_keep_their_bytes():

@@ -40,6 +40,7 @@ BREAKING_CELLS = {
     "rep {!r} is outside 1..2**53": "0",
     "exceeded {!r} is not 0 or 1": "2",
     "cell {!r} is not a file name": "../u_n30.csv",
+    "scenario {!r} holds a character XML 1.0 cannot hold": "l\x01bl",
 }
 
 RULE_CASES = [
@@ -502,3 +503,11 @@ def test_a_huge_integer_is_refused_with_a_validation_error(build, message):
 ], ids=["float", "str", "tuple", "int", "tuple-of-int", "list-of-int"])
 def test_shown_is_the_repr_or_a_text_that_never_raises(value, text):
     assert validation.shown(value) == text
+
+
+def test_not_xml_char_is_the_complement_of_the_xml_char_production():
+    # XML 1.0: Char ::= #x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF]
+    held = [(0x9, 0xA), (0xD, 0xD), (0x20, 0xD7FF), (0xE000, 0xFFFD), (0x10000, 0x10FFFF)]
+    everything = "".join(map(chr, range(0x110000)))
+    refused = {match.start() for match in validation.NOT_XML_CHAR.finditer(everything)}
+    assert refused == set(range(0x110000)).difference(*(range(a, b + 1) for a, b in held))
