@@ -9,7 +9,6 @@ configuration problem, 3 runtime I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -114,22 +113,6 @@ def _figure_rows(results_dir: Path, metric: str, n: int):
     return wanted
 
 
-def _violin_groups(results_dir: Path, rows: list[dict], metric: str) -> list[tuple]:
-    """Each row's scenario label and samples of metric: gap from the row's cell file, read once per cell."""
-    kind, read = ("cell", engine.read_cell_csv) if metric == "gap" else ("per-scenario", engine.read_scenario_csv)
-    names = [r["cell"] if metric == "gap" else engine.scenario_filename(r["scenario"]) for r in rows]
-    samples = {}
-    for name, r in zip(names, rows):
-        if name not in samples:
-            path = results_dir / name
-            if not path.exists():
-                raise ValidationError(
-                    f"{results_dir}: missing {kind} file {name} needed for scenario {r['scenario']!r}"
-                )
-            samples[name] = read(path)[metric]
-    return [(r["scenario"], samples[name]) for name, r in zip(names, rows)]
-
-
 def cmd_report(args) -> int:
     metric, default_n, ylabel = _FIGURES[args.figure]
     n = default_n if args.n is None else args.n
@@ -143,17 +126,12 @@ def cmd_report(args) -> int:
         svg = figures.bar_svg(items, f"Exceedance probability by scenario (n={n})", ylabel)
     else:
         columns = engine.SUMMARY_CSV_COLUMNS[:7]  # scenario, n, metric, median, q05, q95, mean
-        svg = figures.violin_svg(
-            _violin_groups(results_dir, rows, metric), f"{metric} distribution by scenario (n={n})", ylabel
-        )
+        groups = zip([r["scenario"] for r in rows], engine.read_metric_samples(results_dir, rows, metric))
+        svg = figures.violin_svg(list(groups), f"{metric} distribution by scenario (n={n})", ylabel)
 
-    svg_path = out_dir / f"figure{args.figure}.svg"
-    csv_path = out_dir / f"figure{args.figure}.csv"
-    svg_path.write_text(svg, encoding="utf-8")
-    buf = io.StringIO()
-    # the summary's floats and ints, which csv writes as their repr
-    csv.writer(buf, lineterminator="\n").writerows([columns, *([r[c] for c in columns] for r in rows)])
-    csv_path.write_text(buf.getvalue(), encoding="utf-8")
+    table = [columns, *([r[c] for c in columns] for r in rows)]  # the summary's floats and ints, as their repr
+    svg_path = engine._atomic_write(out_dir / f"figure{args.figure}.svg", svg)
+    csv_path = engine._write_table(out_dir / f"figure{args.figure}.csv", table)
     print(f"wrote {svg_path} and {csv_path}")
     return 0
 

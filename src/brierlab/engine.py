@@ -27,7 +27,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import re
 from collections import Counter, deque
@@ -77,6 +76,7 @@ __all__ = [
     "read_scenario_csv",
     "read_cell_csv",
     "read_summary_csv",
+    "read_metric_samples",
     "SCENARIO_CSV_COLUMNS",
     "CELL_CSV_COLUMNS",
     "SUMMARY_CSV_COLUMNS",
@@ -90,29 +90,36 @@ SCENARIO_CSV_COLUMNS = ("rep", "brier", "cil")
 CELL_CSV_COLUMNS = ("rep", "gap", "exceeded", "ybar")
 SUMMARY_CSV_COLUMNS = ("scenario", "n", "metric", "median", "q05", "q95", "mean", "exceed_prob", "cell")
 
-def _replication_csv(columns: tuple[str, ...], *rules) -> CsvFormat:
-    """A table of one row per replication: every cell finite, rep an integer in 1..2**53, then rules."""
+def _within(columns: tuple[str, ...], name: str, low: float, high: float) -> tuple:
+    """The rule that column ``name`` lies in the closed range [low, high], which refuses NaN and +-inf too."""
+    return (columns.index(name), lambda x: (x >= low) & (x <= high), f"{name} {{!r}} is outside [{low:g}, {high:g}]")
+
+
+def _replication_csv(columns: tuple[str, ...], *rules, **ranges: tuple[float, float]) -> CsvFormat:
+    """A table of one row per replication: rep an integer in 1..2**53, each named column in its range, then rules."""
     return CsvFormat(
         columns,
         (float,) * len(columns),
         (
-            *((column, np.isfinite, "non-finite value {!r}") for column in range(len(columns))),
             (0, lambda rep: rep == np.trunc(rep), "rep {!r} is not an integer"),
             (0, lambda rep: (rep >= 1.0) & (rep <= MAX_COUNT), "rep {!r} is outside 1..2**53"),
+            *(_within(columns, name, *bounds) for name, bounds in ranges.items()),
             *rules,
         ),
     )
 
 
-_SCENARIO_CSV = _replication_csv(SCENARIO_CSV_COLUMNS)
-_CELL_CSV = _replication_csv(
-    CELL_CSV_COLUMNS, (2, lambda exceeded: (exceeded == 0.0) | (exceeded == 1.0), "exceeded {!r} is not 0 or 1")
+_SCENARIO_CSV = _replication_csv(SCENARIO_CSV_COLUMNS, brier=(0.0, 1.0), cil=(-1.0, 1.0))
+_CELL_CSV = _replication_csv(  # gap = (ybar - ybar^2) - BS(q, y), and ybar - ybar^2 lies in [0, 1/4]
+    CELL_CSV_COLUMNS, (2, lambda exceeded: (exceeded == 0.0) | (exceeded == 1.0), "exceeded {!r} is not 0 or 1"),
+    gap=(-1.0, 0.25), ybar=(0.0, 1.0),
 )
 _SUMMARY_CSV = CsvFormat(
     SUMMARY_CSV_COLUMNS,
     (str, int, str) + (float,) * 5 + (str,),
     (
-        *((column, math.isfinite, "non-finite value {!r}") for column in range(3, 8)),
+        *(_within(SUMMARY_CSV_COLUMNS, name, -1.0, 1.0) for name in SUMMARY_CSV_COLUMNS[3:7]),  # of brier, cil, gap
+        _within(SUMMARY_CSV_COLUMNS, "exceed_prob", 0.0, 1.0),
         # report opens the cell file by this name inside the results directory, so it is never a path
         (8, lambda name: re.fullmatch(r"[A-Za-z0-9._\-]+\.csv", name) is not None, "cell {!r} is not a file name"),
         # report names each violin and bar by this label in an SVG figure
@@ -516,6 +523,12 @@ def _atomic_write(path: Path, text: str) -> Path:
     return path
 
 
+def _write_table(path: Path, rows) -> Path:
+    """Rows written by the csv module, which writes floats and ints as their repr."""
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(rows)
+    return _atomic_write(path, buf.getvalue())
+
+
 def _write_rows(path: Path, columns: tuple[str, ...], *texts) -> Path:
     """A header, then one line per replication: the texts of each column, joined by commas."""
     return _atomic_write(path, "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n")
@@ -547,9 +560,7 @@ def write_summary_csv(cells: list[CellResult], directory) -> Path:
             for metric, stats in zip(_SUMMARY_METRICS, (cell.stats[t], cell.stats[width + t], cell.stats[-1])):
                 # median, q05, q95 and mean, in SummaryStats order, then exceed_prob: Python floats, as their repr
                 rows.append((scenario.label, str(scenario.n), metric, *map(repr, (*stats, exceed_prob)), name))
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return _atomic_write(path, buf.getvalue())
+    return _write_table(path, rows)
 
 
 def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
@@ -596,8 +607,8 @@ def _read_replication_csv(path, fmt: CsvFormat) -> dict[str, np.ndarray]:
 def read_scenario_csv(path) -> dict[str, np.ndarray]:
     """Read a scenario file (rep, brier, cil) back, validating the column schema and every cell.
 
-    Every cell must be finite and ``rep`` an integer in 1..2**53. A bad file
-    raises a ValidationError naming the first bad line.
+    ``rep`` must be an integer in 1..2**53, brier in [0, 1] and cil in
+    [-1, 1]. A bad file raises a ValidationError naming the first bad line.
     """
     return _read_replication_csv(path, _SCENARIO_CSV)
 
@@ -605,8 +616,8 @@ def read_scenario_csv(path) -> dict[str, np.ndarray]:
 def read_cell_csv(path) -> dict[str, np.ndarray]:
     """Read a cell file (rep, gap, exceeded, ybar) back, validating the column schema and every cell.
 
-    Every cell must be finite, ``rep`` an integer in 1..2**53 and ``exceeded``
-    0 or 1. A bad file raises a ValidationError naming the first bad line.
+    ``rep`` must be an integer in 1..2**53, gap in [-1, 1/4], ``exceeded`` 0 or 1
+    and ybar in [0, 1]. A bad file raises a ValidationError naming the first bad line.
     """
     columns = _read_replication_csv(path, _CELL_CSV)
     columns["exceeded"] = columns["exceeded"].astype(bool)
@@ -616,3 +627,14 @@ def read_cell_csv(path) -> dict[str, np.ndarray]:
 def read_summary_csv(path) -> list[dict]:
     """Read the summary file back as row dicts, validating the column schema and every cell."""
     return [dict(zip(SUMMARY_CSV_COLUMNS, row)) for row in csv_rows(path, _SUMMARY_CSV)]
+
+
+def read_metric_samples(directory, rows: list[dict], metric: str) -> list[np.ndarray]:
+    """The samples of metric for each summary row, from the row's cell file or its scenario file, each read once."""
+    kind, read = ("cell", read_cell_csv) if metric in CELL_CSV_COLUMNS else ("per-scenario", read_scenario_csv)
+    names = [r["cell"] if kind == "cell" else scenario_filename(r["scenario"]) for r in rows]
+    for name, r in zip(names, rows):
+        if not (Path(directory) / name).exists():
+            raise ValidationError(f"{directory}: missing {kind} file {name} needed for scenario {r['scenario']!r}")
+    samples = {name: read(Path(directory) / name)[metric] for name in dict.fromkeys(names)}
+    return [samples[name] for name in names]

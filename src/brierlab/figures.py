@@ -6,14 +6,14 @@ charts. Both are drawn in one frame, ``_frame``: the page, the title, a y axis
 with six ticks and its label, and one slot per group with its rotated x label;
 a chart kind gives only the marks of each slot. The SVG text is assembled with
 fixed numeric formatting ("%.2f" pixels) and holds no timestamps, so identical
-inputs produce identical bytes. A violin figure's distinct sample sets are
-stacked into one table per sample count, and the quantiles, sd, bandwidth,
-range and density grid of every set come from one numpy call per table; only
-the Gaussian sum runs per set. Each violin outline is computed as float64
-arrays and formatted in one pass. Kernel bandwidths (Silverman's rule,
-h = (3N/4) ** (-1/5) * sd with ddof=1) are recorded in the SVG metadata.
-Text that XML 1.0 cannot hold, and samples or values that are not finite,
-are refused with a ValueError.
+inputs produce identical bytes. A violin figure has one path: ``_violin_rows``
+gives each distinct sample set's statistics row, one numpy call per table of
+the sets of one sample count (only the Gaussian sum runs per set), and a set
+with zero spread is drawn flat at its row's low, its value. Outlines are
+float64 arrays formatted in one pass; Silverman bandwidths, h = (3N/4) **
+(-1/5) * sd with ddof=1, go in the metadata. A ValueError naming the label
+refuses text XML 1.0 cannot hold, a violin whose samples, spread or extent are
+not finite, a bar that is not finite and a y axis float64 cannot span.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that is not finite is left for the caller to refuse
 def _violin_rows(table: np.ndarray) -> list:
     """The statistics of each violin of a (G, N) table, one sample set per row.
 
@@ -80,11 +81,6 @@ def _violin_rows(table: np.ndarray) -> list:
     return rows
 
 
-def _kde_outline(samples: np.ndarray):
-    """Density curve (grid, density, bandwidth) of one violin, or None when the samples have zero spread."""
-    return _violin_rows(samples[None, :])[0][0]
-
-
 def _y_of(value, lo: float, span: float):
     """Pixel y of a data value, or of an array of them, on an axis from lo to lo + span."""
     return _PLOT_TOP + _PLOT_HEIGHT * (1.0 - (value - lo) / span)
@@ -118,6 +114,9 @@ def _frame(labels: list[str], lo: float, hi: float, title: str, ylabel: str, met
     width = _MARGIN_LEFT + _SLOT_WIDTH * len(labels) + _MARGIN_RIGHT
     height = _PLOT_TOP + _PLOT_HEIGHT + _LABEL_SPACE
     span = hi - lo
+    ticks = [lo + span * i / 5 for i in range(6)]
+    if not ticks[0] < ticks[-1] < math.inf:  # a span that is NaN, overflows or vanishes beside lo
+        raise ValueError(f"a y axis from {lo!r} to {hi!r} cannot be drawn, for {', '.join(map(repr, labels))}")
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_px(width)}" '
@@ -129,7 +128,7 @@ def _frame(labels: list[str], lo: float, hi: float, title: str, ylabel: str, met
         f'<line x1="{_px(_MARGIN_LEFT)}" y1="{_px(_PLOT_TOP)}" x2="{_px(_MARGIN_LEFT)}" '
         f'y2="{_px(_PLOT_TOP + _PLOT_HEIGHT)}" stroke="black" stroke-width="1"/>',
     ]
-    for tick in (lo + span * i / 5 for i in range(6)):
+    for tick in ticks:
         y = _y_of(tick, lo, span)
         parts.append(
             f'<line x1="{_px(_MARGIN_LEFT - 4)}" y1="{_px(y)}" x2="{_px(width - _MARGIN_RIGHT)}" '
@@ -167,37 +166,35 @@ def violin_svg(groups: list[tuple[str, np.ndarray]], title: str, ylabel: str) ->
         raise ValueError("violin_svg needs at least one group")
     labels, keys = [], []
     distinct = {}  # sample bytes -> samples, so identical groups are computed once
-    by_size = {}  # sample count -> the bytes of the distinct sample sets that long, stacked into one table
     for label, samples in groups:
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError(f"violin group {label!r} needs a non-empty 1-D sample array, got shape {samples.shape}")
-        if (key := samples.tobytes()) not in distinct:
-            if not np.isfinite(samples).all():
-                raise ValueError(f"violin group {label!r} has a sample that is not finite")
-            distinct[key] = samples
-            by_size.setdefault(samples.size, []).append(key)
+        distinct.setdefault(key := samples.tobytes(), samples)
         labels.append(label)
         keys.append(key)
     stats = {}  # sample bytes -> (outline, low, high, q05, median, q95)
-    for size_keys in by_size.values():
+    for size in dict.fromkeys(samples.size for samples in distinct.values()):  # one table per sample count
+        size_keys = [key for key, samples in distinct.items() if samples.size == size]
         stats.update(zip(size_keys, _violin_rows(np.stack([distinct[key] for key in size_keys]))))
     rows = [stats[key] for key in keys]
+    for label, (_, low, high, *_) in zip(labels, rows):
+        if not math.isfinite(high - low):  # a NaN or infinite sample, or an sd or extent that overflows
+            raise ValueError(f"violin group {label!r} has a sample, spread or extent that is not finite")
     lo = min(row[1] for row in rows)
     hi = max(row[2] for row in rows)
     if hi <= lo:
         lo, hi = lo - 0.05, hi + 0.05
     pad = 0.02 * (hi - lo)
-    lo -= pad
-    hi += pad
+    lo, hi = lo - pad, hi + pad
     metadata = "silverman bandwidths: " + "; ".join(
         f"{label}={0.0 if outline is None else outline[2]!r}" for label, (outline, *_) in zip(labels, rows)
     )
 
     def marks(index, cx, lo, span):
-        outline, _, _, *quantiles = rows[index]
-        if outline is None:
-            y = _y_of(float(distinct[keys[index]][0]), lo, span)
+        outline, low, _, *quantiles = rows[index]
+        if outline is None:  # zero spread: low is the value itself
+            y = _y_of(low, lo, span)
             shape = (
                 f'<rect x="{_px(cx - _HALF_VIOLIN)}" y="{_px(y - 1.5)}" '
                 f'width="{_px(2 * _HALF_VIOLIN)}" height="3" fill="#4878a8"/>'

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import multiprocessing
@@ -685,4 +686,49 @@ class TestReport:
         assert main(["report", "--results", str(results_dir), "--figure", "1",
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         err = capsys.readouterr().err
-        assert f"{path.name}: line 4: non-finite value" in err
+        assert f"{path.name}: line 4: brier {cell!r} is outside [0, 1]" in err
+
+    def test_brier_cells_whose_spread_overflows_exit_2_writing_no_figure(self, results_dir, tmp_path, capsys):
+        # finite, but the sd of 1e308 and -1e308 overflows: the figure would be drawn with nan coordinates
+        label = engine.read_summary_csv(results_dir / "summary.csv")[0]["scenario"]
+        path = results_dir / engine.scenario_filename(label)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][1], rows[2][1] = "1e308", "-1e308"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "f"
+        assert main(["report", "--results", str(results_dir), "--figure", "1", "--out", str(out), "--n", "30"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: brier '1e308' is outside [0, 1]\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("figure", ["1", "4"])
+    @pytest.mark.parametrize("failing", [".svg", ".csv"])
+    def test_failed_figure_write_exits_3_leaving_no_partial_file(self, results_dir, tmp_path, monkeypatch, figure,
+                                                                 failing):
+        replace = os.replace
+
+        def full_disk(src, dst):
+            if str(dst).endswith(failing):
+                raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        out = tmp_path / "f"
+        assert main(["report", "--results", str(results_dir), "--figure", figure, "--out", str(out), "--n", "30"]) == 3
+        # each file is whole or absent: the SVG, written first, stays when only the CSV fails
+        assert sorted(path.name for path in out.iterdir()) == ([f"figure{figure}.svg"] if failing == ".csv" else [])
+
+    def test_exceed_prob_past_one_exits_2_writing_no_figure(self, results_dir, tmp_path, capsys):
+        # a finite value the bar chart's axis ticks overflow on: the figure would be drawn with inf coordinates
+        summary = results_dir / "summary.csv"
+        with open(summary, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][2] == "brier"  # the first scenario's row, which figure 4 draws
+        rows[1][7] = "1.7e308"
+        with open(summary, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "f"
+        assert main(["report", "--results", str(results_dir), "--figure", "4", "--out", str(out), "--n", "30"]) == 2
+        assert capsys.readouterr().err == f"error: {summary}: line 2: exceed_prob '1.7e308' is outside [0, 1]\n"
+        assert list(out.iterdir()) == []

@@ -18,7 +18,6 @@ from brierlab.figures import (
     _PLOT_HEIGHT,
     _PLOT_TOP,
     _SLOT_WIDTH,
-    _kde_outline,
     _outline_points,
     _violin_rows,
     bar_svg,
@@ -31,7 +30,7 @@ def _normal_pdf(x, h):
 
 
 def test_two_samples_match_hand_computed_density():
-    grid, density, bandwidth = _kde_outline(np.array([0.0, 1.0]))
+    (grid, density, bandwidth), *_ = _violin_rows(np.array([[0.0, 1.0]]))[0]
     # sd = sqrt(1/2) with ddof=1; Silverman's factor is (3N/4) ** (-1/5) = 1.5 ** -0.2
     h = 1.5**-0.2 * math.sqrt(0.5)
     assert bandwidth == pytest.approx(h, rel=1e-15, abs=0)
@@ -45,14 +44,14 @@ def test_two_samples_match_hand_computed_density():
 
 @pytest.mark.parametrize("samples", [[0.3], [0.3, 0.3, 0.3], [0.0] * 50])
 def test_zero_spread_has_no_outline(samples):
-    assert _kde_outline(np.array(samples)) is None
+    assert _violin_rows(np.array([samples]))[0][0] is None
 
 
 @pytest.mark.parametrize("n", [2, 200, 1000, 5000])
 def test_matches_scipy_gaussian_kde(n):
     stats = pytest.importorskip("scipy.stats")
     samples = np.random.default_rng(n).beta(2.0, 5.0, size=n)
-    grid, density, bandwidth = _kde_outline(samples)
+    (grid, density, bandwidth), *_ = _violin_rows(samples[None, :])[0]
     kde = stats.gaussian_kde(samples, bw_method="silverman")
     reference = float(kde.factor) * np.std(samples, ddof=1)
     assert bandwidth == pytest.approx(reference, rel=1e-15, abs=0)
@@ -128,7 +127,7 @@ def test_violin_svg_polygons_match_reference(n_groups):
     rng = np.random.default_rng(n_groups)
     groups = [(f"g{i}", rng.beta(2.0, 5.0, size=200)) for i in range(n_groups)]
     svg = violin_svg(groups, "t", "y")
-    outlines = [_kde_outline(samples) for _, samples in groups]
+    outlines = [row[0] for row in _violin_rows(np.stack([samples for _, samples in groups]))]
     lo = min(float(grid[0]) for grid, _, _ in outlines)
     hi = max(float(grid[-1]) for grid, _, _ in outlines)
     pad = 0.02 * (hi - lo)
@@ -215,10 +214,6 @@ def test_stacked_rows_are_the_rows_computed_alone(table):
     assert len(stacked) == len(table)
     for row, samples, reference in zip(stacked, table, reference_rows(table)):
         assert _bits(row) == _bits(_violin_rows(samples[None, :])[0]) == _bits(reference)
-        outline = _kde_outline(samples)
-        assert (outline is None) == (row[0] is None)
-        if outline is not None:
-            assert _bits((outline, 0.0)) == _bits((row[0], 0.0))
         quantiles = np.quantile(samples, [0.05, 0.5, 0.95])
         assert np.array(row[3:]).tobytes() == quantiles.tobytes()
 
@@ -253,10 +248,14 @@ def test_stacking_changes_no_byte_of_a_violin_figure(groups):
     (np.array([]), r"violin group 'bad' needs a non-empty 1-D sample array, got shape \(0,\)"),
     (np.zeros((2, 3)), r"violin group 'bad' needs a non-empty 1-D sample array, got shape \(2, 3\)"),
     (0.5, r"violin group 'bad' needs a non-empty 1-D sample array, got shape \(\)"),
-    (np.array([0.1, np.nan, 0.3]), "violin group 'bad' has a sample that is not finite"),
-    (np.array([0.1, np.inf]), "violin group 'bad' has a sample that is not finite"),
-    (np.array([-np.inf, 0.2, 0.3]), "violin group 'bad' has a sample that is not finite"),
-], ids=["empty", "2-d", "scalar", "nan", "inf", "-inf"])
+    (np.array([0.1, np.nan, 0.3]), "violin group 'bad' has a sample, spread or extent that is not finite"),
+    (np.array([0.1, np.inf]), "violin group 'bad' has a sample, spread or extent that is not finite"),
+    (np.array([-np.inf, 0.2, 0.3]), "violin group 'bad' has a sample, spread or extent that is not finite"),
+    (np.array([np.inf]), "violin group 'bad' has a sample, spread or extent that is not finite"),
+    # finite samples whose sd, or whose extent, overflows float64
+    (np.array([1e308, -1e308, 0.0]), "violin group 'bad' has a sample, spread or extent that is not finite"),
+    (np.array([1.7e308, -1.7e308]), "violin group 'bad' has a sample, spread or extent that is not finite"),
+], ids=["empty", "2-d", "scalar", "nan", "inf", "-inf", "lone-inf", "sd-overflows", "extent-overflows"])
 def test_bad_violin_samples_are_refused_naming_the_group(samples, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         violin_svg([("good", np.array([0.1, 0.2])), ("bad", samples)], "t", "y")
@@ -266,6 +265,20 @@ def test_bad_violin_samples_are_refused_naming_the_group(samples, message):
 def test_a_bar_that_is_not_finite_is_refused(value):
     with pytest.raises(ValueError, match=rf"^bar 'bad' has a value that is not finite: {value!r}$"):
         bar_svg([("good", 0.5), ("bad", value)], "t", "y")
+
+
+@pytest.mark.parametrize("draw, axis", [
+    (lambda: bar_svg([("a", 1.7e308)], "t", "y"), "from 0.0 to 1.785e+308 cannot be drawn, for 'a'"),
+    (lambda: bar_svg([("a", -1e308), ("b", 1e308)], "t", "y"), "from -1e+308 to inf cannot be drawn, for 'a', 'b'"),
+    (lambda: violin_svg([("a", [1e308]), ("b", [-1e308])], "t", "y"), "from -inf to inf cannot be drawn, for 'a', 'b'"),
+    # a flat violin so far out that the axis padding vanishes beside its value
+    (lambda: violin_svg([("a", [1e308])], "t", "y"), "from 1e+308 to 1e+308 cannot be drawn, for 'a'"),
+], ids=["bar-ticks-overflow", "bar-span-overflows", "violin-span-overflows", "violin-span-vanishes"])
+def test_an_axis_float64_cannot_span_is_refused_naming_the_labels(draw, axis):
+    # pytest makes a RuntimeWarning an error, so none is raised on the way
+    with pytest.raises(ValueError) as info:
+        draw()
+    assert str(info.value) == f"a y axis {axis}"
 
 
 _NOT_XML = ["a\x01b", "\x00", "\x0b", "x\x1f", "\ufffe", "a\uffffb", "\ud800"]

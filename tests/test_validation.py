@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -35,7 +36,15 @@ FORMATS = {
 BREAKING_CELLS = {
     "probability {} outside [0, 1]": "1.5",
     "outcome {} is not 0 or 1": "0.5",
-    "non-finite value {!r}": "nan",
+    "brier {!r} is outside [0, 1]": "1.5",
+    "cil {!r} is outside [-1, 1]": "-1.5",
+    "gap {!r} is outside [-1, 0.25]": "0.3",
+    "ybar {!r} is outside [0, 1]": "-0.5",
+    "median {!r} is outside [-1, 1]": "1.7e308",
+    "q05 {!r} is outside [-1, 1]": "-2",
+    "q95 {!r} is outside [-1, 1]": "1.0000000000000002",
+    "mean {!r} is outside [-1, 1]": "nan",
+    "exceed_prob {!r} is outside [0, 1]": "inf",
     "rep {!r} is not an integer": "1.5",
     "rep {!r} is outside 1..2**53": "0",
     "exceeded {!r} is not 0 or 1": "2",
@@ -47,6 +56,15 @@ RULE_CASES = [
     pytest.param(name, index, id=f"{name}-rule{index}")
     for name, (fmt, _, _) in FORMATS.items()
     for index in range(len(fmt.rules))
+]
+
+
+# Each closed-range rule: it takes both its ends, and refuses NaN and +-inf as values outside it.
+RANGE_CASES = [
+    pytest.param(name, index, id=f"{name}-rule{index}")
+    for name, (fmt, _, _) in FORMATS.items()
+    for index, (_, _, message) in enumerate(fmt.rules)
+    if " is outside [" in message
 ]
 
 
@@ -73,6 +91,34 @@ def test_each_rule_names_the_same_line_through_both_readers(tmp_path, name, inde
     expected = f"{path}: line 4: {message.format(bad[column])}"
     assert failure(read, path) == expected
     assert failure(lambda path: validation.csv_rows(path, fmt), path) == expected
+
+
+def test_each_number_column_but_rep_and_exceeded_has_a_range():
+    ranged = set()
+    for name, index in (case.values for case in RANGE_CASES):
+        fmt = FORMATS[name][0]
+        ranged.add(f"{name}.{fmt.header[fmt.rules[index][0]]}")
+    assert ranged == {"scenario.brier", "scenario.cil", "cell.gap", "cell.ybar", "summary.median", "summary.q05",
+                      "summary.q95", "summary.mean", "summary.exceed_prob"}
+
+
+@pytest.mark.parametrize("name, index", RANGE_CASES)
+def test_a_range_takes_its_ends_and_refuses_nan_and_infinities(tmp_path, name, index):
+    fmt, read, good = FORMATS[name]
+    column, _, message = fmt.rules[index]
+    ends = re.search(r"\[(\S+), (\S+)\]$", message).groups()
+    rows = [list(good), list(good)]
+    rows[0][column], rows[1][column] = ends
+    path = write_table(tmp_path / "ends.csv", name, rows)
+    assert [row[column] for row in validation.csv_rows(path, fmt)] == list(map(float, ends))
+    assert len(read(path)) > 0
+    for cell in ("nan", "inf", "-inf"):
+        bad = list(good)
+        bad[column] = cell
+        path = write_table(tmp_path / f"{name}.csv", name, [good, bad])
+        expected = f"{path}: line 3: {message.format(cell)}"
+        assert failure(read, path) == expected
+        assert failure(lambda path: validation.csv_rows(path, fmt), path) == expected
 
 
 @pytest.mark.parametrize("name", FORMATS)
