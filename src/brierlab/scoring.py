@@ -182,6 +182,7 @@ _PAIR_CSV = CsvFormat(
         (1, lambda y: (y == 0.0) | (y == 1.0), "outcome {} is not 0 or 1"),
     ),
     fold=lambda cell: cell.strip().lower(),
+    dtypes=(np.float64, np.uint8),
 )
 
 
@@ -191,7 +192,8 @@ def read_pair_file(path) -> tuple[np.ndarray, np.ndarray]:
     Expected format: a header row ``p,y`` followed by one probability and one
     0/1 outcome per row, each a cell float() accepts. A bad file raises a
     ValidationError naming the first offending line (see validation.read_float_csv).
+    The arrays are float64, C-contiguous, writable, and share no memory.
     """
     p, y = read_float_csv(path, _PAIR_CSV).T
-    # y is copied so that the table can be freed.
-    return as_probability_vector(p, "predictions"), as_outcome_vector(y.copy(), "outcomes")
+    # _PAIR_CSV's rules have checked every cell; y is copied so that the table can be freed.
+    return np.clip(p, 0.0, 1.0), y.copy()

@@ -144,13 +144,16 @@ class CsvFormat(NamedTuple):
     A header matches when ``fold`` maps its cells to ``header``. A rule is
     ``(column, test, message)``: ``test`` maps the column's values, an array
     or a single number, to booleans, and ``message.format(cell)`` says why a
-    cell fails it.
+    cell fails it. ``dtypes`` gives the numpy dtype in which read_float_csv
+    parses each column, float64 for all when empty; an unsigned integer
+    dtype takes only cells whose value float() gives bit for bit.
     """
 
     header: tuple[str, ...]
     types: tuple[Callable, ...]
     rules: tuple[tuple[int, Callable, str], ...]
     fold: Callable[[str], str] = str
+    dtypes: tuple[type, ...] = ()
 
 
 def names_undecodable_file(read):
@@ -231,6 +234,37 @@ _CHUNK = 1 << 20
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
+def _parse(source, skiprows: int, dtypes: tuple[type, ...]) -> np.ndarray:
+    """np.loadtxt of source as a float64 table; a column whose dtype is an unsigned integer is parsed as one.
+
+    Each column is parsed into the first bytes of an 8-byte slot, so once the
+    integer columns are widened in place the records are the float table's
+    rows and no second table is built. If an integer column refuses a cell
+    (uint8 refuses 1.0, 1e0 and -0), source is parsed once more as float64
+    throughout. Any other failure raises numpy's ValueError.
+    """
+    options = dict(skiprows=skiprows, encoding=TEXT_ENCODING, delimiter=",", comments=None)
+    integer = [column for column, dtype in enumerate(dtypes) if np.dtype(dtype).kind == "u"]
+    if integer:
+        names = [f"c{column}" for column in range(len(dtypes))]
+        record = np.dtype({"names": names, "formats": list(dtypes),
+                           "offsets": [8 * column for column in range(len(dtypes))], "itemsize": 8 * len(dtypes)})
+        try:
+            records = np.loadtxt(source, dtype=record, ndmin=1, **options)
+        except ValueError as exc:
+            refused = re.fullmatch(r"could not convert string .* to \w+ at row \d+, column (\d+)\.", str(exc), re.S)
+            if not refused or int(refused[1]) - 1 not in integer:
+                raise
+            if not isinstance(source, str):
+                source.seek(0)
+        else:
+            table = records.view(np.float64).reshape(len(records), len(dtypes))
+            for column in integer:
+                table[:, column] = records[names[column]].copy()
+            return table
+    return np.loadtxt(source, dtype=float, ndmin=2, **options)
+
+
 @names_undecodable_file
 def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     """A CSV file of numbers in fmt as a (rows, columns) float table.
@@ -239,8 +273,9 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     one pass (skipping empty lines): from that text if the body fits one chunk
     or the file cannot be named to numpy (a pipe, or a name numpy would
     decompress; a body over one chunk from its UTF-8 bytes), else from the
-    absolute path (numpy reads scheme:// names as URLs) in its C file reader.
-    Each rule is applied to a whole column. If the parse or a rule fails, or
+    absolute path (numpy reads scheme:// names as URLs) in its C file reader,
+    each column in its fmt.dtypes dtype (see _parse). Each rule is applied to
+    a whole column. If the parse or a rule fails, or
     there are no rows, the per-line reader names the first bad line, from
     that text if the file cannot be read again.
     """
@@ -263,8 +298,7 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
             source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
         with contextlib.suppress(ValueError), warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the per-line reader reports it
-            table = np.loadtxt(source, skiprows=header_lines if large else 0, encoding=TEXT_ENCODING, delimiter=",",
-                               comments=None, dtype=float, ndmin=2)
+            table = _parse(source, header_lines if large else 0, fmt.dtypes)
             if len(table) and table.shape[1] == len(fmt.header) and all(
                 test(table[:, column]).all() for column, test, _ in fmt.rules
             ):

@@ -105,6 +105,16 @@ class TestScore:
         assert 0.0 <= record["brier"] <= 1.0
         assert isinstance(record["warnings"], list)
 
+    def test_outcomes_written_as_decimals_print_the_same_bytes(self, tmp_path, capsys):
+        pairs = [(i / 97, i % 3 % 2) for i in range(97)]
+        outputs = []
+        for spell in (str, lambda y: f"{y}.0"):
+            path = tmp_path / "pairs.csv"
+            path.write_text("p,y\n" + "".join(f"{p!r},{spell(y)}\n" for p, y in pairs))
+            assert main(["score", "--input", str(path), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_zero_score_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "pairs.csv"
         rows = "".join(f"{y},{y}\n" for y in ([1, 0] * 6))

@@ -428,6 +428,16 @@ class TestPairFile:
         assert marked.read_bytes().startswith(b"\xef\xbb\xbfp,y\n")
         assert score_report(*read_pair_file(marked)) == score_report(*read_pair_file(plain))
 
+    @pytest.mark.parametrize("last", ["1", "1.0", "0_1"], ids=["integer-parse", "float-parse", "per-line"])
+    def test_arrays_are_float_contiguous_writable_and_apart(self, tmp_path, last):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"p,y\n0.25,0\n1.0000000000001,{last}\n")
+        p, y = read_pair_file(path)
+        assert (p.tolist(), y.tolist()) == ([0.25, 1.0], [0.0, 1.0])
+        for arr in (p, y):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable
+        assert not np.shares_memory(p, y)
+
     def test_arrays_are_contiguous_float(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("p,y\n0.25,0\n0.75,1\n1.0000000000001,1\n")

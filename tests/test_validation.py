@@ -292,6 +292,79 @@ def test_body_over_one_chunk_is_parsed_by_name(tmp_path, monkeypatch, extra, sou
     assert p.tolist() == [0.25] * count and y.tolist() == [1.0] * count
 
 
+# Each outcome cell: the np.loadtxt calls read_pair_file makes, whether the per-line reader then reads the file,
+# and whether the cell is refused. A uint8 parse takes the cell in one call; a cell it refuses is parsed again as
+# float64 (1.0, 1e0 and -0), and a cell numpy refuses or a rule fails goes on to the per-line reader.
+OUTCOME_SPELLINGS = {
+    "0": (1, False, False),
+    "1": (1, False, False),
+    "+1": (1, False, False),
+    "01": (1, False, False),
+    " 1 ": (1, False, False),
+    "1\u2028": (1, False, False),
+    "\xa01": (1, False, False),
+    "+0": (1, False, False),
+    "1.0": (2, False, False),
+    "1e0": (2, False, False),
+    "-0": (2, False, False),
+    "0_1": (2, True, False),
+    "\u0661": (2, True, False),
+    "2": (1, True, True),
+    "256": (2, True, True),
+}
+
+
+def pair_bytes(read, path):
+    """The dtype and bytes of each array read returns, so that -0.0 shows, or the message of its ValidationError."""
+    try:
+        arrays = read(path)
+    except ValidationError as exc:
+        return str(exc)
+    return [(arr.dtype.str, arr.tobytes()) for arr in arrays]
+
+
+def snapped_per_line_pairs(path):
+    """The per-line reader's p, snapped to [0, 1], and y."""
+    p, y = np.array(validation.csv_rows(path, scoring._PAIR_CSV)).T
+    return np.clip(p, 0.0, 1.0), y
+
+
+@pytest.mark.parametrize(
+    "cell, parses, per_line, refused",
+    [pytest.param(cell, *how, id=ascii(cell)) for cell, how in OUTCOME_SPELLINGS.items()],
+)
+def test_each_outcome_spelling_reads_as_the_per_line_reader_does(
+    tmp_path, monkeypatch, cell, parses, per_line, refused
+):
+    path = write_text(tmp_path / "pairs.csv", f"p,y\n0.25,0\n1.0000000000001,{cell}\n0.75,1\n")
+    expected = pair_bytes(snapped_per_line_pairs, path)
+    if refused:
+        assert expected == f"{path}: line 3: outcome {cell} is not 0 or 1"
+    else:
+        assert expected[1] == ("<f8", np.array([0.0, float(cell), 1.0]).tobytes())
+    sources = parses_used(monkeypatch)
+    rows, used = validation._rows, []
+    monkeypatch.setattr(validation, "_rows", lambda *args: used.append(args) or rows(*args))
+    assert pair_bytes(scoring.read_pair_file, path) == expected
+    assert (len(sources), bool(used)) == (parses, per_line)
+
+
+@pytest.mark.parametrize("text", ["p,y\n0.25,0\nnope,1\n", "p,y\n0.25,0\n0.75,1,0\n"], ids=["probability", "fields"])
+def test_only_a_refused_outcome_cell_is_parsed_again(tmp_path, monkeypatch, text):
+    path = write_text(tmp_path / "pairs.csv", text)
+    sources = parses_used(monkeypatch)
+    assert pair_outcome(path).startswith(f"{path}: line 3: ")
+    assert sources == [IN_MEMORY]
+
+
+@pytest.mark.parametrize("suffix, source", [("", BY_NAME), (".gz", FROM_BYTES)], ids=["plain", "gz-name"])
+def test_a_last_decimal_outcome_is_parsed_twice_without_the_per_line_reader(tmp_path, monkeypatch, suffix, source):
+    path = write_text(tmp_path / f"pairs.csv{suffix}", "p,y\n0.25,0\n0.5,1\n0.75,1.0\n")
+    monkeypatch.setattr(validation, "_rows", lambda *args: pytest.fail("a good file reached the per-line reader"))
+    expected = ([0.25, 0.5, 0.75], [0.0, 1.0, 1.0])
+    assert on_both_branches(monkeypatch, path) == ([expected, expected], [IN_MEMORY, IN_MEMORY, source, source])
+
+
 def test_separator_in_a_later_chunk_names_its_line(tmp_path, monkeypatch):
     body, count = sized_body(validation._CHUNK)
     path = write_text(tmp_path / "pairs.csv", "p,y\n" + body + "0.5,0\n\x1c0.5,1\n0.5,0\n")
