@@ -182,7 +182,7 @@ _PAIR_CSV = CsvFormat(
         (1, lambda y: (y == 0.0) | (y == 1.0), "outcome {} is not 0 or 1"),
     ),
     fold=lambda cell: cell.strip().lower(),
-    dtypes=(np.float64, np.uint8),
+    integer_columns=(1,),
 )
 
 

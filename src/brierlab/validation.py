@@ -144,16 +144,16 @@ class CsvFormat(NamedTuple):
     A header matches when ``fold`` maps its cells to ``header``. A rule is
     ``(column, test, message)``: ``test`` maps the column's values, an array
     or a single number, to booleans, and ``message.format(cell)`` says why a
-    cell fails it. ``dtypes`` gives the numpy dtype in which read_float_csv
-    parses each column, float64 for all when empty; an unsigned integer
-    dtype takes only cells whose value float() gives bit for bit.
+    cell fails it. read_float_csv parses the ``integer_columns`` as uint8,
+    which takes only cells whose value float() gives bit for bit, and the
+    other columns as float64.
     """
 
     header: tuple[str, ...]
     types: tuple[Callable, ...]
     rules: tuple[tuple[int, Callable, str], ...]
     fold: Callable[[str], str] = str
-    dtypes: tuple[type, ...] = ()
+    integer_columns: tuple[int, ...] = ()
 
 
 def names_undecodable_file(read):
@@ -234,8 +234,8 @@ _CHUNK = 1 << 20
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _parse(source, skiprows: int, dtypes: tuple[type, ...]) -> np.ndarray:
-    """np.loadtxt of source as a float64 table; a column whose dtype is an unsigned integer is parsed as one.
+def _parse(source, skiprows: int, width: int, integer_columns: tuple[int, ...]) -> np.ndarray:
+    """np.loadtxt of source as a float64 table of width columns; the integer_columns are parsed as uint8.
 
     Each column is parsed into the first bytes of an 8-byte slot, so once the
     integer columns are widened in place the records are the float table's
@@ -244,23 +244,33 @@ def _parse(source, skiprows: int, dtypes: tuple[type, ...]) -> np.ndarray:
     throughout. Any other failure raises numpy's ValueError.
     """
     options = dict(skiprows=skiprows, encoding=TEXT_ENCODING, delimiter=",", comments=None)
-    integer = [column for column, dtype in enumerate(dtypes) if np.dtype(dtype).kind == "u"]
-    if integer:
-        names = [f"c{column}" for column in range(len(dtypes))]
-        record = np.dtype({"names": names, "formats": list(dtypes),
-                           "offsets": [8 * column for column in range(len(dtypes))], "itemsize": 8 * len(dtypes)})
+    if integer_columns:
+        names = [f"c{column}" for column in range(width)]
+        record = np.dtype({
+            "names": names,
+            "formats": [np.uint8 if column in integer_columns else np.float64 for column in range(width)],
+            "offsets": [8 * column for column in range(width)],
+            "itemsize": 8 * width,
+        })
         try:
-            records = np.loadtxt(source, dtype=record, ndmin=1, **options)
+            with warnings.catch_warnings():
+                # numpy 1.23 to 1.26 parse a cell an integer parser refuses as a float and truncate it
+                # (0.5 to 0, 256 to 0), with this warning; as an error it fails the cell like numpy 2 does.
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                records = np.loadtxt(source, dtype=record, ndmin=1, **options)
         except ValueError as exc:
+            # numpy's message for a cell its converter refuses (numpy/_core/src/multiarray/textreading/rows.c);
+            # if numpy rewords it, a refused integer cell sends the file to the per-line reader instead.
             refused = re.fullmatch(r"could not convert string .* to \w+ at row \d+, column (\d+)\.", str(exc), re.S)
-            if not refused or int(refused[1]) - 1 not in integer:
+            if not refused or int(refused[1]) - 1 not in integer_columns:
                 raise
             if not isinstance(source, str):
                 source.seek(0)
         else:
-            table = records.view(np.float64).reshape(len(records), len(dtypes))
-            for column in integer:
-                table[:, column] = records[names[column]].copy()
+            table = records.view(np.float64).reshape(len(records), width)
+            for column in integer_columns:
+                # numpy buffers an assignment whose source overlaps its destination.
+                table[:, column] = records[names[column]]
             return table
     return np.loadtxt(source, dtype=float, ndmin=2, **options)
 
@@ -274,7 +284,7 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     or the file cannot be named to numpy (a pipe, or a name numpy would
     decompress; a body over one chunk from its UTF-8 bytes), else from the
     absolute path (numpy reads scheme:// names as URLs) in its C file reader,
-    each column in its fmt.dtypes dtype (see _parse). Each rule is applied to
+    fmt.integer_columns as uint8 (see _parse). Each rule is applied to
     a whole column. If the parse or a rule fails, or
     there are no rows, the per-line reader names the first bad line, from
     that text if the file cannot be read again.
@@ -298,7 +308,7 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
             source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
         with contextlib.suppress(ValueError), warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the per-line reader reports it
-            table = _parse(source, header_lines if large else 0, fmt.dtypes)
+            table = _parse(source, header_lines if large else 0, len(fmt.header), fmt.integer_columns)
             if len(table) and table.shape[1] == len(fmt.header) and all(
                 test(table[:, column]).all() for column, test, _ in fmt.rules
             ):

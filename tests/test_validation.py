@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -311,6 +312,8 @@ OUTCOME_SPELLINGS = {
     "\u0661": (2, True, False),
     "2": (1, True, True),
     "256": (2, True, True),
+    "0.5": (2, True, True),
+    "nan": (2, True, True),
 }
 
 
@@ -347,6 +350,40 @@ def test_each_outcome_spelling_reads_as_the_per_line_reader_does(
     monkeypatch.setattr(validation, "_rows", lambda *args: used.append(args) or rows(*args))
     assert pair_bytes(scoring.read_pair_file, path) == expected
     assert (len(sources), bool(used)) == (parses, per_line)
+
+
+def loadtxt_with_float_fallback(monkeypatch):
+    """Make np.loadtxt read an integer field as numpy 1.23 to 1.26 read a cell such as 0.5 in it.
+
+    Those versions parse the cell as a float and truncate it, after a DeprecationWarning; when the
+    warning is raised as an error, numpy fails the cell with its usual conversion ValueError.
+    """
+    loadtxt = np.loadtxt
+
+    def fallback(source, dtype=float, **kwargs):
+        if np.dtype(dtype).names is None:
+            return loadtxt(source, dtype=dtype, **kwargs)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '0.5' to uint8 at row 2, column 2.") from exc
+        table = loadtxt(source, dtype=float, **{**kwargs, "ndmin": 2})
+        records = np.zeros(len(table), dtype)
+        for name, column in zip(records.dtype.names, table.T):
+            records[name] = column
+        return records
+
+    monkeypatch.setattr(np, "loadtxt", fallback)
+
+
+@pytest.mark.parametrize("chunk", [validation._CHUNK, 2], ids=["in-memory", "by-name"])
+def test_an_outcome_an_integer_parser_would_truncate_is_refused(tmp_path, monkeypatch, chunk):
+    path = write_text(tmp_path / "pairs.csv", "p,y\n0.25,0\n0.5,0.5\n0.75,1\n")
+    monkeypatch.setattr(validation, "_CHUNK", chunk)
+    loadtxt_with_float_fallback(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # as outside a test run
+        assert pair_outcome(path) == f"{path}: line 3: outcome 0.5 is not 0 or 1"
 
 
 @pytest.mark.parametrize("text", ["p,y\n0.25,0\nnope,1\n", "p,y\n0.25,0\n0.75,1,0\n"], ids=["probability", "fields"])
