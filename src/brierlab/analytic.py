@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .validation import as_float, as_probability_vector, as_unit_scalar, check_same_length, shown
+from .validation import as_float, as_probability_vector, as_unit_scalar, check_same_length, probability_pair, shown
 
 __all__ = [
     "PerturbationSpec",
@@ -87,14 +87,22 @@ class JensenBound(NamedTuple):
     tight: bool
 
 
+# The mean and variance of one case's squared error (p - Y)^2, Y ~ Bernoulli(q): on floats, or elementwise on arrays.
+def _expected(p, q):
+    return p * p - 2.0 * p * q + q
+
+
+def _variance(p, q):
+    spread = 1.0 - 2.0 * p  # a product, as ** 2 on a float calls libm pow; CI's expect --mode clt pins the association
+    return q * (1.0 - q) * (spread * spread)
+
+
 def expected_bs_single(p1, q1) -> float:
     """Expected score of prediction p1 for one Bernoulli(q1) outcome.
 
     Equals p1^2 - 2*p1*q1 + q1 and is uniquely minimized over p1 at p1 = q1.
     """
-    p1 = as_unit_scalar(p1, "p1")
-    q1 = as_unit_scalar(q1, "q1")
-    return p1 * p1 - 2.0 * p1 * q1 + q1
+    return _expected(as_unit_scalar(p1, "p1"), as_unit_scalar(q1, "q1"))
 
 
 def expected_bs_perfect_single(q1) -> float:
@@ -109,10 +117,7 @@ def expected_bs_perfect_single(q1) -> float:
 
 def expected_bs(p, q) -> float:
     """Expected score of prediction vector p against true probabilities q."""
-    p = as_probability_vector(p, "predictions")
-    q = as_probability_vector(q, "true probabilities")
-    check_same_length(p, q, "predictions/true probabilities")
-    return float(np.mean(p * p - 2.0 * p * q + q))
+    return float(np.mean(_expected(*probability_pair(p, q))))
 
 
 def shift_difference(q1, eps) -> float:
@@ -179,10 +184,7 @@ def variance_single(p1, q1) -> float:
     when the outcome is deterministic (q1 in {0, 1}) or when p1 = 1/2, where
     both outcomes cost exactly 0.25.
     """
-    p1 = as_unit_scalar(p1, "p1")
-    q1 = as_unit_scalar(q1, "q1")
-    spread = 1.0 - 2.0 * p1
-    return q1 * (1.0 - q1) * spread * spread
+    return _variance(as_unit_scalar(p1, "p1"), as_unit_scalar(q1, "q1"))
 
 
 def clt_normal_approx(p, q) -> AsymptoticSummary:
@@ -194,12 +196,9 @@ def clt_normal_approx(p, q) -> AsymptoticSummary:
     variances. The terms need not be identically distributed; the average is
     the natural extension of the identically-distributed statement.
     """
-    p = as_probability_vector(p, "predictions")
-    q = as_probability_vector(q, "true probabilities")
-    check_same_length(p, q, "predictions/true probabilities")
-    mean = float(np.mean(p * p - 2.0 * p * q + q))
-    per_term = q * (1.0 - q) * (1.0 - 2.0 * p) ** 2
-    variance = float(np.mean(per_term))
+    p, q = probability_pair(p, q)
+    mean = float(np.mean(_expected(p, q)))
+    variance = float(np.mean(_variance(p, q)))
     n = int(p.size)
     return AsymptoticSummary(mean=mean, variance=variance, n=n, sd_of_mean=math.sqrt(variance / n))
 

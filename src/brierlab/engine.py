@@ -22,7 +22,6 @@ a cell; more are one process pool.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import csv
 import io
 import itertools
@@ -547,20 +546,21 @@ def write_scenario_csv(result: ScenarioResult, directory) -> Path:
     return _write_scenario_text(result.scenario, directory, reps, result.brier_samples, result.cil_samples)
 
 
+def _summary_rows(cell: CellResult) -> Iterator[tuple]:
+    """The cell's summary rows: one per scenario and metric, naming the cell's file."""
+    name, width = scenario_filename(_cell_label(cell.scenarios[0])), len(cell.scenarios)
+    exceed_prob = int(np.count_nonzero(cell.table[-2])) / cell.table.shape[1]
+    for t, scenario in enumerate(cell.scenarios):
+        for metric, stats in zip(_SUMMARY_METRICS, (cell.stats[t], cell.stats[width + t], cell.stats[-1])):
+            # median, q05, q95 and mean, in SummaryStats order, then exceed_prob: Python floats, as their repr
+            yield (scenario.label, str(scenario.n), metric, *map(repr, (*stats, exceed_prob)), name)
+
+
 def write_summary_csv(cells: list[CellResult], directory) -> Path:
     """Long-format summary: one row per scenario and metric, naming the scenario's cell file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "summary.csv"
-    rows = [SUMMARY_CSV_COLUMNS]
-    for cell in cells:
-        name, width = scenario_filename(_cell_label(cell.scenarios[0])), len(cell.scenarios)
-        exceed_prob = int(np.count_nonzero(cell.table[-2])) / cell.table.shape[1]
-        for t, scenario in enumerate(cell.scenarios):
-            for metric, stats in zip(_SUMMARY_METRICS, (cell.stats[t], cell.stats[width + t], cell.stats[-1])):
-                # median, q05, q95 and mean, in SummaryStats order, then exceed_prob: Python floats, as their repr
-                rows.append((scenario.label, str(scenario.n), metric, *map(repr, (*stats, exceed_prob)), name))
-    return _write_table(path, rows)
+    return _write_table(directory / "summary.csv", itertools.chain([SUMMARY_CSV_COLUMNS], *map(_summary_rows, cells)))
 
 
 def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
@@ -570,19 +570,18 @@ def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
     brier and cil. A cell whose files would be an earlier one's (say, a cell
     of another run) is refused before any of its files is written; an empty
     input is refused untouched, as a lone summary would look like a complete
-    run. An earlier run's summary is removed first. Stopping early closes
-    cells, and with it run_study's thread or pool.
+    run. An earlier run's summary is removed first. Of a written cell only its
+    summary rows are kept. Stopping early closes cells and run_study's thread or pool.
     """
     directory = Path(directory)
-    paths, written, claimed = [], [], {}
-    with contextlib.ExitStack() as stack:
-        stack.callback(getattr(cells, "close", lambda: None))
+    paths, rows, claimed = [], [SUMMARY_CSV_COLUMNS], {}
+    try:
         for cell in cells:
             _claim_filenames([cell.scenarios], claimed)
-            if not written:
+            if not paths:
                 (directory / "summary.csv").unlink(missing_ok=True)
                 directory.mkdir(parents=True, exist_ok=True)
-            written.append(cell)
+            rows += _summary_rows(cell)
             table, width = cell.table, len(cell.scenarios)
             reps = list(map(str, range(1, table.shape[1] + 1)))
             gap, ybar = map(repr, table[-3].tolist()), map(repr, table[-1].tolist())
@@ -591,9 +590,11 @@ def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
             paths.append(_write_rows(path, CELL_CSV_COLUMNS, reps, gap, exceeded, ybar))
             for t, scenario in enumerate(cell.scenarios):
                 paths.append(_write_scenario_text(scenario, directory, reps, table[t], table[width + t]))
-    if not written:
+    finally:
+        getattr(cells, "close", lambda: None)()
+    if not paths:
         raise ValidationError("no scenario results to write")
-    paths.append(write_summary_csv(written, directory))
+    paths.append(_write_table(directory / "summary.csv", rows))
     return paths
 
 

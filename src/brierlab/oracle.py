@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationBudgetError
-from .validation import as_probability_vector, check_same_length
+from .validation import as_probability_vector, probability_pair
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -64,6 +64,7 @@ def _doubling(op, if_zero: np.ndarray, if_one: np.ndarray, start: float) -> np.n
 
 def _scores_and_masses(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """BS(p, y) and Pr(y) for every outcome vector y."""
+    _check_budget(p.size)
     squares = _doubling(np.add, p * p, (p - 1.0) * (p - 1.0), 0.0)
     squares /= p.size
     return squares, _doubling(np.multiply, 1.0 - q, q, 1.0)
@@ -78,17 +79,9 @@ def _fsum(a) -> float:
     return math.fsum(memoryview(np.ravel(np.asarray(a, dtype=np.float64))))
 
 
-def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
-    p = as_probability_vector(p, "predictions")
-    q = as_probability_vector(q, "true probabilities")
-    check_same_length(p, q, "predictions/true probabilities")
-    _check_budget(p.size)
-    return p, q
-
-
 def exact_expected_bs(p, q) -> float:
     """Expected score by full enumeration: sum over y of Pr(y) * BS(p, y)."""
-    scores, masses = _scores_and_masses(*_checked_pair(p, q))
+    scores, masses = _scores_and_masses(*probability_pair(p, q))
     return _fsum(np.multiply(scores, masses, out=scores))
 
 
@@ -123,7 +116,7 @@ def exact_distribution(p, q) -> ExactScoreDistribution:
     one atom (mass-weighted value), so a chain of such gaps can make an atom
     wider than the tolerance. This keeps the support canonical.
     """
-    p, q = _checked_pair(p, q)
+    p, q = probability_pair(p, q)
     scores, masses = _scores_and_masses(p, q)
 
     # Equal scores fall into one atom whose fsum totals are exact, so the order among them is immaterial.

@@ -87,6 +87,13 @@ def check_same_length(a: np.ndarray, b: np.ndarray, what: str = "vectors") -> No
         raise DimensionError(f"{what} have mismatched lengths: {a.shape[0]} vs {b.shape[0]}")
 
 
+def probability_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions p and true probabilities q, each checked by as_probability_vector, of one length."""
+    pair = as_probability_vector(p, "predictions"), as_probability_vector(q, "true probabilities")
+    check_same_length(*pair, "predictions/true probabilities")
+    return pair
+
+
 def is_integer(value) -> bool:
     """A Python or numpy integer, but not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -243,7 +250,7 @@ def _parse(source, skiprows: int, width: int, integer_columns: tuple[int, ...]) 
     (uint8 refuses 1.0, 1e0 and -0), source is parsed once more as float64
     throughout. Any other failure raises numpy's ValueError.
     """
-    options = dict(skiprows=skiprows, encoding=TEXT_ENCODING, delimiter=",", comments=None)
+    options = dict(skiprows=skiprows, encoding="utf-8", delimiter=",", comments=None)
     if integer_columns:
         names = [f"c{column}" for column in range(width)]
         record = np.dtype({
@@ -284,10 +291,10 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     or the file cannot be named to numpy (a pipe, or a name numpy would
     decompress; a body over one chunk from its UTF-8 bytes), else from the
     absolute path (numpy reads scheme:// names as URLs) in its C file reader,
-    fmt.integer_columns as uint8 (see _parse). Each rule is applied to
-    a whole column. If the parse or a rule fails, or
-    there are no rows, the per-line reader names the first bad line, from
-    that text if the file cannot be read again.
+    as plain UTF-8 past the header (and any byte order mark), fmt.integer_columns
+    as uint8 (see _parse). Each rule is applied to a whole column. If the
+    parse or a rule fails, or there are no rows, the per-line reader names
+    the first bad line, from that text if the file cannot be read again.
     """
     with open(path, newline="", encoding=TEXT_ENCODING) as fh:
         header_lines = _past_header(fh, path, fmt).line_num

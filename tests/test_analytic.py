@@ -23,7 +23,7 @@ from brierlab.analytic import (
     variance_single,
 )
 from brierlab.errors import DimensionError, ValidationError
-from brierlab.oracle import exact_expected_bs
+from brierlab.oracle import exact_distribution, exact_expected_bs
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -47,6 +47,34 @@ def test_every_scalar_argument_refuses_bools(call, name, flag):
     # True is no 1, as TrueDistributionSpec.constant(True) is no constant(1)
     with pytest.raises(ValidationError, match=rf"^{name} must be a number: got {re.escape(repr(flag))}$"):
         call(flag)
+
+
+# A bad (predictions, true probabilities) pair, with the error every function of a pair raises for it, closed
+# form or enumeration alike: predictions are checked, then true probabilities, then the lengths, then the budget.
+BAD_PAIRS = {
+    "mismatched-lengths": (
+        ([0.1, 0.2], [0.3]), DimensionError, "predictions/true probabilities have mismatched lengths: 2 vs 1"
+    ),
+    "out-of-range": (
+        ([0.1, 1.5], [0.3, 0.4]), ValidationError, "predictions[1] = 1.5 lies outside [0, 1] by more than 1e-12"
+    ),
+    "nan": (([0.1, 0.2], [0.3, math.nan]), ValidationError, "true probabilities[1] is not finite: nan"),
+    "empty": (([], []), ValidationError, "predictions must contain at least one element"),
+    "out-of-range-over-the-budget": (
+        ([0.5] * 20 + [1.5], [0.5] * 21),
+        ValidationError,
+        "predictions[20] = 1.5 lies outside [0, 1] by more than 1e-12",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", [expected_bs, clt_normal_approx, exact_expected_bs, exact_distribution],
+                         ids=lambda call: call.__name__)
+@pytest.mark.parametrize("pair, error, message", BAD_PAIRS.values(), ids=list(BAD_PAIRS))
+def test_every_pair_function_refuses_a_bad_pair_alike(call, pair, error, message):
+    with pytest.raises(ValidationError) as info:  # an EnumerationBudgetError is none
+        call(*pair)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestExpectedSingle:
@@ -90,6 +118,12 @@ class TestExpectedSingle:
         lhs = expected_bs_single(p1, q1)
         rhs = (p1 - q1) ** 2 + expected_bs_perfect_single(q1)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @given(unit_floats, unit_floats)
+    def test_equals_the_vector_forms_of_one_case_bit_for_bit(self, p1, q1):
+        # one definition of the per-case mean serves the scalar and the vector forms
+        single = expected_bs_single(p1, q1).hex()
+        assert single == expected_bs([p1], [q1]).hex() == clt_normal_approx([p1], [q1]).mean.hex()
 
 
 class TestExpectedPerfectSingle:
@@ -275,6 +309,10 @@ class TestVarianceSingle:
     @given(unit_floats, unit_floats)
     def test_nonnegative(self, p1, q1):
         assert variance_single(p1, q1) >= 0.0
+
+    @given(unit_floats, unit_floats)
+    def test_equals_the_per_case_variance_of_the_normal_approximation_bit_for_bit(self, p1, q1):
+        assert variance_single(p1, q1).hex() == clt_normal_approx([p1], [q1]).variance.hex()
 
 
 class TestCltNormalApprox:

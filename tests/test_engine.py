@@ -15,6 +15,7 @@ import stat
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1066,6 +1067,21 @@ class TestPersistence:
         second = joined_text(scenario, cell)
         assert first != second
         assert second == reference_scenario_text(own, 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_written_cell_is_not_kept(self, tmp_path, workers):
+        # only its summary rows outlive a cell's files, so a study holds no more than two cells' tables at once
+        tables = []
+
+        def watched(cells):
+            for cell in cells:
+                # the writer may still hold the cell before this one, but no earlier cell
+                assert [table() for table in tables[:-1]] == [None] * len(tables[:-1])
+                tables.append(weakref.ref(cell.table))
+                yield cell
+
+        write_study_results(watched(run_study(small_config(sample_sizes=(20, 30)), workers)), tmp_path)
+        assert len(tables) == 4
 
     def test_empty_result_list_writes_nothing(self, tmp_path):
         # a summary with no scenario files beside it would look like a complete run

@@ -293,6 +293,18 @@ def test_body_over_one_chunk_is_parsed_by_name(tmp_path, monkeypatch, extra, sou
     assert p.tolist() == [0.25] * count and y.tolist() == [1.0] * count
 
 
+def test_a_byte_order_mark_before_a_body_parsed_by_name_is_skipped_with_the_header(tmp_path, monkeypatch):
+    # numpy decodes the body as plain UTF-8; the mark lies in the header row it skips
+    text = "p,y\n" + sized_body(validation._CHUNK + 1)[0].replace("0.25,1", "0.75,0", 7)
+    plain = write_text(tmp_path / "plain.csv", text)
+    marked = write_text(tmp_path / "marked.csv", "\ufeff" + text)
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = scoring.read_pair_file(plain)
+    sources = parses_used(monkeypatch)
+    assert repr(scoring.read_pair_file(marked)) == repr(expected)
+    assert sources == [BY_NAME]
+
+
 # Each outcome cell: the np.loadtxt calls read_pair_file makes, whether the per-line reader then reads the file,
 # and whether the cell is refused. A uint8 parse takes the cell in one call; a cell it refuses is parsed again as
 # float64 (1.0, 1e0 and -0), and a cell numpy refuses or a rule fails goes on to the per-line reader.
