@@ -47,7 +47,7 @@ CONSTANT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """A nonnegative shift of size epsilon applied upward (plus) or downward; epsilon is stored as a float."""
+    """A shift of size epsilon in [0, 1] applied upward (plus) or downward; epsilon is stored as a float."""
 
     epsilon: float
     direction: str = "plus"
@@ -56,6 +56,8 @@ class PerturbationSpec:
         epsilon = as_float(self.epsilon, "epsilon")
         if not math.isfinite(epsilon) or epsilon < 0:
             raise ValidationError(f"epsilon must be a nonnegative real, got {shown(self.epsilon)}")
+        if epsilon > 1:  # a prediction of a probability is off by at most 1
+            raise ValidationError(f"epsilon must be at most 1, got {shown(self.epsilon)}")
         if self.direction not in ("plus", "minus"):
             raise ValidationError(f"direction must be 'plus' or 'minus', got {shown(self.direction)}")
         object.__setattr__(self, "epsilon", epsilon)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import analytic, engine, figures, scoring
 from .errors import BrierLabError, ValidationError
+from .validation import commit_csv, commit_text
 
 __all__ = ["main"]
 
@@ -130,8 +131,8 @@ def cmd_report(args) -> int:
         svg = figures.violin_svg(list(groups), f"{metric} distribution by scenario (n={n})", ylabel)
 
     table = [columns, *([r[c] for c in columns] for r in rows)]  # the summary's floats and ints, as their repr
-    svg_path = engine._atomic_write(out_dir / f"figure{args.figure}.svg", svg)
-    csv_path = engine._write_table(out_dir / f"figure{args.figure}.csv", table)
+    svg_path = commit_text(out_dir / f"figure{args.figure}.svg", svg)
+    csv_path = commit_csv(out_dir / f"figure{args.figure}.csv", table)
     print(f"wrote {svg_path} and {csv_path}")
     return 0
 

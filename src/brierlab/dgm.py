@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
 from .validation import (
-    NOT_XML_CHAR, TEXT_ENCODING, as_probability_vector, check_count, is_integer, is_real, names_undecodable_file, shown,
+    NOT_XML_CHAR, TEXT_ENCODING, as_probability_vector, check_count, commit_text, is_integer, is_real,
+    names_undecodable_file, shown,
 )
 
 __all__ = [
@@ -279,15 +280,10 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
 
 
 def write_pool_file(pool: EmpiricalProbabilityPool, path, comment: str | None = None) -> None:
-    """Write a pool in the same format load_empirical_pool reads."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(f"# label: {pool.label}\n")
-        fh.write(f"# nominal incidence: {pool.nominal_incidence!r}\n")
-        for value in pool.probabilities:
-            fh.write(f"{float(value)!r}\n")
+    """Write a pool in the format load_empirical_pool reads; each line of a note, a label's too, is a '#' line."""
+    notes = [comment or "", f"label: {pool.label}", f"nominal incidence: {pool.nominal_incidence!r}"]
+    lines = [f"# {line}\n" for note in notes for line in note.splitlines()]
+    commit_text(path, "".join([*lines, *(f"{value!r}\n" for value in pool.probabilities.tolist())]))
 
 
 def _stem(path) -> str:

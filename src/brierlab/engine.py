@@ -22,11 +22,8 @@ a cell; more are one process pool.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
-import io
 import itertools
 import json
-import os
 import re
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
@@ -50,8 +47,8 @@ from .dgm import (
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
 from .validation import (
-    MAX_COUNT, NOT_XML_CHAR, TEXT_ENCODING, CsvFormat, _as_float_vector, check_count, csv_rows, is_integer,
-    names_undecodable_file, read_float_csv, shown,
+    MAX_COUNT, NOT_XML_CHAR, TEXT_ENCODING, CsvFormat, _as_float_vector, check_count, commit_csv, commit_text, csv_rows,
+    is_integer, names_undecodable_file, read_float_csv, shown,
 )
 
 __all__ = [
@@ -499,6 +496,8 @@ def _claim_filenames(cells: list[tuple[Scenario, ...]], claimed: dict[str, str])
     """
     labels = [label for cell in cells for label in (_cell_label(cell[0]), *(s.label for s in cell))]
     names = list(map(scenario_filename, labels))
+    if too_long := [label for name, label in zip(names, labels) if len(name) > 255]:  # names are ASCII: 255 bytes
+        raise ConfigError(f"scenario and cell labels make file names over 255 characters: {too_long}")
     if len(set(names)) < len(names) or not claimed.keys().isdisjoint(names):
         counts = Counter([*claimed, *names])
         clashes = [label for name, label in [*claimed.items(), *zip(names, labels)] if counts[name] > 1]
@@ -506,31 +505,9 @@ def _claim_filenames(cells: list[tuple[Scenario, ...]], claimed: dict[str, str])
     claimed.update(zip(names, labels))
 
 
-def _atomic_write(path: Path, text: str) -> Path:
-    """Write through a new temp file in path's directory, removed if the write fails."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    # O_EXCL: the file is ours alone. The kernel applies the umask, which is process-wide:
-    # reading it (by setting it) would change the mode of a file another thread creates meanwhile.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def _write_table(path: Path, rows) -> Path:
-    """Rows written by the csv module, which writes floats and ints as their repr."""
-    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(rows)
-    return _atomic_write(path, buf.getvalue())
-
-
 def _write_rows(path: Path, columns: tuple[str, ...], *texts) -> Path:
     """A header, then one line per replication: the texts of each column, joined by commas."""
-    return _atomic_write(path, "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n")
+    return commit_text(path, "\n".join([",".join(columns), *map(",".join, zip(*texts))]) + "\n")
 
 
 def _write_scenario_text(scenario: Scenario, directory: Path, reps, brier: np.ndarray, cil: np.ndarray) -> Path:
@@ -560,7 +537,7 @@ def write_summary_csv(cells: list[CellResult], directory) -> Path:
     """Long-format summary: one row per scenario and metric, naming the scenario's cell file."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    return _write_table(directory / "summary.csv", itertools.chain([SUMMARY_CSV_COLUMNS], *map(_summary_rows, cells)))
+    return commit_csv(directory / "summary.csv", itertools.chain([SUMMARY_CSV_COLUMNS], *map(_summary_rows, cells)))
 
 
 def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
@@ -594,7 +571,7 @@ def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
         getattr(cells, "close", lambda: None)()
     if not paths:
         raise ValidationError("no scenario results to write")
-    paths.append(_write_table(directory / "summary.csv", rows))
+    paths.append(commit_csv(directory / "summary.csv", rows))
     return paths
 
 

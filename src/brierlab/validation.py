@@ -1,4 +1,4 @@
-"""Input validation shared by the scoring, analytic, oracle, and engine modules.
+"""Input validation shared by every module, and commit_text, which writes every file brierlab writes.
 
 Each CSV table (pair, scenario, cell, summary file) is described by one CsvFormat and read here.
 """
@@ -324,3 +324,25 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
         # Blank lines stand in for the header, so line numbers count from the top of the file.
         return np.array(_rows(csv.reader(io.StringIO("\n" * header_lines + text, newline="")), path, fmt))
     return np.array(csv_rows(path, fmt))
+
+
+def commit_text(path, text: str):
+    """Write text to path (a str or path-like, returned) through a new temp file beside it, removed on failure."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")  # 21 characters: any target name fits
+    # O_EXCL: the file is ours alone. The kernel applies the umask, which is process-wide:
+    # reading it (by setting it) would change the mode of a file another thread creates meanwhile.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return path
+
+
+def commit_csv(path, rows):
+    """Rows written by the csv module, which writes floats and ints as their repr, then committed."""
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(rows)
+    return commit_text(path, buf.getvalue())

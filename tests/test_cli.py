@@ -231,6 +231,7 @@ class TestExpect:
         ("--mode shift --q1 0.2 --eps -1", "epsilon must be a nonnegative real, got -1.0"),
         ("--mode shift --q1 0.2 --eps 0.5", "upward shift requires q1 + eps <= 1/2, got 0.2 + 0.5"),
         ("--mode perturb --eps -1", "epsilon must be a nonnegative real, got -1.0"),
+        ("--mode perturb --eps 1e200", "epsilon must be at most 1, got 1e+200"),
         ("--mode jensen --q a,b", "--q: expected comma-separated decimals, got 'a,b'"),
         ("--mode jensen --q ,", "true probabilities must contain at least one element"),
         ("--mode clt --p x --q 0.1", "--p: expected comma-separated decimals, got 'x'"),
@@ -501,7 +502,7 @@ class TestSimulate:
 
     def test_failed_rewrite_removes_stale_summary(self, results_dir, study_config, tmp_path, monkeypatch):
         writes = []
-        original = engine._atomic_write
+        original = engine.commit_text
 
         def failing_second_write(path, text):
             writes.append(path.name)
@@ -509,7 +510,7 @@ class TestSimulate:
                 raise OSError("disk full")
             return original(path, text)
 
-        monkeypatch.setattr(engine, "_atomic_write", failing_second_write)
+        monkeypatch.setattr(engine, "commit_text", failing_second_write)
         assert main(["simulate", "--config", str(study_config), "--out", str(results_dir)]) == 3
         assert len(writes) == 2 and "summary.csv" not in writes  # the first cell's first scenario file failed
         assert not (results_dir / "summary.csv").exists()

@@ -503,6 +503,27 @@ class TestPoolFiles:
         loaded = load_empirical_pool(path, label="roundtrip")
         assert np.array_equal(loaded.probabilities, pool.probabilities)
 
+    @pytest.mark.parametrize("label", ["a\n0.9", "a\rb", "a\r\n0.5"], ids=["newline", "carriage-return", "crlf"])
+    def test_line_break_in_label_stays_a_comment(self, tmp_path, label):
+        # a label's line breaks become comment lines, so its text is never read as a value
+        path = tmp_path / "pool.txt"
+        write_pool_file(EmpiricalProbabilityPool([0.1, 0.2], label), path)
+        assert load_empirical_pool(path).probabilities.tolist() == [0.1, 0.2]
+
+    def test_failed_write_keeps_the_earlier_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.txt"
+        write_pool_file(EmpiricalProbabilityPool([0.1, 0.2], "old"), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_pool_file(EmpiricalProbabilityPool([0.3, 0.4], "new"), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pool.txt"]
+
 
 class TestPoolBuiltDirectly:
     """A pool checks its values when it is built, however it is built, naming itself."""

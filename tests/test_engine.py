@@ -539,8 +539,14 @@ class TestStudyConfigChecks:
         ({"n_reps": 0}, ValidationError, "replication count must be >= 1, got 0"),
         ({"n_reps": True}, ValidationError, "replication count must be an integer, got True"),
         ({"name": 3}, ValidationError, "study name must be a string, got 3"),
+        # empirical_<240 a's>_n50.csv is 258 characters, over the 255 bytes a file name may take
+        ({"dgms": (Dist.empirical(make_synthetic_pool(0.3, size=60, rng=1, label="a" * 240)),)}, ConfigError,
+         "scenario and cell labels make file names over 255 characters: "
+         f"['empirical({'a' * 240})+n50', 'empirical({'a' * 240})+perfect+n50', "
+         f"'empirical({'a' * 240})+bias(+0.1)+n50']"),
     ], ids=["empty-grid", "label-clash", "cell-file-clash", "small-pool", "sizes-int", "sizes-str", "sizes-float",
-            "bare-dgm", "bare-transform", "negative-seed", "float-seed", "zero-reps", "bool-reps", "int-name"])
+            "bare-dgm", "bare-transform", "negative-seed", "float-seed", "zero-reps", "bool-reps", "int-name",
+            "name-too-long"])
     def test_refused_when_built_before_any_block(self, monkeypatch, overrides, error, message):
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
         with pytest.raises(error) as info:
@@ -1311,7 +1317,7 @@ class TestPersistence:
             assert Path(source).exists()  # the temp file is written before it would replace the summary
             raise OSError(errno.EIO, "replace failed")
 
-        monkeypatch.setattr(engine.os, "replace", failing_replace)
+        monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="replace failed"):
             write_summary_csv(cells[:1], tmp_path)
         monkeypatch.undo()
@@ -1346,7 +1352,7 @@ class TestPersistence:
         # a temp file of the same name that another writer made is not ours to remove
         cells = list(run_study(small_config()))
         monkeypatch.setattr(os, "urandom", lambda size: b"\0" * size)
-        other = tmp_path / f".summary.csv.{bytes(8).hex()}.tmp"
+        other = tmp_path / f".{bytes(8).hex()}.tmp"
         other.write_text("another writer's")
         with pytest.raises(FileExistsError):
             write_summary_csv(cells, tmp_path)

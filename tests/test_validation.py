@@ -679,3 +679,11 @@ def test_not_xml_char_is_the_complement_of_the_xml_char_production():
     everything = "".join(map(chr, range(0x110000)))
     refused = {match.start() for match in validation.NOT_XML_CHAR.finditer(everything)}
     assert refused == set(range(0x110000)).difference(*(range(a, b + 1) for a, b in held))
+
+
+def test_commit_text_writes_a_name_of_255_characters_and_leaves_no_temp_file(tmp_path):
+    # the temp file's name has 21 characters whatever the target's, so any name the file system takes commits
+    path = tmp_path / ("a" * 251 + ".csv")
+    assert validation.commit_text(path, "x\n") == path
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text() == "x\n"
