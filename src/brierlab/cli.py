@@ -95,7 +95,9 @@ def cmd_simulate(args) -> int:
                       f"median={stats.median:.5f} mean={stats.mean:.5f}", flush=True)
             yield cell
 
-    paths = engine.write_study_results(printed(engine.run_study(config, args.workers)), Path(args.out))
+    cells = engine.run_study(config, args.workers)  # checks --workers; no block runs until a cell is asked for
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # so an unusable --out fails before any block
+    paths = engine.write_study_results(printed(cells), Path(args.out))
     print(f"wrote {len(paths) - 1 - total} cell files, {total} scenario files and {paths[-1]}")
     return 0
 

@@ -11,6 +11,7 @@ that any parallel schedule reproduces bit-identical draws.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -257,7 +258,8 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
     """Read a probability pool file: one decimal per line, '#' comments allowed.
 
     Any non-numeric or out-of-range entry raises ValidationError naming the
-    line; an empty file (after comments) raises too.
+    line; an empty file (after comments) raises too. The label defaults to the
+    file name without its last extension (``.pool`` is a name, not an extension).
     """
     values: list[float] = []
     with open(path, encoding=TEXT_ENCODING) as fh:
@@ -276,7 +278,9 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
             values.append(value)
     if not values:
         raise ValidationError(f"{path}: no probabilities found")
-    return EmpiricalProbabilityPool(values, _stem(path) if label is None else label)
+    if label is None:
+        label = os.path.splitext(os.path.basename(os.fsdecode(path)))[0]
+    return EmpiricalProbabilityPool(values, label)
 
 
 def write_pool_file(pool: EmpiricalProbabilityPool, path, comment: str | None = None) -> None:
@@ -284,10 +288,6 @@ def write_pool_file(pool: EmpiricalProbabilityPool, path, comment: str | None = 
     notes = [comment or "", f"label: {pool.label}", f"nominal incidence: {pool.nominal_incidence!r}"]
     lines = [f"# {line}\n" for note in notes for line in note.splitlines()]
     commit_text(path, "".join([*lines, *(f"{value!r}\n" for value in pool.probabilities.tolist())]))
-
-
-def _stem(path) -> str:
-    return str(path).replace("\\", "/").rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
 
 def make_synthetic_pool(

@@ -7,7 +7,9 @@ probabilities and observed 0/1 outcomes,
 
 together with its companions (RMSE, MAE, calibration-in-the-large), two
 reference scores, and heuristic diagnostics that flag score patterns which
-are commonly misread.
+are commonly misread. score_report computes every one of them from one
+checked pass; brier_score, rmse, mae, cil and diagnose each return one of
+its fields, so they refuse a bad pair alike.
 """
 
 from __future__ import annotations
@@ -65,28 +67,19 @@ WARNING_EXPLANATIONS = {
 }
 
 
-def _paired(p, y) -> tuple[np.ndarray, np.ndarray]:
-    p = as_probability_vector(p, "predictions")
-    y = as_outcome_vector(y, "outcomes")
-    check_same_length(p, y, "predictions/outcomes")
-    return p, y
-
-
 def brier_score(p, y) -> float:
     """Mean squared error between predicted probabilities and outcomes."""
-    p, y = _paired(p, y)
-    return float(np.mean((p - y) ** 2))
+    return score_report(p, y).brier
 
 
 def rmse(p, y) -> float:
     """Root mean squared error, the square root of the Brier score."""
-    return math.sqrt(brier_score(p, y))
+    return score_report(p, y).rmse
 
 
 def mae(p, y) -> float:
     """Mean absolute error between predictions and outcomes."""
-    p, y = _paired(p, y)
-    return float(np.mean(np.abs(p - y)))
+    return score_report(p, y).mae
 
 
 def cil(p, y) -> float:
@@ -95,8 +88,7 @@ def cil(p, y) -> float:
     Positive values mean the model over-predicts on average. The value is
     signed and lies in [-1, 1].
     """
-    p, y = _paired(p, y)
-    return float(np.mean(p) - np.mean(y))
+    return score_report(p, y).cil
 
 
 def reference_scores(y) -> tuple[float, float]:
@@ -149,7 +141,9 @@ def score_report(p, y, near_reference_delta: float = 0.01) -> ScoreReport:
     delta = as_float(near_reference_delta, "near_reference_delta")
     if not (math.isfinite(delta) and delta > 0):
         raise ValidationError("near_reference_delta must be finite and positive")
-    p, y = _paired(p, y)
+    p = as_probability_vector(p, "predictions")
+    y = as_outcome_vector(y, "outcomes")
+    check_same_length(p, y, "predictions/outcomes")
     d = p - y
     bs = float(np.mean(np.square(d)))
     ybar = float(np.mean(y))

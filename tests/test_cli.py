@@ -271,6 +271,15 @@ class TestSimulate:
         ]
         assert main(["report", "--results", str(out), "--figure", "1", "--n", "30", "--out", str(tmp_path / "f")]) == 2
 
+    @pytest.mark.parametrize("out", ["afile", "afile/o"], ids=["a-file", "under-a-file"])
+    def test_out_that_is_no_directory_exits_3_before_any_block(self, tmp_path, study_config, monkeypatch, capsys, out):
+        (tmp_path / "afile").write_text("not a directory\n")
+        monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
+        assert main(["simulate", "--config", str(study_config), "--out", str(tmp_path / out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("i/o error: ")
+        assert (tmp_path / "afile").read_text() == "not a directory\n"
+
     def test_seed_override_changes_results(self, tmp_path, study_config):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -312,6 +321,12 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(study_config), "--out", str(out), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_bad_worker_count_exits_2_making_no_directory(self, tmp_path, study_config, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(study_config), "--out", str(out), "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "error: worker count must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_non_ascii_label_in_progress_under_ascii_locale(self, tmp_path):

@@ -465,6 +465,17 @@ class TestPoolFiles:
         assert pool.label == "pool"
         assert pool.nominal_incidence == pytest.approx((0.07 + 0.2 + 0.5) / 3, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        ("name", "label"),
+        [(".pool", ".pool"), ("a\\b.txt", "a\\b"), ("x.tar.txt", "x.tar"), ("name.", "name"), ("noext", "noext")],
+    )
+    def test_default_label_is_the_file_name_without_its_last_extension(self, tmp_path, name, label):
+        # a dotfile's name is all stem, and a backslash is a character of a POSIX file name
+        if "\\" in name and os.sep == "\\":
+            pytest.skip("a backslash separates directories here")
+        (tmp_path / name).write_text("0.1\n0.2\n")
+        assert load_empirical_pool(tmp_path / name).label == label
+
     def test_leading_byte_order_mark_is_dropped(self, tmp_path):
         # a spreadsheet's "CSV UTF-8" export starts the file with U+FEFF
         path = tmp_path / "pool.txt"

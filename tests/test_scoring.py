@@ -112,6 +112,30 @@ class TestBrierScore:
             brier_score([1.0 + 1e-9], [1])
 
 
+# A bad (predictions, outcomes) pair, with the error every scoring function raises for it: predictions are
+# checked, then outcomes, then the lengths.
+BAD_PAIRS = {
+    "mismatched-lengths": (([0.1, 0.2], [1]), DimensionError, "predictions/outcomes have mismatched lengths: 2 vs 1"),
+    "out-of-range": (([0.1, 1.5], [1, 0]), ValidationError, "predictions[1] = 1.5 lies outside [0, 1] by more than 1e-12"),
+    "nan": (([0.1, float("nan")], [1, 0]), ValidationError, "predictions[1] is not finite: nan"),
+    "not-an-outcome": (([0.1, 0.2], [1, 2]), ValidationError, "outcomes[1] = 2.0 is not a 0/1 outcome"),
+    "empty": (([], []), ValidationError, "predictions must contain at least one element"),
+    "non-number": (
+        ([0.1, "a"], [1, 0]), ValidationError, "predictions must hold numbers only: could not convert string to float: 'a'"
+    ),
+    "predictions-first": (([1.5], [2, 0]), ValidationError, "predictions[0] = 1.5 lies outside [0, 1] by more than 1e-12"),
+    "outcomes-before-lengths": (([0.1], [2, 0]), ValidationError, "outcomes[0] = 2.0 is not a 0/1 outcome"),
+}
+
+
+@pytest.mark.parametrize("call", [brier_score, rmse, mae, cil, diagnose, score_report], ids=lambda call: call.__name__)
+@pytest.mark.parametrize("pair, error, message", BAD_PAIRS.values(), ids=list(BAD_PAIRS))
+def test_every_scoring_function_refuses_a_bad_pair_alike(call, pair, error, message):
+    with pytest.raises(ValidationError) as info:  # a DimensionError is one
+        call(*pair)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 class TestCompanionMetrics:
     def test_symmetric_errors_cancel_in_cil(self):
         p, y = [0.5, 0.5], [1, 0]
