@@ -106,6 +106,8 @@ def _replication_csv(columns: tuple[str, ...], *rules, **ranges: tuple[float, fl
 
 
 _SCENARIO_CSV = _replication_csv(SCENARIO_CSV_COLUMNS, brier=(0.0, 1.0), cil=(-1.0, 1.0))
+# report draws one metric of each scenario file: the other metric's column is counted, not parsed
+_SCENARIO_METRIC_CSV = {metric: _SCENARIO_CSV.selecting("rep", metric) for metric in SCENARIO_CSV_COLUMNS[1:]}
 _CELL_CSV = _replication_csv(  # gap = (ybar - ybar^2) - BS(q, y), and ybar - ybar^2 lies in [0, 1/4]
     CELL_CSV_COLUMNS, (2, lambda exceeded: (exceeded == 0.0) | (exceeded == 1.0), "exceeded {!r} is not 0 or 1"),
     gap=(-1.0, 0.25), ybar=(0.0, 1.0),
@@ -577,18 +579,22 @@ def write_study_results(cells: Iterable[CellResult], directory) -> list[Path]:
 
 def _read_replication_csv(path, fmt: CsvFormat) -> dict[str, np.ndarray]:
     """The columns of a per-replication file, rep as integers; see validation.read_float_csv."""
-    columns = dict(zip(fmt.header, read_float_csv(path, fmt).T))
+    columns = dict(zip([fmt.header[column] for column in fmt.kept], read_float_csv(path, fmt).T))
     columns["rep"] = columns["rep"].astype(int)
     return columns
 
 
-def read_scenario_csv(path) -> dict[str, np.ndarray]:
+def read_scenario_csv(path, metric: str | None = None) -> dict[str, np.ndarray]:
     """Read a scenario file (rep, brier, cil) back, validating the column schema and every cell.
 
     ``rep`` must be an integer in 1..2**53, brier in [0, 1] and cil in
-    [-1, 1]. A bad file raises a ValidationError naming the first bad line.
+    [-1, 1]. Given a metric (brier or cil), only rep and that column are
+    parsed, checked and returned, though every row must still hold three
+    fields. A bad file raises a ValidationError naming the first bad line.
     """
-    return _read_replication_csv(path, _SCENARIO_CSV)
+    if metric is not None and metric not in _SCENARIO_METRIC_CSV:
+        raise ValueError(f"metric must be one of {list(_SCENARIO_METRIC_CSV)} or None, got {metric!r}")
+    return _read_replication_csv(path, _SCENARIO_CSV if metric is None else _SCENARIO_METRIC_CSV[metric])
 
 
 def read_cell_csv(path) -> dict[str, np.ndarray]:
@@ -608,8 +614,14 @@ def read_summary_csv(path) -> list[dict]:
 
 
 def read_metric_samples(directory, rows: list[dict], metric: str) -> list[np.ndarray]:
-    """The samples of metric for each summary row, from the row's cell file or its scenario file, each read once."""
-    kind, read = ("cell", read_cell_csv) if metric in CELL_CSV_COLUMNS else ("per-scenario", read_scenario_csv)
+    """The samples of metric for each summary row, from the row's cell file or its scenario file, each read once.
+
+    A cell file is read whole, every column checked; of a scenario file only rep and metric are parsed.
+    """
+    if metric in CELL_CSV_COLUMNS:
+        kind, read = "cell", read_cell_csv
+    else:
+        kind, read = "per-scenario", lambda path: read_scenario_csv(path, metric)
     names = [r["cell"] if kind == "cell" else scenario_filename(r["scenario"]) for r in rows]
     for name, r in zip(names, rows):
         if not (Path(directory) / name).exists():

@@ -153,14 +153,30 @@ class CsvFormat(NamedTuple):
     or a single number, to booleans, and ``message.format(cell)`` says why a
     cell fails it. read_float_csv parses the ``integer_columns`` as uint8,
     which takes only cells whose value float() gives bit for bit, and the
-    other columns as float64.
+    other typed columns as float64. A column whose type is None is counted in
+    each row but not parsed, kept or ruled: both readers return only the
+    typed columns, and refuse a row with another number of fields.
     """
 
     header: tuple[str, ...]
-    types: tuple[Callable, ...]
+    types: tuple[Callable | None, ...]
     rules: tuple[tuple[int, Callable, str], ...]
     fold: Callable[[str], str] = str
     integer_columns: tuple[int, ...] = ()
+
+    @property
+    def kept(self) -> tuple[int, ...]:
+        """The typed columns, in order: those the readers parse, rule and return."""
+        return tuple(column for column, kind in enumerate(self.types) if kind is not None)
+
+    def selecting(self, *names: str) -> CsvFormat:
+        """This format with every column but names untyped, and the rules of those columns dropped."""
+        kept = {self.header.index(name) for name in names}
+        return self._replace(
+            types=tuple(kind if column in kept else None for column, kind in enumerate(self.types)),
+            rules=tuple(rule for rule in self.rules if rule[0] in kept),
+            integer_columns=tuple(column for column in self.integer_columns if column in kept),
+        )
 
 
 def names_undecodable_file(read):
@@ -202,7 +218,7 @@ def _past_header(fh, path, fmt: CsvFormat):
 
 @names_undecodable_file
 def csv_rows(path, fmt: CsvFormat) -> list[list]:
-    """The per-line reader: each data row of a CSV file, its cells converted by fmt.types.
+    """The per-line reader: each data row of a CSV file, its typed cells converted by fmt.types.
 
     Empty and whitespace-only lines are skipped. The first line with another
     number of fields, a cell its type refuses, a cell that fails a rule or a
@@ -215,7 +231,8 @@ def csv_rows(path, fmt: CsvFormat) -> list[list]:
 
 def _rows(reader, path, fmt: CsvFormat) -> list[list]:
     """The data rows of csv_rows, from a csv reader past the header."""
-    rows = []
+    rows, kept = [], fmt.kept
+    types = [convert or str for convert in fmt.types]  # an untyped cell is kept as its text, then dropped
     for cells in _records(reader, path):
         if not cells or (len(cells) == 1 and not cells[0].strip()):
             continue
@@ -223,13 +240,13 @@ def _rows(reader, path, fmt: CsvFormat) -> list[list]:
         if len(cells) != len(fmt.types):
             raise ValidationError(f"{where}: expected {len(fmt.types)} fields, got {len(cells)}")
         try:
-            row = [convert(cell) for convert, cell in zip(fmt.types, cells)]
+            row = [convert(cell) for convert, cell in zip(types, cells)]
         except ValueError:
             raise ValidationError(f"{where}: non-numeric entry {cells!r}") from None
         for column, test, message in fmt.rules:
             if not test(row[column]):
                 raise ValidationError(f"{where}: {message.format(cells[column])}")
-        rows.append(row)
+        rows.append(row if len(kept) == len(row) else [row[column] for column in kept])
     if not rows:
         raise ValidationError(f"{path}: no data rows found")
     return rows
@@ -241,50 +258,63 @@ _CHUNK = 1 << 20
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _parse(source, skiprows: int, width: int, integer_columns: tuple[int, ...]) -> np.ndarray:
-    """np.loadtxt of source as a float64 table of width columns; the integer_columns are parsed as uint8.
+@functools.lru_cache(maxsize=None)
+def _record(fmt: CsvFormat) -> np.dtype:
+    """The record np.loadtxt parses a row of fmt into: an 8-byte slot per column, the typed columns' first.
 
-    Each column is parsed into the first bytes of an 8-byte slot, so once the
-    integer columns are widened in place the records are the float table's
-    rows and no second table is built. If an integer column refuses a cell
-    (uint8 refuses 1.0, 1e0 and -0), source is parsed once more as float64
-    throughout. Any other failure raises numpy's ValueError.
+    A typed column is parsed into the first bytes of its slot, as uint8 if it
+    is an integer column and as float64 otherwise. An untyped column is parsed
+    as S1 (one byte), which is never read but makes numpy refuse a row of
+    another width.
+    """
+    columns = range(len(fmt.types))
+    slots = [*fmt.kept, *(column for column in columns if fmt.types[column] is None)]
+    return np.dtype({
+        "names": [f"c{column}" for column in columns],
+        "formats": [
+            np.uint8 if column in fmt.integer_columns else "S1" if fmt.types[column] is None else np.float64
+            for column in columns
+        ],
+        "offsets": [8 * slots.index(column) for column in columns],
+        "itemsize": 8 * len(columns),
+    })
+
+
+def _parse(source, skiprows: int, fmt: CsvFormat) -> np.ndarray:
+    """np.loadtxt of source as a float64 table of fmt's typed columns; fmt.integer_columns are parsed as uint8.
+
+    Each row is parsed into a _record, so once the integer columns are widened
+    in place the first slots of the records are the float table's rows and no
+    second table is built. If an integer column refuses a cell (uint8 refuses
+    1.0, 1e0 and -0; read_float_csv makes numpy 1.23 to 1.26 refuse 0.5 too),
+    source is parsed once more with it as float64. Any other failure raises
+    numpy's ValueError.
     """
     options = dict(skiprows=skiprows, encoding="utf-8", delimiter=",", comments=None)
-    if integer_columns:
-        names = [f"c{column}" for column in range(width)]
-        record = np.dtype({
-            "names": names,
-            "formats": [np.uint8 if column in integer_columns else np.float64 for column in range(width)],
-            "offsets": [8 * column for column in range(width)],
-            "itemsize": 8 * width,
-        })
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.23 to 1.26 parse a cell an integer parser refuses as a float and truncate it
-                # (0.5 to 0, 256 to 0), with this warning; as an error it fails the cell like numpy 2 does.
-                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-                records = np.loadtxt(source, dtype=record, ndmin=1, **options)
-        except ValueError as exc:
-            # numpy's message for a cell its converter refuses (numpy/_core/src/multiarray/textreading/rows.c);
-            # if numpy rewords it, a refused integer cell sends the file to the per-line reader instead.
-            refused = re.fullmatch(r"could not convert string .* to \w+ at row \d+, column (\d+)\.", str(exc), re.S)
-            if not refused or int(refused[1]) - 1 not in integer_columns:
-                raise
-            if not isinstance(source, str):
-                source.seek(0)
-        else:
-            table = records.view(np.float64).reshape(len(records), width)
-            for column in integer_columns:
-                # numpy buffers an assignment whose source overlaps its destination.
-                table[:, column] = records[names[column]]
-            return table
-    return np.loadtxt(source, dtype=float, ndmin=2, **options)
+    kept = fmt.kept
+    if not fmt.integer_columns and len(kept) == len(fmt.types):
+        return np.loadtxt(source, dtype=float, ndmin=2, **options)
+    try:
+        records = np.loadtxt(source, dtype=_record(fmt), ndmin=1, **options)
+    except ValueError as exc:
+        # numpy's message for a cell its converter refuses (numpy/_core/src/multiarray/textreading/rows.c);
+        # if numpy rewords it, a refused integer cell sends the file to the per-line reader instead.
+        refused = re.fullmatch(r"could not convert string .* to \w+ at row \d+, column (\d+)\.", str(exc), re.S)
+        if not refused or int(refused[1]) - 1 not in fmt.integer_columns:
+            raise
+        if not isinstance(source, str):
+            source.seek(0)
+        return _parse(source, skiprows, fmt._replace(integer_columns=()))
+    table = records.view(np.float64).reshape(len(records), len(fmt.types))
+    for column in fmt.integer_columns:
+        # numpy buffers an assignment whose source overlaps its destination.
+        table[:, kept.index(column)] = records[f"c{column}"]
+    return table[:, : len(kept)]
 
 
 @names_undecodable_file
 def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
-    """A CSV file of numbers in fmt as a (rows, columns) float table.
+    """A CSV file of numbers in fmt as a (rows, typed columns) float table.
 
     The text is decoded and checked here. np.loadtxt then parses every row in
     one pass (skipping empty lines): from that text if the body fits one chunk
@@ -292,17 +322,22 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     decompress; a body over one chunk from its UTF-8 bytes), else from the
     absolute path (numpy reads scheme:// names as URLs) in its C file reader,
     as plain UTF-8 past the header (and any byte order mark), fmt.integer_columns
-    as uint8 (see _parse). Each rule is applied to a whole column. If the
-    parse or a rule fails, or there are no rows, the per-line reader names
-    the first bad line, from that text if the file cannot be read again.
+    as uint8 and an untyped column only counted (see _record). Each rule is
+    applied to a whole column. If the parse or a rule fails, or there are no
+    rows, the per-line reader names the first bad line, from that text if the
+    file cannot be read again.
     """
+    kept = fmt.kept
     with open(path, newline="", encoding=TEXT_ENCODING) as fh:
         header_lines = _past_header(fh, path, fmt).line_num
         whole = os.fsdecode(path).endswith(_COMPRESSED) or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         text = chunk = fh.read(-1 if whole else _CHUNK)
         large = False
-        # np.loadtxt strips U+001C..U+001F from around a number, which float() refuses.
-        while (clean := not any(char in chunk for char in "\x1c\x1d\x1e\x1f")) and (chunk := fh.read(_CHUNK)):
+        # np.loadtxt strips U+001C..U+001F from around a number, which float() refuses. An untyped cell
+        # it takes whole, but the csv module reads a quote as opening a quoted cell, and before
+        # Python 3.11 refuses a NUL.
+        marks = "\x1c\x1d\x1e\x1f" + ("" if len(kept) == len(fmt.types) else '"\0')
+        while (clean := not any(char in chunk for char in marks)) and (chunk := fh.read(_CHUNK)):
             large = True
     if clean:
         if large:
@@ -315,9 +350,13 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
             source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
         with contextlib.suppress(ValueError), warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the per-line reader reports it
-            table = _parse(source, header_lines if large else 0, len(fmt.header), fmt.integer_columns)
-            if len(table) and table.shape[1] == len(fmt.header) and all(
-                test(table[:, column]).all() for column, test, _ in fmt.rules
+            if fmt.integer_columns:
+                # numpy 1.23 to 1.26 parse a cell an integer parser refuses as a float and truncate it
+                # (0.5 to 0, 256 to 0), with this warning; as an error it fails the cell like numpy 2 does.
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            table = _parse(source, header_lines if large else 0, fmt)
+            if len(table) and table.shape[1] == len(kept) and all(
+                test(table[:, kept.index(column)]).all() for column, test, _ in fmt.rules
             ):
                 return table
     if whole:

@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -713,6 +714,34 @@ class TestReport:
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         err = capsys.readouterr().err
         assert f"{path.name}: line 4: brier {cell!r} is outside [0, 1]" in err
+
+    def test_bad_cell_fails_only_the_figure_that_draws_its_column(self, results_dir, tmp_path, capsys):
+        # figure 1 parses rep and brier of each scenario file, figure 2 rep and cil; both count every row's fields
+        label = engine.read_summary_csv(results_dir / "summary.csv")[0]["scenario"]
+        path = results_dir / engine.scenario_filename(label)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+
+        def report(figure, edit):
+            edited = [list(row) for row in rows]
+            edit(edited)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(edited)
+            out = tmp_path / "figures"
+            shutil.rmtree(out, ignore_errors=True)
+            code = main(["report", "--results", str(results_dir), "--figure", figure, "--out", str(out), "--n", "30"])
+            return code, capsys.readouterr().err, sorted(child.name for child in out.iterdir())
+
+        def bad_cil(edited):
+            edited[3][2] = "abc"  # cil of the third replication
+
+        assert report("1", bad_cil) == (0, "", ["figure1.csv", "figure1.svg"])
+        cells = [*rows[3][:2], "abc"]
+        assert report("2", bad_cil) == (2, f"error: {path}: line 4: non-numeric entry {cells!r}\n", [])
+        for figure in ("1", "2"):
+            assert report(figure, lambda edited: edited[5].append("0.5")) == (
+                2, f"error: {path}: line 6: expected 3 fields, got 4\n", []
+            )
 
     def test_brier_cells_whose_spread_overflows_exit_2_writing_no_figure(self, results_dir, tmp_path, capsys):
         # finite, but the sd of 1e308 and -1e308 overflows: the figure would be drawn with nan coordinates

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brierlab import engine, validation
@@ -67,6 +67,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Float cells for the scenario-reader parity test; see CELLS in test_scoring.py.
 SCENARIO_CELLS = ("0.25", "-0.5", "1e-3", "-0", "nan", "inf", "1e400", "0.2_5", '"0.5"', " 0.5", "", "abc", "\x1c0.5")
+# Cells a column may hold beside those: text a metric read leaves unparsed in its other column, a quote
+# that opens a quoted cell to the csv module, and a NUL, which the csv module refuses before Python 3.11.
+UNTYPED_CELLS = ('"a', 'b"', "\x00", "\xe9", "\u2028", "\x1f")
 
 
 FORK_ONLY = pytest.mark.skipif(
@@ -1293,6 +1296,52 @@ class TestPersistence:
             return np.column_stack(list(read_scenario_csv(path).values()))
 
         assert outcome(public) == outcome(per_line_scenario_rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        metric=st.sampled_from(SCENARIO_CSV_COLUMNS[1:]),
+        text=st.lists(
+            st.lists(
+                st.sampled_from(["1", "2", "7", "1.5", "-3", "1e2", "x"])
+                | st.sampled_from(["0.25", "-0", "1e-3", " 0.5"])
+                | st.sampled_from(SCENARIO_CELLS + UNTYPED_CELLS),
+                min_size=3, max_size=3,
+            ).map(",".join)
+            | st.sampled_from(["", "  ", "1,0.5", "1,0.5,0.5,0.5", "1,0.5,\x1c"]),
+            max_size=5,
+        ).map(lambda lines: "\n".join([",".join(SCENARIO_CSV_COLUMNS), *lines]) + "\n"),
+    )
+    # a quote opens a quoted cell to the csv module, which then takes the next line into it
+    @example(metric="brier", text='rep,brier,cil\n1,0.25,"a\n2,0.5,0.5\n')
+    @example(metric="cil", text='rep,brier,cil\n1,"a,0.25\n2,0.5,0.5\n')
+    @example(metric="cil", text="rep,brier,cil\n1,\x00,0.25\n")
+    def test_metric_read_matches_per_line_reader_and_the_whole_read(self, tmp_path_factory, text, metric):
+        # figures 1 and 2 read rep and their metric alone: the other column is counted but not parsed
+        path = tmp_path_factory.mktemp("scenario") / "s.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+
+        def outcome(read):
+            try:
+                return np.asarray(read(path), dtype=float).tolist()
+            except ValidationError as exc:
+                return str(exc)
+
+        selected = outcome(lambda path: np.column_stack(list(read_scenario_csv(path, metric).values())))
+        assert selected == outcome(lambda path: validation.csv_rows(path, engine._SCENARIO_METRIC_CSV[metric]))
+        try:
+            whole = read_scenario_csv(path)
+        except ValidationError:
+            return
+        part = read_scenario_csv(path, metric)
+        assert list(part) == ["rep", metric]
+        for name, column in part.items():
+            assert (column.dtype, column.tobytes()) == (whole[name].dtype, whole[name].tobytes())
+
+    def test_metric_read_refuses_an_unknown_metric(self, tmp_path):
+        paths = write_study_results(run_study(small_config()), tmp_path)
+        with pytest.raises(ValueError, match=r"^metric must be one of \['brier', 'cil'\] or None, got 'rep'$"):
+            read_scenario_csv(paths[1], "rep")
 
     def test_scenario_csv_text(self, tmp_path):
         result = run_scenario(Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 50), 40, 321)

@@ -1,5 +1,7 @@
 """Scoring metrics, reference scores, diagnostics, and pair-file parsing."""
 
+import functools
+import math
 import re
 import warnings
 
@@ -254,16 +256,21 @@ class TestScoreReport:
         assert report.brier <= report.mae + 1e-12
         assert report.reference_half == 0.25
 
-    def test_fields_equal_the_single_metric_functions(self, rng):
-        # bit for bit: score_report computes each field from one validated pass
+    def test_fields_equal_their_sums_written_out(self, rng):
+        # each field against its definition summed exactly here, not against another brierlab function
         for n in (1, 7, 400):
-            p, y = rng.random(n), (rng.random(n) < 0.3).astype(float)
+            p, y = rng.random(n).tolist(), (rng.random(n) < 0.3).astype(float).tolist()
             report = score_report(p, y)
-            half, incidence = reference_scores(y)
-            assert (report.brier, report.rmse, report.mae, report.cil) == (
-                brier_score(p, y), rmse(p, y), mae(p, y), cil(p, y)
-            )
-            assert (report.reference_half, report.reference_incidence) == (half, incidence)
+            brier = math.fsum((pi - yi) ** 2 for pi, yi in zip(p, y)) / n
+            mean_p, ybar = math.fsum(p) / n, math.fsum(y) / n
+            close = functools.partial(pytest.approx, rel=1e-15, abs=0.0)
+            assert report.n == n
+            assert report.brier == close(brier)
+            assert report.rmse == close(math.sqrt(brier))
+            assert report.mae == close(math.fsum(abs(pi - yi) for pi, yi in zip(p, y)) / n)
+            # cil is a difference: relative to the larger of its two means
+            assert abs(report.cil - (mean_p - ybar)) <= 1e-15 * max(mean_p, ybar)
+            assert (report.reference_half, report.reference_incidence) == (0.25, close(ybar - ybar * ybar))
 
     def test_warnings_are_diagnose(self, rng):
         for p, y in (([0.5] * 10, [1, 0] * 5), ([1, 0] * 10, [1, 0] * 10), (rng.random(50), [1, 0] * 25)):

@@ -441,6 +441,44 @@ def test_path_forms(tmp_path, monkeypatch, as_path):
     assert on_both_branches(monkeypatch, name)[0] == ["pairs.csv: line 3: non-numeric entry ['nope', '1']"] * 2
 
 
+# Each parse, as (file name suffix, chunk), with the source np.loadtxt is given.
+PARSE_ROUTES = {
+    "in-memory": ("", validation._CHUNK, IN_MEMORY),
+    "from-bytes": (".gz", 2, FROM_BYTES),
+    "by-name": ("", 2, BY_NAME),
+}
+# A scenario file as figure 1 reads it: rep and brier are parsed, cil is counted but not parsed.
+BRIER_ONLY = engine._SCENARIO_METRIC_CSV["brier"]
+
+
+@pytest.mark.parametrize("suffix, chunk, source", list(PARSE_ROUTES.values()), ids=list(PARSE_ROUTES))
+def test_each_parse_reads_the_typed_columns_alone(tmp_path, monkeypatch, suffix, chunk, source):
+    assert BRIER_ONLY.types[2] is None and BRIER_ONLY.kept == (0, 1)
+    path = write_text(tmp_path / f"s.csv{suffix}", "rep,brier,cil\n1,0.25,abc\n2,0.5,\n\n3,0.75,-9\n")
+    expected = [[1.0, 0.25], [2.0, 0.5], [3.0, 0.75]]
+    assert validation.csv_rows(path, BRIER_ONLY) == expected
+    monkeypatch.setattr(validation, "_CHUNK", chunk)
+    monkeypatch.setattr(validation, "_rows", lambda *args: pytest.fail("a good file reached the per-line reader"))
+    sources = parses_used(monkeypatch)
+    table = validation.read_float_csv(path, BRIER_ONLY)
+    assert (table.dtype, table.tolist(), sources) == (np.float64, expected, [source])
+
+
+@pytest.mark.parametrize("row, width", [("3,0.75", 2), ("3,0.75,abc,0", 4)], ids=["2-fields", "4-fields"])
+@pytest.mark.parametrize("suffix, chunk, source", list(PARSE_ROUTES.values()), ids=list(PARSE_ROUTES))
+def test_each_parse_refuses_a_row_of_another_width_with_an_untyped_column(
+    tmp_path, monkeypatch, suffix, chunk, source, row, width
+):
+    # numpy's own count of each row's fields refuses it, and the per-line reader names the line
+    path = write_text(tmp_path / f"s.csv{suffix}", f"rep,brier,cil\n1,0.25,abc\n2,0.5,\n{row}\n")
+    monkeypatch.setattr(validation, "_CHUNK", chunk)
+    sources = parses_used(monkeypatch)
+    with pytest.raises(ValidationError) as info:
+        validation.read_float_csv(path, BRIER_ONLY)
+    assert str(info.value) == f"{path}: line 4: expected 3 fields, got {width}"
+    assert sources == [source]
+
+
 @pytest.mark.parametrize(
     "text",
     [
