@@ -151,11 +151,11 @@ class CsvFormat(NamedTuple):
     A header matches when ``fold`` maps its cells to ``header``. A rule is
     ``(column, test, message)``: ``test`` maps the column's values, an array
     or a single number, to booleans, and ``message.format(cell)`` says why a
-    cell fails it. read_float_csv parses the ``integer_columns`` as uint8,
-    which takes only cells whose value float() gives bit for bit, and the
-    other typed columns as float64. A column whose type is None is counted in
-    each row but not parsed, kept or ruled: both readers return only the
-    typed columns, and refuse a row with another number of fields.
+    cell fails it. read_float_csv parses rows into the format's _record: the
+    ``integer_columns`` as uint8, which takes only cells whose value float()
+    gives bit for bit, the other typed columns as float64. A column whose type
+    is None is counted in each row but not parsed, kept or ruled: both readers
+    return only the typed columns, and refuse a row with another field count.
     """
 
     header: tuple[str, ...]
@@ -258,6 +258,33 @@ _CHUNK = 1 << 20
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
+# np.loadtxt strips U+001C..U+001F from around a number, which float() refuses; the csv module reads a
+# quote as opening a quoted cell, and before Python 3.11 refuses a NUL. A body holding one is read per line.
+_MARKS = '\x1c\x1d\x1e\x1f"\0'
+
+
+def _scan(chunk: str, run: int, limit: int) -> int:
+    """The length of the run with no line break that ends chunk, given the run that ends the text before it.
+
+    It is -1 if chunk holds one of _MARKS or a run longer than limit
+    (csv.field_size_limit()), which may hold a cell the csv module refuses
+    and np.loadtxt takes: the per-line reader then reads the file.
+    """
+    if any(mark in chunk for mark in _MARKS):
+        return -1
+    start = -run  # where the run began, counted from the start of chunk
+    while True:
+        # the last line break among the limit + 1 characters from start, if any, ends the run
+        low, end = max(start, 0), start + limit + 1
+        newline = chunk.rfind("\n", low, end)
+        last = max(newline, chunk.rfind("\r", max(low, newline + 1), end))
+        if end > len(chunk):
+            return len(chunk) - (start if last < 0 else last + 1)
+        if last < 0:
+            return -1
+        start = last + 1
+
+
 @functools.lru_cache(maxsize=None)
 def _record(fmt: CsvFormat) -> np.dtype:
     """The record np.loadtxt parses a row of fmt into: an 8-byte slot per column, the typed columns' first.
@@ -281,19 +308,16 @@ def _record(fmt: CsvFormat) -> np.dtype:
 
 
 def _parse(source, skiprows: int, fmt: CsvFormat) -> np.ndarray:
-    """np.loadtxt of source as a float64 table of fmt's typed columns; fmt.integer_columns are parsed as uint8.
+    """np.loadtxt of source as a float64 table of fmt's typed columns, each row parsed into a _record.
 
-    Each row is parsed into a _record, so once the integer columns are widened
-    in place the first slots of the records are the float table's rows and no
-    second table is built. If an integer column refuses a cell (uint8 refuses
-    1.0, 1e0 and -0; read_float_csv makes numpy 1.23 to 1.26 refuse 0.5 too),
-    source is parsed once more with it as float64. Any other failure raises
-    numpy's ValueError.
+    Once the integer columns are widened in place, the first slots of the
+    records are the float table's rows, so no second table is built. If an
+    integer column refuses a cell (uint8 refuses 1.0, 1e0 and -0;
+    read_float_csv makes numpy 1.23 to 1.26 refuse 0.5 too), source is parsed
+    once more with it as float64. Any other failure, a row of another width
+    among them, raises numpy's ValueError.
     """
     options = dict(skiprows=skiprows, encoding="utf-8", delimiter=",", comments=None)
-    kept = fmt.kept
-    if not fmt.integer_columns and len(kept) == len(fmt.types):
-        return np.loadtxt(source, dtype=float, ndmin=2, **options)
     try:
         records = np.loadtxt(source, dtype=_record(fmt), ndmin=1, **options)
     except ValueError as exc:
@@ -305,6 +329,7 @@ def _parse(source, skiprows: int, fmt: CsvFormat) -> np.ndarray:
         if not isinstance(source, str):
             source.seek(0)
         return _parse(source, skiprows, fmt._replace(integer_columns=()))
+    kept = fmt.kept
     table = records.view(np.float64).reshape(len(records), len(fmt.types))
     for column in fmt.integer_columns:
         # numpy buffers an assignment whose source overlaps its destination.
@@ -316,30 +341,26 @@ def _parse(source, skiprows: int, fmt: CsvFormat) -> np.ndarray:
 def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
     """A CSV file of numbers in fmt as a (rows, typed columns) float table.
 
-    The text is decoded and checked here. np.loadtxt then parses every row in
-    one pass (skipping empty lines): from that text if the body fits one chunk
-    or the file cannot be named to numpy (a pipe, or a name numpy would
-    decompress; a body over one chunk from its UTF-8 bytes), else from the
-    absolute path (numpy reads scheme:// names as URLs) in its C file reader,
-    as plain UTF-8 past the header (and any byte order mark), fmt.integer_columns
-    as uint8 and an untyped column only counted (see _record). Each rule is
-    applied to a whole column. If the parse or a rule fails, or there are no
-    rows, the per-line reader names the first bad line, from that text if the
-    file cannot be read again.
+    The text is decoded and checked here, one chunk at a time: _scan sends a
+    body holding a mark or an overlong line to the per-line reader. Else
+    np.loadtxt parses every row into fmt's _record in one pass (skipping empty
+    lines): from that text if the body fits one chunk or the file cannot be
+    named to numpy (a pipe, or a name numpy would decompress; a body over one
+    chunk from its UTF-8 bytes), else from the absolute path (numpy reads
+    scheme:// names as URLs) in its C file reader, as plain UTF-8 past the
+    header (and any byte order mark). Each rule is applied to a whole column.
+    If the parse or a rule fails, or there are no rows, the per-line reader
+    names the first bad line, from that text if the file cannot be read again.
     """
     kept = fmt.kept
     with open(path, newline="", encoding=TEXT_ENCODING) as fh:
         header_lines = _past_header(fh, path, fmt).line_num
         whole = os.fsdecode(path).endswith(_COMPRESSED) or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         text = chunk = fh.read(-1 if whole else _CHUNK)
-        large = False
-        # np.loadtxt strips U+001C..U+001F from around a number, which float() refuses. An untyped cell
-        # it takes whole, but the csv module reads a quote as opening a quoted cell, and before
-        # Python 3.11 refuses a NUL.
-        marks = "\x1c\x1d\x1e\x1f" + ("" if len(kept) == len(fmt.types) else '"\0')
-        while (clean := not any(char in chunk for char in marks)) and (chunk := fh.read(_CHUNK)):
+        large, run, limit = False, 0, csv.field_size_limit()
+        while (run := _scan(chunk, run, limit)) >= 0 and (chunk := fh.read(_CHUNK)):
             large = True
-    if clean:
+    if run >= 0:
         if large:
             source = os.path.abspath(os.fsdecode(path))
         # A StringIO holds 4 bytes per character and UTF-8 bytes one per ASCII character,
@@ -355,9 +376,7 @@ def read_float_csv(path, fmt: CsvFormat) -> np.ndarray:
                 # (0.5 to 0, 256 to 0), with this warning; as an error it fails the cell like numpy 2 does.
                 warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             table = _parse(source, header_lines if large else 0, fmt)
-            if len(table) and table.shape[1] == len(kept) and all(
-                test(table[:, kept.index(column)]).all() for column, test, _ in fmt.rules
-            ):
+            if len(table) and all(test(table[:, kept.index(column)]).all() for column, test, _ in fmt.rules):
                 return table
     if whole:
         # Blank lines stand in for the header, so line numbers count from the top of the file.

@@ -157,8 +157,12 @@ class TestScore:
 
     @pytest.mark.parametrize(
         "text, line",
-        [("p,y\n0.5,1\n" + "x" * 200_000 + ",1\n", 3), ("x" * 200_000 + ",y\n0.5,1\n", 1)],
-        ids=["data-cell", "header-cell"],
+        [
+            ("p,y\n0.5,1\n" + "x" * 200_000 + ",1\n", 3),
+            ("p,y\n0.5,1\n0." + "0" * 200_000 + "1,1\n", 3),  # numpy would read it as 0.0
+            ("x" * 200_000 + ",y\n0.5,1\n", 1),
+        ],
+        ids=["data-cell", "numeric-data-cell", "header-cell"],
     )
     def test_oversized_cell_exits_2_naming_line(self, tmp_path, capsys, text, line):
         # a cell over csv.field_size_limit() (128 KiB) is bad input, not a crash
@@ -714,6 +718,20 @@ class TestReport:
                      "--out", str(tmp_path / "f"), "--n", "30"]) == 2
         err = capsys.readouterr().err
         assert f"{path.name}: line 4: brier {cell!r} is outside [0, 1]" in err
+
+    @pytest.mark.parametrize("figure", ["1", "2"])
+    def test_oversized_scenario_cell_exits_2_naming_line(self, results_dir, tmp_path, capsys, figure):
+        # over the csv module's field limit, though numpy reads it as 0.0
+        label = engine.read_summary_csv(results_dir / "summary.csv")[0]["scenario"]
+        path = results_dir / engine.scenario_filename(label)
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[1] = "0." + "0" * 200_000 + "1"  # brier of the first replication
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--results", str(results_dir), "--figure", figure,
+                     "--out", str(tmp_path / "f"), "--n", "30"]) == 2
+        assert f"{path.name}: line 2: field larger than field limit (131072)" in capsys.readouterr().err
 
     def test_bad_cell_fails_only_the_figure_that_draws_its_column(self, results_dir, tmp_path, capsys):
         # figure 1 parses rep and brier of each scenario file, figure 2 rep and cil; both count every row's fields

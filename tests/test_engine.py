@@ -67,6 +67,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Float cells for the scenario-reader parity test; see CELLS in test_scoring.py.
 SCENARIO_CELLS = ("0.25", "-0.5", "1e-3", "-0", "nan", "inf", "1e400", "0.2_5", '"0.5"', " 0.5", "", "abc", "\x1c0.5")
+# Cells for the rep and exceeded columns in the same test.
+REP_CELLS = ("1", "2", "7", "1.5", "-3", "1e2", "x")
+EXCEEDED_CELLS = ("0", "1", "0.5", "2", "-0", "1.0", "nan")
 # Cells a column may hold beside those: text a metric read leaves unparsed in its other column, a quote
 # that opens a quoted cell to the csv module, and a NUL, which the csv module refuses before Python 3.11.
 UNTYPED_CELLS = ('"a', 'b"', "\x00", "\xe9", "\u2028", "\x1f")
@@ -1268,22 +1271,22 @@ class TestPersistence:
         assert main(args) == 2
         assert f"{paths[1].name}: line 6: rep '1e300' is outside 1..2**53" in capsys.readouterr().err
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        text=st.lists(
-            st.tuples(
-                st.sampled_from(["1", "2", "7", "1.5", "-3", "1e2", "x"]),
-                *[st.sampled_from(SCENARIO_CELLS)] * 3,
-                st.sampled_from(["0", "1", "0.5", "2", "-0", "1.0", "nan"]),
-                st.sampled_from(SCENARIO_CELLS),
-            ).map(",".join)
-            | st.sampled_from(["", "  ", "1,2"]),
-            max_size=5,
-        ).map(lambda lines: "\n".join([",".join(SCENARIO_CSV_COLUMNS), *lines]) + "\n")
+    @pytest.mark.parametrize(
+        "columns, read, fmt",
+        [
+            ((REP_CELLS, SCENARIO_CELLS, SCENARIO_CELLS), read_scenario_csv, engine._SCENARIO_CSV),
+            ((REP_CELLS, SCENARIO_CELLS, EXCEEDED_CELLS, SCENARIO_CELLS), read_cell_csv, engine._CELL_CSV),
+        ],
+        ids=["scenario", "cell"],
     )
-    def test_scenario_reader_matches_per_line_reader(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("scenario") / "s.csv"
-        with open(path, "w", newline="") as fh:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scenario_reader_matches_per_line_reader(self, tmp_path_factory, columns, read, fmt, data):
+        # a row of each column's drawn cells, or a blank line, or a row of 2 or 5 fields
+        row = st.tuples(*map(st.sampled_from, columns)).map(",".join) | st.sampled_from(["", "  ", "1,2", "1,0,1,0,1"])
+        text = data.draw(st.lists(row, max_size=5).map(lambda lines: "\n".join([",".join(fmt.header), *lines]) + "\n"))
+        path = tmp_path_factory.mktemp("results") / "r.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
 
         def outcome(read):
@@ -1293,9 +1296,9 @@ class TestPersistence:
                 return str(exc)
 
         def public(path):
-            return np.column_stack(list(read_scenario_csv(path).values()))
+            return np.column_stack(list(read(path).values()))
 
-        assert outcome(public) == outcome(per_line_scenario_rows)
+        assert outcome(public) == outcome(lambda path: validation.csv_rows(path, fmt))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1315,6 +1318,9 @@ class TestPersistence:
     @example(metric="brier", text='rep,brier,cil\n1,0.25,"a\n2,0.5,0.5\n')
     @example(metric="cil", text='rep,brier,cil\n1,"a,0.25\n2,0.5,0.5\n')
     @example(metric="cil", text="rep,brier,cil\n1,\x00,0.25\n")
+    # a cell over the csv module's field limit, which numpy would read as 0.0, in each column
+    @example(metric="brier", text="rep,brier,cil\n1,0." + "0" * 200_000 + "1,0.25\n")
+    @example(metric="cil", text="rep,brier,cil\n1,0." + "0" * 200_000 + "1,0.25\n")
     def test_metric_read_matches_per_line_reader_and_the_whole_read(self, tmp_path_factory, text, metric):
         # figures 1 and 2 read rep and their metric alone: the other column is counted but not parsed
         path = tmp_path_factory.mktemp("scenario") / "s.csv"

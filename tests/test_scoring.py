@@ -272,9 +272,16 @@ class TestScoreReport:
             assert abs(report.cil - (mean_p - ybar)) <= 1e-15 * max(mean_p, ybar)
             assert (report.reference_half, report.reference_incidence) == (0.25, close(ybar - ybar * ybar))
 
-    def test_warnings_are_diagnose(self, rng):
-        for p, y in (([0.5] * 10, [1, 0] * 5), ([1, 0] * 10, [1, 0] * 10), (rng.random(50), [1, 0] * 25)):
-            assert list(score_report(p, y).warnings) == diagnose(p, y)
+    def test_warnings_are_diagnose(self):
+        for p, y, codes in (
+            ([0.5] * 10, [1, 0] * 5, [NEAR_REFERENCE]),  # brier 0.25 = ybar - ybar**2
+            ([1, 0] * 10, [1, 0] * 10, [ZERO_SCORE_SUSPECT, ALL_EXTREME_PREDICTIONS]),
+            ([1, 0] * 4, [1, 0] * 4, [ALL_EXTREME_PREDICTIONS]),  # a zero score on 8 cases is no suspect
+            ([1] * 10, [1] * 10, [ZERO_SCORE_SUSPECT, ALL_EXTREME_PREDICTIONS, NEAR_REFERENCE]),
+            ([0.1, 0.9] * 25, [1, 0] * 25, []),  # brier 0.81
+        ):
+            assert score_report(p, y).warnings == tuple(codes)
+            assert diagnose(p, y) == codes
 
     def test_delta_checked_before_vectors(self):
         with pytest.raises(ValidationError, match="near_reference_delta"):

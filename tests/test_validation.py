@@ -1,5 +1,6 @@
 """The shared CSV table reader (one rule table per format, one per-line reader) and the real-number rule."""
 
+import csv
 import io
 import math
 import os
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brierlab
 from brierlab import engine, scoring, validation
@@ -52,6 +55,9 @@ BREAKING_CELLS = {
     "cell {!r} is not a file name": "../u_n30.csv",
     "scenario {!r} holds a character XML 1.0 cannot hold": "l\x01bl",
 }
+
+# The csv module refuses a cell over its field limit, which numpy takes (0.0 for "0.", 200 000 zeros and "1").
+LIMIT = csv.field_size_limit()
 
 RULE_CASES = [
     pytest.param(name, index, id=f"{name}-rule{index}")
@@ -131,6 +137,8 @@ def test_shared_failures_have_one_wording(tmp_path, name):
     for bad, message in (
         (good[:-1], f"line 3: expected {width} fields, got {width - 1}"),
         (non_numeric, f"line 3: non-numeric entry {non_numeric!r}"),
+        # a last cell numpy would read as 0.0, which each format's last column takes
+        ([*good[:-1], "0." + "0" * 200_000 + "1"], f"line 3: field larger than field limit ({LIMIT})"),
     ):
         path = write_table(tmp_path / f"{name}.csv", name, [good, bad, good])
         assert failure(read, path) == f"{path}: {message}"
@@ -421,6 +429,49 @@ def test_separator_in_a_later_chunk_names_its_line(tmp_path, monkeypatch):
     with pytest.raises(ValidationError) as info:
         scoring.read_pair_file(path)
     assert str(info.value) == f"{path}: line {count + 4}: non-numeric entry ['\\x1c0.5', '1']"
+
+
+def tiny_p_row(length, field=None):
+    """A pair row ``0.0…01,1`` of length characters, or one whose p cell has field characters."""
+    return "0." + "0" * (field - 3 if field else length - 5) + "1,1"
+
+
+# Each read of a body with a long line: its chunk, and the source numpy parses when the body is numpy's.
+LONG_LINE_READS = {
+    "in-memory": (validation._CHUNK, IN_MEMORY),
+    "by-name-straddling": (100_000, BY_NAME),  # the long line starts in one chunk and ends in the next
+    "by-name-small-chunks": (4096, BY_NAME),
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("chunk, source", list(LONG_LINE_READS.values()), ids=list(LONG_LINE_READS))
+def test_a_line_over_the_field_limit_is_read_per_line(tmp_path, monkeypatch, end, chunk, source):
+    monkeypatch.setattr(validation, "_CHUNK", chunk)
+    sources = parses_used(monkeypatch)
+    expected = ([0.5, 0.0, 0.5], [0.0, 1.0, 1.0])
+
+    def pairs(*long_row):
+        return write_text(tmp_path / "pairs.csv", end.join(["p,y", "0.5,0", tiny_p_row(*long_row), "0.5,1", ""]))
+
+    # a line of the limit's length is numpy's; one character more goes to the per-line reader alone
+    assert (pair_outcome(pairs(LIMIT)), sources) == (expected, [source])
+    assert (pair_outcome(pairs(LIMIT + 1)), sources) == (expected, [source])
+    path = pairs(None, LIMIT + 1)
+    assert (pair_outcome(path), sources) == (f"{path}: line 3: field larger than field limit ({LIMIT})", [source])
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text("ab,\n\r", max_size=40), cuts=st.lists(st.integers(0, 40), max_size=4))
+def test_scan_finds_a_line_over_the_field_limit_across_chunks(text, cuts):
+    # with a field limit of 7, read in the chunks the cuts make
+    ends = sorted(min(cut, len(text)) for cut in cuts)
+    lines = re.split("[\r\n]", text)
+    run = 0
+    for start, end in zip([0, *ends], [*ends, len(text)]):
+        if (run := validation._scan(text[start:end], run, 7)) < 0:
+            break
+    assert run == (-1 if max(map(len, lines)) > 7 else len(lines[-1]))
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
