@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
 from .validation import (
-    NOT_XML_CHAR, TEXT_ENCODING, as_probability_vector, check_count, commit_text, is_integer, is_real,
+    NOT_XML_CHAR, TEXT_ENCODING, as_probability_vector, check_count, check_integers, commit_text, is_integer, is_real,
     names_undecodable_file, shown,
 )
 
@@ -307,9 +307,7 @@ def make_synthetic_pool(
     """
     if not (is_real(target_incidence) and 0.0 < target_incidence < 1.0):
         raise ValidationError(f"target incidence must lie in (0, 1), got {shown(target_incidence)}")
-    if not is_integer(size) or size < 1:
-        raise ValidationError(f"pool size must be an integer >= 1, got {shown(size)}")
-    check_count("pool size", size)
+    check_integers(("pool size", size, 1))
     if not (is_real(spread) and 0.0 <= spread < math.inf):
         raise ValidationError(f"spread must be finite and nonnegative, got {shown(spread)}")
     z = np.random.default_rng(rng).normal(0.0, spread, size)  # a Generator is drawn from as it is, else a seed

@@ -47,8 +47,8 @@ from .dgm import (
 from .errors import ConfigError, InsufficientPoolError, ValidationError
 from .oracle import EXCEEDANCE_TIE_TOL
 from .validation import (
-    MAX_COUNT, NOT_XML_CHAR, TEXT_ENCODING, CsvFormat, _as_float_vector, check_count, commit_csv, commit_text, csv_rows,
-    is_integer, names_undecodable_file, read_float_csv, shown,
+    MAX_COUNT, NOT_XML_CHAR, TEXT_ENCODING, CsvFormat, _as_float_vector, check_integers, commit_csv, commit_text,
+    csv_rows, names_undecodable_file, read_float_csv, shown,
 )
 
 __all__ = [
@@ -127,17 +127,6 @@ _SUMMARY_CSV = CsvFormat(
 _SUMMARY_METRICS = ("brier", "cil", "gap")
 
 
-def _check_integers(*checks: tuple[str, object, int]) -> None:
-    """Refuse, naming it, the first (name, value, least) not an integer >= least, or a count (least 1) > MAX_COUNT."""
-    for name, value, least in checks:
-        if not is_integer(value):
-            raise ValidationError(f"{name} must be an integer, got {shown(value)}")
-        if value < least:
-            raise ValidationError(f"{name} must be >= {least}, got {shown(int(value))}")
-        if least == 1:
-            check_count(name, value)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One study scenario: true distribution x predictor transform x sample size."""
@@ -151,7 +140,7 @@ class Scenario:
         for name, spec_class in (("true_dist", TrueDistributionSpec), ("transform", PredictorTransformSpec)):
             if not isinstance(spec := getattr(self, name), spec_class):
                 raise ValidationError(f"scenario {name} must be a {spec_class.__name__}, got {shown(spec)}")
-        _check_integers(("scenario sample size", self.n, 1))
+        check_integers(("scenario sample size", self.n, 1))
         object.__setattr__(self, "label", f"{self.true_dist.label}+{self.transform.label}+n{self.n}")
 
 
@@ -320,8 +309,10 @@ def run_scenario(
     docstring), so the result is identical for any ``workers`` value;
     workers only controls which worker runs each block.
     """
-    _check_integers(("replication count", n_reps, 1), ("worker count", workers, 1), ("seed", root_seed, 0),
-                    ("cell index", scenario_index, 0))
+    if not isinstance(scenario, Scenario):
+        raise ValidationError(f"scenario must be a Scenario, got {shown(scenario)}")
+    check_integers(("replication count", n_reps, 1), ("worker count", workers, 1), ("seed", root_seed, 0),
+                   ("cell index", scenario_index, 0))
     [cell] = _run_cells([(scenario_index, (scenario,))], n_reps, root_seed, workers)
     brier, cil, gap, exceeded, ybar = cell.table
     exceeded = exceeded.astype(bool)
@@ -335,8 +326,9 @@ class StudyConfig:
 
     Every field is checked when it is built, directly or through
     dataclasses.replace: a string name, integer seed >= 0 and N in
-    1..2**53, sequences of sample sizes in 1..2**53 and of specs, nonempty,
-    no clashing cell or scenario files, no pool smaller than the largest n.
+    1..2**53, nonempty sequences (not strings) of sample sizes and of specs,
+    each checked by the Scenarios of the grid, no clashing cell or scenario
+    files, no pool smaller than the largest n.
     """
 
     name: str
@@ -349,19 +341,13 @@ class StudyConfig:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValidationError(f"study name must be a string, got {shown(self.name)}")
-        _check_integers(("seed", self.seed, 0), ("replication count", self.n_reps, 1))
-        sizes = self.sample_sizes
-        if not isinstance(sizes, Sequence) or isinstance(sizes, str) or not all(
-            is_integer(n) and n >= 1 for n in sizes
-        ):
-            raise ValidationError(f"study sample sizes must be a sequence of integers >= 1, got {shown(sizes)}")
-        check_count("study sample size", max(sizes, default=1))
-        for field in ("dgms", "transforms"):
-            if not isinstance(specs := getattr(self, field), Sequence):
-                raise ValidationError(f"study {field} must be a sequence of specs, got {shown(specs)}")
-        if not (sizes and self.dgms and self.transforms):
+        check_integers(("seed", self.seed, 0), ("replication count", self.n_reps, 1))
+        for field in ("sample_sizes", "dgms", "transforms"):
+            if not isinstance(values := getattr(self, field), Sequence) or isinstance(values, str):
+                raise ValidationError(f"study {field} must be a sequence other than a string, got {shown(values)}")
+        if not (self.sample_sizes and self.dgms and self.transforms):
             raise ValidationError("a study needs at least one sample size, true distribution and transform")
-        _claim_filenames(_grid_cells(self), {})
+        _claim_filenames(_grid_cells(self), {})  # each Scenario checks its sample size and specs
         n = max(self.sample_sizes)
         for i, dgm in enumerate(self.dgms):
             if dgm.pool is not None and dgm.pool.size < n:
@@ -393,7 +379,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> Iterator[CellResult]:
     worker count is checked, when it is called. One thread (``workers`` = 1)
     or one process pool serves every block, and closing the iterator stops it.
     """
-    _check_integers(("worker count", workers, 1))
+    check_integers(("worker count", workers, 1))
     return _run_cells(list(enumerate(_grid_cells(config))), config.n_reps, config.seed, workers)
 
 

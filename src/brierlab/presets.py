@@ -10,6 +10,7 @@ they are clearly labeled synthetic.
 from __future__ import annotations
 
 from .dgm import derive_stream, make_synthetic_pool
+from .validation import check_integers
 
 __all__ = [
     "DEFAULT_SEED",
@@ -29,7 +30,8 @@ _POOL_STREAM_TAG = 1_000_003
 
 
 def synthetic_pools(seed: int, pool_size: int = 5000):
-    """The two synthetic stand-in pools (7% and 26.3% incidence) for a seed."""
+    """The two synthetic stand-in pools (7% and 26.3% incidence) for a seed, an integer >= 0."""
+    check_integers(("seed", seed, 0))
     names = ("osteoporosis-synthetic", "smoking-synthetic")
     pools = []
     for index, (incidence, name) in enumerate(zip(FULL_GRID_INCIDENCES, names)):

@@ -116,6 +116,18 @@ def check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be <= 2**53, got {shown(int(value))}")
 
 
+def check_integers(*checks: tuple[str, object, int]) -> None:
+    """The one check of a seed, count, size or index: refuse, naming it, the first (name, value, least) that is
+    not an integer >= least (a bool is not one), or a count (least 1) above MAX_COUNT."""
+    for name, value, least in checks:
+        if not is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {shown(value)}")
+        if value < least:
+            raise ValidationError(f"{name} must be >= {least}, got {shown(int(value))}")
+        if least == 1:
+            check_count(name, value)
+
+
 def shown(value) -> str:
     """repr(value) for an error message; it never raises, though repr of an int past Python's digit limit does."""
     try:

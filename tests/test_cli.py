@@ -453,7 +453,7 @@ class TestSimulate:
         [
             ("seed", -1, "seed must be >= 0, got -1"),
             ("N", 0, "replication count must be >= 1, got 0"),
-            ("sample_sizes", [0], "study sample sizes must be a sequence of integers >= 1, got (0,)"),
+            ("sample_sizes", [0], "scenario sample size must be >= 1, got 0"),
             ("sample_sizes", 5, "study.sample_sizes: must be a list, got 5"),
         ],
         ids=["negative-seed", "zero-N", "zero-size", "size-not-list"],

@@ -648,9 +648,9 @@ class TestSyntheticPool:
             make_synthetic_pool(0.0, size=10, rng=0)
 
     @pytest.mark.parametrize("argument, message", [
-        ({"size": 2.5}, "pool size must be an integer >= 1, got 2.5"),
-        ({"size": True}, "pool size must be an integer >= 1, got True"),
-        ({"size": 0}, "pool size must be an integer >= 1, got 0"),
+        ({"size": 2.5}, "pool size must be an integer, got 2.5"),
+        ({"size": True}, "pool size must be an integer, got True"),
+        ({"size": 0}, "pool size must be >= 1, got 0"),
         ({"spread": -1.0}, "spread must be finite and nonnegative, got -1.0"),
         ({"spread": float("nan")}, "spread must be finite and nonnegative, got nan"),
         ({"spread": float("inf")}, "spread must be finite and nonnegative, got inf"),

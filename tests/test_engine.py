@@ -315,6 +315,8 @@ class TestRunScenario:
             run_scenario(scenario, 10, 1, workers=0)
         with pytest.raises(ValidationError):
             Scenario(Dist.constant(0.5), Transform.perfect(), 0)
+        with pytest.raises(ValidationError, match=r"^scenario must be a Scenario, got None$"):
+            run_scenario(None, 5, 1)
 
     def test_negative_seed_rejected_before_any_block(self, monkeypatch):
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
@@ -532,14 +534,15 @@ class TestStudyConfigChecks:
          "['empirical(a)+perfect+n50', 'empirical(a+perfect)+n50']"),
         ({"dgms": (Dist.uniform(0.0, 1.0), TINY), "sample_sizes": (2, 5)}, InsufficientPoolError,
          "dgms[1]: pool 'tiny' has 3 values, cannot subsample n=5 without replacement"),
-        ({"sample_sizes": 50}, ValidationError, "study sample sizes must be a sequence of integers >= 1, got 50"),
-        ({"sample_sizes": "50"}, ValidationError, "study sample sizes must be a sequence of integers >= 1, got '50'"),
-        ({"sample_sizes": (50, 2.5)}, ValidationError,
-         "study sample sizes must be a sequence of integers >= 1, got (50, 2.5)"),
+        ({"sample_sizes": 50}, ValidationError, "study sample_sizes must be a sequence other than a string, got 50"),
+        ({"sample_sizes": "50"}, ValidationError, "study sample_sizes must be a sequence other than a string, got '50'"),
+        ({"sample_sizes": (50, 2.5)}, ValidationError, "scenario sample size must be an integer, got 2.5"),
+        ({"sample_sizes": (10, True)}, ValidationError, "scenario sample size must be an integer, got True"),
         ({"dgms": Dist.uniform(0.0, 1.0)}, ValidationError,
-         f"study dgms must be a sequence of specs, got {Dist.uniform(0.0, 1.0)!r}"),
+         f"study dgms must be a sequence other than a string, got {Dist.uniform(0.0, 1.0)!r}"),
+        ({"dgms": "abc"}, ValidationError, "study dgms must be a sequence other than a string, got 'abc'"),
         ({"transforms": Transform.perfect()}, ValidationError,
-         f"study transforms must be a sequence of specs, got {Transform.perfect()!r}"),
+         f"study transforms must be a sequence other than a string, got {Transform.perfect()!r}"),
         ({"seed": -1}, ValidationError, "seed must be >= 0, got -1"),
         ({"seed": 1.5}, ValidationError, "seed must be an integer, got 1.5"),
         ({"n_reps": 0}, ValidationError, "replication count must be >= 1, got 0"),
@@ -551,8 +554,8 @@ class TestStudyConfigChecks:
          f"['empirical({'a' * 240})+n50', 'empirical({'a' * 240})+perfect+n50', "
          f"'empirical({'a' * 240})+bias(+0.1)+n50']"),
     ], ids=["empty-grid", "label-clash", "cell-file-clash", "small-pool", "sizes-int", "sizes-str", "sizes-float",
-            "bare-dgm", "bare-transform", "negative-seed", "float-seed", "zero-reps", "bool-reps", "int-name",
-            "name-too-long"])
+            "sizes-bool", "bare-dgm", "str-dgms", "bare-transform", "negative-seed", "float-seed", "zero-reps",
+            "bool-reps", "int-name", "name-too-long"])
     def test_refused_when_built_before_any_block(self, monkeypatch, overrides, error, message):
         monkeypatch.setattr(engine, "_run_block", lambda *task: pytest.fail("a block ran"))
         with pytest.raises(error) as info:
@@ -576,7 +579,7 @@ class TestCountBounds:
     SCENARIO = Scenario(Dist.uniform(0.0, 1.0), Transform.perfect(), 10)
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: small_config(sample_sizes=(50, 10**30)), f"study sample size must be <= 2**53, got {10**30}"),
+        (lambda: small_config(sample_sizes=(50, 10**30)), f"scenario sample size must be <= 2**53, got {10**30}"),
         (lambda: small_config(n_reps=10**20), f"replication count must be <= 2**53, got {10**20}"),
         (lambda: dataclasses.replace(small_config(), n_reps=2**53 + 1),
          "replication count must be <= 2**53, got 9007199254740993"),
@@ -638,7 +641,7 @@ class TestCountBounds:
         assert validation.MAX_COUNT == 2**53
 
     @pytest.mark.parametrize("field, value, message", [
-        ("sample_sizes", [10**30], f"study sample size must be <= 2**53, got {10**30}"),
+        ("sample_sizes", [10**30], f"scenario sample size must be <= 2**53, got {10**30}"),
         ("N", 10**20, f"replication count must be <= 2**53, got {10**20}"),
     ], ids=["sample_sizes", "N"])
     def test_simulate_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, field, value, message):
@@ -966,7 +969,7 @@ class TestConfigDocuments:
     @pytest.mark.parametrize("field, value, message", [
         ("seed", -1, "seed must be >= 0, got -1"),
         ("N", 0, "replication count must be >= 1, got 0"),
-        ("sample_sizes", [0], "study sample sizes must be a sequence of integers >= 1, got (0,)"),
+        ("sample_sizes", [0], "scenario sample size must be >= 1, got 0"),
         ("name", 3, "study name must be a string, got 3"),
     ], ids=["negative-seed", "zero-N", "zero-size", "int-name"])
     def test_study_values_are_checked_by_the_study_config(self, tmp_path, field, value, message):

@@ -668,6 +668,7 @@ def _huge_integer_table():
         sample_true_probs,
     )
     from brierlab.engine import Scenario, StudyConfig, run_scenario, run_study
+    from brierlab.presets import synthetic_pools
 
     dist, transform = TrueDistributionSpec.constant(0.5), PredictorTransformSpec.perfect()
     scenario = Scenario(dist, transform, 5)
@@ -697,11 +698,12 @@ def _huge_integer_table():
         "study-N-positive": (lambda: study(n_reps=HUGE),
                              "replication count must be <= 2**53, got an unprintable int"),
         "study-sample_sizes": (lambda: study(sample_sizes=(5, -HUGE)),
-                               "study sample sizes must be a sequence of integers >= 1, got (5, an unprintable int)"),
+                               "scenario sample size must be >= 1, got an unprintable int"),
         "study-sample_sizes-positive": (lambda: study(sample_sizes=(5, HUGE)),
-                                        "study sample size must be <= 2**53, got an unprintable int"),
+                                        "scenario sample size must be <= 2**53, got an unprintable int"),
         "study-name": (lambda: study(name=HUGE), "study name must be a string, got an unprintable int"),
-        "study-dgms": (lambda: study(dgms=HUGE), "study dgms must be a sequence of specs, got an unprintable int"),
+        "study-dgms": (lambda: study(dgms=HUGE),
+                       "study dgms must be a sequence other than a string, got an unprintable int"),
         "run_study-workers": (lambda: run_study(study(), workers=-HUGE),
                               "worker count must be >= 1, got an unprintable int"),
         "run_scenario-N": (lambda: run_scenario(scenario, -HUGE, 1),
@@ -716,11 +718,16 @@ def _huge_integer_table():
         "synthetic-target": (lambda: make_synthetic_pool(HUGE),
                              "target incidence must lie in (0, 1), got an unprintable int"),
         "synthetic-size": (lambda: make_synthetic_pool(0.3, size=-HUGE),
-                           "pool size must be an integer >= 1, got an unprintable int"),
+                           "pool size must be >= 1, got an unprintable int"),
         "synthetic-size-positive": (lambda: make_synthetic_pool(0.3, size=HUGE),
                                     "pool size must be <= 2**53, got an unprintable int"),
         "synthetic-spread": (lambda: make_synthetic_pool(0.3, spread=HUGE),
                              "spread must be finite and nonnegative, got an unprintable int"),
+        "synthetic_pools-seed": (lambda: synthetic_pools(-HUGE, 10), "seed must be >= 0, got an unprintable int"),
+        # seeds that are not integers >= 0 but are not huge either
+        "synthetic_pools-seed-bool": (lambda: synthetic_pools(True, 10), "seed must be an integer, got True"),
+        "synthetic_pools-seed-negative": (lambda: synthetic_pools(-1, 10), "seed must be >= 0, got -1"),
+        "synthetic_pools-seed-float": (lambda: synthetic_pools(1.5, 10), "seed must be an integer, got 1.5"),
         "sample_true_probs-size": (lambda: sample_true_probs(dist, (2, -HUGE), np.random.default_rng(1)),
                                    "size must be an integer n >= 1 or a tuple of integers >= 0 ending in n, "
                                    "got (2, an unprintable int)"),
