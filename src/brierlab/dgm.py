@@ -10,8 +10,10 @@ that any parallel schedule reproduces bit-identical draws.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -19,8 +21,8 @@ import numpy as np
 
 from .errors import InsufficientPoolError, ValidationError
 from .validation import (
-    NOT_XML_CHAR, TEXT_ENCODING, as_probability_vector, check_count, check_integers, commit_text, is_integer, is_real,
-    names_undecodable_file, shown,
+    NOT_XML_CHAR, TEXT_ENCODING, _as_float_vector, as_probability_vector, check_count, check_integers, commit_text,
+    is_integer, is_real, names_undecodable_file, shown,
 )
 
 __all__ = [
@@ -174,11 +176,22 @@ PREDICTOR_TRANSFORMS: dict[str, Kind] = {
     "perfect": Kind((), lambda q, rng: q.copy(), "perfect", lambda: None),
     "additive_bias": Kind(("delta",), lambda q, delta, rng: q + delta, "bias({:+g})",
         lambda delta: None if -1.0 < delta < 1.0 else f"bias delta must satisfy |delta| < 1, got {delta}"),
-    "uniform_noise": Kind(("half_width",), lambda q, h, rng: q + rng.uniform(-h, h, q.shape), "unif_noise({:g})",
-        lambda h: None if 0.0 < h < 1.0 else f"noise half width must lie in (0, 1), got {h}"),
-    "rademacher_noise": Kind(("magnitude",), lambda q, m, rng: q + m * (1.0 - 2.0 * rng.integers(0, 2, q.shape)),
+    "uniform_noise": Kind(("half_width",), lambda q, h, rng: _plus_q(q, rng.uniform(-h, h, q.shape)),
+        "unif_noise({:g})", lambda h: None if 0.0 < h < 1.0 else f"noise half width must lie in (0, 1), got {h}"),
+    "rademacher_noise": Kind(("magnitude",), lambda q, m, rng: _plus_q(q, _signs(m, rng.integers(0, 2, q.shape))),
         "rademacher({:g})", lambda m: None if 0.0 < m < math.inf else f"noise magnitude must be positive, got {m}"),
 }
+
+
+def _plus_q(q: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """q + noise, summed into noise's own buffer (addition is commutative, so the bits are q + noise's)."""
+    return np.add(q, noise, out=noise)
+
+
+def _signs(m: float, flags: np.ndarray) -> np.ndarray:
+    """m * (1 - 2k), exactly m or -m, for each int64 flag k in {0, 1}: looked up into the flags' own buffer, each
+    slot's flag read before the slot is written (mode "clip" writes straight to out, where "raise" buffers it)."""
+    return np.take(np.array([m, -m]), flags, out=flags.view(np.float64), mode="clip")
 
 
 def _check_kind(spec, registry: dict[str, Kind], family: str) -> None:
@@ -244,26 +257,37 @@ def apply_predictor_transform(
 
 
 def sample_outcomes(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw independent outcomes y ~ Bernoulli(q), elementwise, as a float 0/1 array of q's shape.
+    """Draw independent outcomes y ~ Bernoulli(q), elementwise, as a new float 0/1 array of q's shape.
 
-    Every q is validated, on the raveled array, before any draw.
+    Every q is validated, on the raveled array, before any draw; q is never
+    written. y_i is 1 where a uniform draw u_i in [0, 1) lies below q_i,
+    compared into the draw's own buffer. A copy of q is snapped to [0, 1]
+    only if some value lies outside it.
     """
     shape = np.shape(q)
-    q = as_probability_vector(np.ravel(q), "true probabilities").reshape(shape)
-    return (rng.random(shape) < q).astype(np.float64)
+    flat = _as_float_vector(np.ravel(q), "true probabilities")
+    if not 0.0 <= flat.min() <= flat.max() <= 1.0:  # NaN fails too
+        flat = as_probability_vector(flat, "true probabilities")
+    u = rng.random(shape)
+    return np.less(u, flat.reshape(shape), out=u)
 
 
 @names_undecodable_file
 def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityPool:
-    """Read a probability pool file: one decimal per line, '#' comments allowed.
+    """Read a probability pool file: one number per line, as float() reads it, '#' comments allowed.
 
-    Any non-numeric or out-of-range entry raises ValidationError naming the
-    line; an empty file (after comments) raises too. The label defaults to the
-    file name without its last extension (``.pool`` is a name, not an extension).
+    The text is parsed in one np.loadtxt pass; where that fails, the per-line
+    reader reads what only float() takes (``0.1_5``) or raises ValidationError
+    naming the first non-numeric or out-of-range line, and an empty file
+    (after comments) raises too. The label defaults to the file name without
+    its last extension (``.pool`` is a name, not an extension).
     """
-    values: list[float] = []
     with open(path, encoding=TEXT_ENCODING) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = fh.read().split("\n")  # text mode ends every line with "\n", as iterating the file does
+    values = _parse_pool(lines)
+    if values is None:
+        values = []
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -276,11 +300,25 @@ def load_empirical_pool(path, label: str | None = None) -> EmpiricalProbabilityP
                     f"{path}: line {lineno}: probability {value!r} outside [0, 1]"
                 )
             values.append(value)
-    if not values:
-        raise ValidationError(f"{path}: no probabilities found")
+        if not values:
+            raise ValidationError(f"{path}: no probabilities found")
     if label is None:
         label = os.path.splitext(os.path.basename(os.fsdecode(path)))[0]
     return EmpiricalProbabilityPool(values, label)
+
+
+def _parse_pool(lines: list[str]) -> np.ndarray | None:
+    """The pool's values from one np.loadtxt pass, or None if the per-line reader must read the lines.
+
+    A line of two numbers gives two columns, which float() would refuse as
+    one entry, so only one column of values in [0, 1] (no NaN) is kept.
+    """
+    with contextlib.suppress(ValueError), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # the per-line reader reports it
+        values = np.loadtxt(lines, comments="#", ndmin=2)
+        if values.shape[1] == 1 and values.size and 0.0 <= values.min() <= values.max() <= 1.0:
+            return values[:, 0]
+    return None
 
 
 def write_pool_file(pool: EmpiricalProbabilityPool, path, comment: str | None = None) -> None:
@@ -310,6 +348,8 @@ def make_synthetic_pool(
     check_integers(("pool size", size, 1))
     if not (is_real(spread) and 0.0 <= spread < math.inf):
         raise ValidationError(f"spread must be finite and nonnegative, got {shown(spread)}")
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        check_integers(("seed", rng, 0))
     z = np.random.default_rng(rng).normal(0.0, spread, size)  # a Generator is drawn from as it is, else a seed
 
     def sigmoid(shift: float) -> np.ndarray:

@@ -174,7 +174,9 @@ def _score_cell(scenarios, streams, rows: int) -> np.ndarray:
     table = np.empty((2 * width + 3, rows))
     ybar = table[-1] = y.mean(axis=1)
     reference = ybar - ybar * ybar
-    brier_perfect = np.mean((q - y) ** 2, axis=1)
+    residual = q - y  # squared in place, as each transform's p - y is below
+    brier_perfect = np.square(residual, out=residual).mean(axis=1)
+    del residual
     table[-3] = reference - brier_perfect
     table[-2] = brier_perfect > reference + EXCEEDANCE_TIE_TOL
     for t, (scenario, stream) in enumerate(zip(scenarios, transform_streams)):

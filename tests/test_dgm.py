@@ -438,6 +438,50 @@ class TestOutcomes:
         y2 = sample_outcomes(q, derive_stream(110, 7))
         assert np.array_equal(y1, y2)
 
+    def test_values_within_the_tolerance_draw_as_snapped(self):
+        # a value within 1e-12 outside [0, 1] is snapped, and its y is that of the snapped value
+        q = np.array([[-1e-12, 0.0, 0.3], [1.0 + 1e-12, 1.0, -5e-13]])
+        y = sample_outcomes(q, derive_stream(111, 0))
+        assert y.tobytes() == sample_outcomes(np.clip(q, 0.0, 1.0), derive_stream(111, 0)).tobytes()
+        assert y[:, :2].tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        assert q[0, 0] == -1e-12  # the caller's q is never snapped in place
+
+    @pytest.mark.parametrize("q, message", [
+        ([[0.5, np.nan]], "true probabilities[1] is not finite: nan"),
+        ([0.5, 0.2, -np.inf], "true probabilities[2] is not finite: -inf"),
+        ([[0.5], [1 + 1e-9]], "true probabilities[1] = 1.000000001 lies outside [0, 1] by more than 1e-12"),
+        # numpy's own words follow, and numpy 2 shows the text as np.str_('abc')
+        (["0.5", "abc"], "true probabilities must hold numbers only: could not convert string to float: "),
+        ([], "true probabilities must contain at least one element"),
+    ], ids=repr)
+    def test_bad_values_raise_before_any_draw(self, q, message):
+        rng = derive_stream(112, 0)
+        with pytest.raises(ValidationError) as info:
+            sample_outcomes(q, rng)
+        assert str(info.value).startswith(message)
+        assert rng.random() == derive_stream(112, 0).random()
+
+    def test_a_read_only_q_is_taken_and_never_written(self):
+        q = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        q.setflags(write=False)
+        before = q.tobytes()
+        y = sample_outcomes(q, derive_stream(113, 0))
+        assert q.tobytes() == before and y.shape == (3, 4)
+
+    @pytest.mark.parametrize("q", [
+        [0.0, 0.25, 0.5, 1.0],
+        np.array([0.0, 0.25, 0.5, 1.0], dtype=np.float32),
+        np.array([-0.0, 0.25, 0.5, 1.0]),
+        np.array([0.0, 0.25, 0.5, 1.0]),
+    ], ids=["list", "float32", "negative-zero", "float64"])
+    def test_the_result_is_a_new_float64_array_of_the_same_draws(self, q):
+        y = sample_outcomes(q, derive_stream(114, 0))
+        assert y.dtype == np.float64 and y.flags.owndata and y.flags.writeable
+        assert not np.shares_memory(y, np.asarray(q))
+        u = derive_stream(114, 0).random(4)
+        assert y.tobytes() == (u < np.array([0.0, 0.25, 0.5, 1.0])).astype(np.float64).tobytes()
+        assert y[0] == 0.0 and y[-1] == 1.0
+
 
 class TestStreams:
     def test_same_address_same_draws(self):
@@ -500,6 +544,38 @@ class TestPoolFiles:
         path.write_text("0.5\nbananas\n")
         with pytest.raises(ValidationError, match="line 2"):
             load_empirical_pool(path)
+
+    @pytest.mark.parametrize("text, values", [
+        ("0.1_5\n0.2\n", [0.15, 0.2]),  # float() takes an underscore and numpy does not
+        ("0.1\r\n\r\n0.2 # note\r\n\t0.3\t\n", [0.1, 0.2, 0.3]),
+        ("0.1\r0.2\r", [0.1, 0.2]),  # a lone carriage return ends a line
+        ("-0.0\n1\n", [0.0, 1.0]),
+    ], ids=repr)
+    def test_every_line_form_float_takes_is_read(self, tmp_path, text, values):
+        path = tmp_path / "pool.txt"
+        path.write_bytes(text.encode())
+        assert load_empirical_pool(path).probabilities.tolist() == values
+
+    @pytest.mark.parametrize("text, message", [
+        # one line of two numbers is one entry float() refuses, not two values
+        ("0.5 0.6\n", "line 1: non-numeric entry '0.5 0.6'"),
+        ("0.5\n0.6 0.7\n", "line 2: non-numeric entry '0.6 0.7'"),
+        ("0.5\n\n# x\nnan\n", "line 4: probability nan outside [0, 1]"),
+        ("0.5\r\n-1e-300\r\n", "line 2: probability -1e-300 outside [0, 1]"),
+    ], ids=repr)
+    def test_a_bad_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "pool.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValidationError) as info:
+            load_empirical_pool(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name", ["smoking-synthetic.txt", "osteoporosis-synthetic.txt"])
+    def test_checked_in_pools_read_as_float_reads_each_line(self, name):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "pools", name)
+        with open(path, encoding="utf-8") as fh:
+            values = [float(line) for line in fh if not line.startswith("#")]
+        assert load_empirical_pool(path).probabilities.tobytes() == np.array(values).tobytes()
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "pool.txt"
@@ -657,6 +733,10 @@ class TestSyntheticPool:
         # a string is shown as its repr, quoted, so that it cannot pass for the number it spells
         ({"spread": "1"}, "spread must be finite and nonnegative, got '1'"),
         ({"target_incidence": "0.5"}, "target incidence must lie in (0, 1), got '0.5'"),
+        # a seed is checked as every seed is: numpy would take True as 1
+        ({"rng": True}, "seed must be an integer, got True"),
+        ({"rng": -1}, "seed must be >= 0, got -1"),
+        ({"rng": 1.5}, "seed must be an integer, got 1.5"),
     ], ids=repr)
     def test_bad_argument_raises_validation_error(self, argument, message):
         with pytest.raises(ValidationError) as info:

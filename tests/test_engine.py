@@ -60,7 +60,7 @@ from brierlab.engine import (
     write_summary_csv,
 )
 from brierlab.errors import ConfigError, InsufficientPoolError, ValidationError
-from brierlab.oracle import exact_exceedance_probability
+from brierlab.oracle import EXCEEDANCE_TIE_TOL, exact_exceedance_probability
 from brierlab.presets import DEFAULT_SEED, synthetic_pools
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -726,6 +726,80 @@ class TestStreamedWrites:
     def test_a_parallel_study_starts_its_pool_when_first_iterated(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
         run_study(self.CONFIG, workers=2).close()
+
+
+def reference_score_cell(scenarios, streams, rows):
+    """The block kernel with its earlier formulas: the outcome draw compares with a clipped copy of q,
+    the perfect prediction's score squares q - y, and noise is added to q as q + noise and
+    q + m * (1 - 2k)."""
+    q_stream, transform_streams, outcome_stream = streams
+    q = sample_true_probs(scenarios[0].true_dist, (rows, scenarios[0].n), q_stream)
+    y = (outcome_stream.random(q.shape) < np.clip(q, 0.0, 1.0)).astype(np.float64)
+
+    width = len(scenarios)
+    table = np.empty((2 * width + 3, rows))
+    ybar = table[-1] = y.mean(axis=1)
+    reference = ybar - ybar * ybar
+    brier_perfect = np.mean((q - y) ** 2, axis=1)
+    table[-3] = reference - brier_perfect
+    table[-2] = brier_perfect > reference + EXCEEDANCE_TIE_TOL
+    for t, (scenario, stream) in enumerate(zip(scenarios, transform_streams)):
+        kind, params = scenario.transform.kind, scenario.transform.params
+        if kind == "perfect":
+            p = q.copy()
+        elif kind == "additive_bias":
+            p = q + params[0]
+        elif kind == "uniform_noise":
+            p = q + stream.uniform(-params[0], params[0], q.shape)
+        else:
+            p = q + params[0] * (1.0 - 2.0 * stream.integers(0, 2, q.shape))
+        np.clip(p, 0.0, 1.0, out=p)
+        table[width + t] = p.mean(axis=1) - ybar
+        p -= y
+        table[t] = np.square(p, out=p).mean(axis=1)
+    return table
+
+
+class TestKernelMatchesReference:
+    """The block kernel writes the reference kernel's bytes for every DGM kind x every transform kind."""
+
+    DISTS = (
+        Dist.uniform(0.0, 1.0),
+        Dist.beta(2.0, 5.0),
+        Dist.constant(0.0),
+        Dist.constant(1.0),
+        Dist.constant(-0.0),
+        Dist.constant(0.3),
+        Dist.two_point(0.0, 1.0, 0.4),
+        Dist.two_point(0.1, 0.9, 0.3),
+        Dist.empirical(EmpiricalProbabilityPool(np.linspace(0.0, 1.0, 64), "grid")),
+    )
+    # the biases clamp at 1 and at 0, and a magnitude of 1 or more clamps every noisy value
+    TRANSFORMS = (
+        Transform.perfect(),
+        Transform.additive_bias(0.3),
+        Transform.additive_bias(-0.3),
+        Transform.uniform_noise(0.1),
+        Transform.rademacher_noise(0.1),
+        Transform.rademacher_noise(1.0),
+        Transform.rademacher_noise(1.5),
+    )
+
+    def test_every_kind_is_covered(self):
+        assert {dist.kind for dist in self.DISTS} == {*TRUE_DISTRIBUTIONS, "empirical"}
+        assert {transform.kind for transform in self.TRANSFORMS} == set(PREDICTOR_TRANSFORMS)
+
+    @pytest.mark.parametrize("n", [1, 30])
+    @pytest.mark.parametrize("dist", DISTS, ids=lambda dist: dist.label)
+    def test_full_and_partial_blocks(self, dist, n):
+        scenarios = tuple(Scenario(dist, transform, n) for transform in self.TRANSFORMS)
+        n_reps = BLOCK_REPS + 37  # block 1 is partial
+        for block, rows in ((0, BLOCK_REPS), (1, 37)):
+            streams = engine._cell_streams(99, 4, block, len(scenarios))
+            want = reference_score_cell(scenarios, streams, rows)
+            got = engine._run_block(scenarios, 99, 4, block, n_reps)
+            assert got.shape == want.shape == (2 * len(scenarios) + 3, rows)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCommonRandomNumbers:
